@@ -13,10 +13,10 @@ a harder sensitization vector still violates.
 """
 
 from repro.charlib.characterize import FAST_GRID, characterize_library
-from repro.core.sizing import upsize_critical_path
 from repro.core.sta import TruePathSTA
 from repro.gates.library import sized_library
 from repro.netlist.circuit import Circuit
+from repro.opt.sizer import TimingDrivenSizer
 from repro.tech.presets import technology
 
 CELLS = ["INV", "INV_X2", "NAND2", "NAND2_X2", "AO22", "AO22_X2",
@@ -55,8 +55,9 @@ def main() -> None:
     print(f"\nworst true-path arrival : {worst * 1e12:.1f} ps")
     print(f"required time           : {required * 1e12:.1f} ps  (15% too slow)\n")
 
-    result = upsize_critical_path(circuit, charlib, required, max_iterations=10)
-    print(result.describe())
+    sizer = TimingDrivenSizer(circuit, charlib, required,
+                              strategy="greedy", max_moves=10)
+    print(sizer.run().describe())
     print(f"\ncell histogram after ECO: {circuit.cell_histogram()}")
 
 

@@ -19,7 +19,8 @@ independent* and *bitwise-equal* to the scalar evaluator:
 ``evaluate_many(points)[i] == evaluate(*points[i])`` exactly, for any
 batch composition.  The vectorized timing core relies on it to produce
 byte-identical arrivals, slews and pruning bounds whether a model is
-evaluated one traversal at a time (scalar engines, ``--no-vectorize``)
+evaluated one traversal at a time (the search hot loop, incremental
+per-net repair, the reference passes in :mod:`repro.verify.metamorphic`)
 or once per (level, model group).  Implementations must therefore
 replay the scalar operation sequence elementwise (see
 :meth:`PolynomialModel._power_ladder

@@ -132,7 +132,6 @@ def _analyze_params(args) -> dict:
         "no_map": args.no_map,
         "jobs": args.jobs,
         "missing_arc_policy": args.missing_arc_policy,
-        "vectorize": not args.no_vectorize,
         "wall_budget": args.wall_budget,
         "extension_budget": args.extension_budget,
         "backtrack_budget": args.backtrack_budget,
@@ -168,7 +167,6 @@ def _size(args) -> int:
         variant_suffix=args.variant_suffix,
         max_paths=args.max_paths,
         no_map=args.no_map,
-        vectorize=not args.no_vectorize,
         scratch=args.scratch,
         wall_budget=args.wall_budget,
         extension_budget=args.extension_budget,
@@ -446,11 +444,6 @@ def _add_analyze_flags(parser) -> None:
                         help="on a library gap: abort (error) or fall "
                              "back to the nearest characterized arc of "
                              "the same cell (warn-substitute)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="run the scalar reference sweeps instead "
-                             "of the structure-of-arrays batched "
-                             "kernels (results are byte-identical; "
-                             "this is an escape hatch / A-B switch)")
     parser.add_argument("--wall-budget", type=float, default=None,
                         metavar="SECONDS",
                         help="anytime mode: stop searching after this "
@@ -539,8 +532,6 @@ def main(argv: Optional[list] = None) -> int:
                       help="cap per worst-path query (default 5000)")
     size.add_argument("--no-map", action="store_true",
                       help="skip technology mapping of .bench input")
-    size.add_argument("--no-vectorize", action="store_true",
-                      help="scalar reference sweeps (byte-identical)")
     size.add_argument("--scratch", action="store_true",
                       help="rebuild all analysis state from scratch per "
                            "move instead of dirty-cone repair (A/B "

@@ -18,7 +18,9 @@ the arc delay at a single slew point is not admissible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -89,9 +91,7 @@ class DelayCalculator:
         input_slew: float = DEFAULT_INPUT_SLEW,
         vector_blind: bool = False,
         wire: Optional[WireLoadModel] = None,
-        arc_cache: bool = True,
         missing_arc_policy: str = "error",
-        vectorize: bool = True,
         compiled: Optional["CompiledTables"] = None,
     ):
         if missing_arc_policy not in MISSING_ARC_POLICIES:
@@ -110,11 +110,6 @@ class DelayCalculator:
         self.vector_blind = vector_blind
         self.wire = wire
         self.missing_arc_policy = missing_arc_policy
-        #: Route the sweep passes (GBA forward, backward required-time
-        #: bound, slew fixed point) through the structure-of-arrays
-        #: compilation in :mod:`repro.core.tarrays`.  Results are byte
-        #: identical to the scalar passes (``--no-vectorize``).
-        self.vectorize = bool(vectorize)
         #: Model evaluations served (plain attribute -- the search loop
         #: is too hot for registry traffic; callers publish the delta
         #: to ``delaycalc.arc_evaluations`` at the end of a run).
@@ -134,9 +129,7 @@ class DelayCalculator:
         for gate in ec.gates:
             load = output_load(circuit, gate.inst, charlib, wire=wire)
             self.fo.append(load / charlib.mean_cap(gate.cell.name))
-        self._arc_cache: Optional[Dict[Tuple[str, str, str, bool, bool], TimingArc]] = (
-            {} if arc_cache else None
-        )
+        self._arc_cache: Dict[Tuple[str, str, str, bool, bool], TimingArc] = {}
         self._gate_arcs_cache: Dict[int, Tuple[TimingArc, ...]] = {}
         #: (gate index, pin) -> (resolved arcs, missing-arc descriptions).
         self._pin_arcs_cache: Dict[
@@ -182,22 +175,14 @@ class DelayCalculator:
         """(delay, output slew) of one traversal, in seconds."""
         lookup_id = BLIND if self.vector_blind else vector_id
         self.arc_evaluations += 1
-        cache = self._arc_cache
-        if cache is None:
-            arc = self._lookup_arc(
-                gate.cell.name, pin, lookup_id, input_rising, output_rising
-            )
+        key = (gate.cell.name, pin, lookup_id, input_rising, output_rising)
+        arc = self._arc_cache.get(key)
+        if arc is None:
+            self.arc_cache_misses += 1
+            arc = self._lookup_arc(*key)
+            self._arc_cache[key] = arc
         else:
-            key = (gate.cell.name, pin, lookup_id, input_rising, output_rising)
-            arc = cache.get(key)
-            if arc is None:
-                self.arc_cache_misses += 1
-                arc = self._lookup_arc(
-                    gate.cell.name, pin, lookup_id, input_rising, output_rising
-                )
-                cache[key] = arc
-            else:
-                self.arc_cache_hits += 1
+            self.arc_cache_hits += 1
         fo = self.fo[gate.index]
         delay = arc.delay(fo, t_in, self.temp, self.vdd)
         slew = arc.slew(fo, t_in, self.temp, self.vdd)
@@ -386,24 +371,25 @@ class DelayCalculator:
         domain, which is what makes :meth:`worst_gate_delay` an
         admissible bound.
         """
-        if self._bound_slews is not None:
-            return self._bound_slews
+        if self._bound_slews is None:
+            self._bound_slews = self.slew_fixed_point(
+                lambda samples: max(self.tarrays.slew_peaks(samples),
+                                    default=0.0)
+            )
+        return self._bound_slews
+
+    def slew_fixed_point(
+        self, worst_slew: Callable[[Tuple[float, ...]], float]
+    ) -> Tuple[float, ...]:
+        """The ceiling iteration behind :meth:`bound_slews`;
+        ``worst_slew(samples)`` is the worst output slew any gate can
+        emit over one sample grid (the incremental session reads it
+        from per-gate peak tables instead of re-sweeping every gate)."""
         grid = (self.charlib.metadata or {}).get("grid", {})
         grid_slews = tuple(float(t) for t in grid.get("t_in", ()))
         ceiling = max((*grid_slews, self.input_slew, 4 * self.input_slew))
         for _ in range(_SLEW_CEILING_ROUNDS):
-            samples = self._slew_samples(grid_slews, ceiling)
-            if self.vectorize:
-                worst = self.tarrays.max_slew(samples)
-            else:
-                worst = 0.0
-                for gate in self.ec.gates:
-                    fo = self.fo[gate.index]
-                    for arc in self.gate_arcs(gate):
-                        peak = _model_max(arc.slew_model, fo, samples,
-                                          self.temp, self.vdd)
-                        if peak > worst:
-                            worst = peak
+            worst = worst_slew(self._slew_samples(grid_slews, ceiling))
             if worst <= ceiling:
                 break
             # Overshoot so the ceiling brackets the fixed point in a
@@ -412,8 +398,7 @@ class DelayCalculator:
         else:
             _log.warning("bound.slew_ceiling_unconverged",
                          circuit=self.ec.circuit.name, ceiling=ceiling)
-        self._bound_slews = self._slew_samples(grid_slews, ceiling)
-        return self._bound_slews
+        return self._slew_samples(grid_slews, ceiling)
 
     @staticmethod
     def _slew_samples(grid_slews: Tuple[float, ...],
@@ -533,11 +518,10 @@ class DelayCalculator:
         The pathfinder calls this when it receives shipped pruning
         bounds but no worst-arc table: its hot loop reads
         :meth:`worst_arc_delay` per traversal, and without the prefill
-        each first read would fall back to a scalar model sweep.  A
-        no-op in scalar mode (``--no-vectorize`` keeps the lazy
-        per-arc sweeps) and after :meth:`seed_tables`.
+        each first read would fall back to a per-arc model sweep.  A
+        no-op after :meth:`seed_tables`.
         """
-        if self.vectorize and not self._worst_table_complete:
+        if not self._worst_table_complete:
             self.tarrays.prefill_worst_arcs()
             self._worst_table_complete = True
 

@@ -55,7 +55,6 @@ class GraphSTA:
         vdd: Optional[float] = None,
         input_slew: float = DEFAULT_INPUT_SLEW,
         missing_arc_policy: str = "error",
-        vectorize: bool = True,
     ):
         circuit.check()
         self.circuit = circuit
@@ -64,7 +63,6 @@ class GraphSTA:
             self.ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
             vector_blind=charlib.metadata.get("vector_mode") == "default",
             missing_arc_policy=missing_arc_policy,
-            vectorize=vectorize,
         )
 
     def run(self) -> GbaResult:

@@ -61,12 +61,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.charlib.store import CharacterizedLibrary
-from repro.core.delaycalc import (
-    DEFAULT_INPUT_SLEW,
-    DelayCalculator,
-    _SLEW_CEILING_ROUNDS,
-    _model_max,
-)
+from repro.core.delaycalc import DEFAULT_INPUT_SLEW, DelayCalculator
 from repro.core.engine import CellEvaluator, EngineCircuit, EngineGate, VectorOption
 from repro.core.path import TimedPath
 from repro.core.pathfinder import PathFinder
@@ -74,11 +69,8 @@ from repro.core.tgraph import ForwardTiming
 from repro.gates.cell import Cell
 from repro.netlist.circuit import Circuit
 from repro.obs import metrics as obs_metrics
-from repro.obs.logging import get_logger
 from repro.obs.tracing import span
 from repro.resilience.budgets import SearchBudgets
-
-_log = get_logger("repro.incremental")
 
 
 @dataclass
@@ -108,8 +100,7 @@ class IncrementalSTA:
     interleave :meth:`replace_cell` / :meth:`resize` edits with
     :meth:`worst_path` / :meth:`n_worst_paths` queries.  All results
     are byte-identical to a fresh :class:`~repro.core.sta.TruePathSTA`
-    built on the circuit's current state, on both the scalar
-    (``vectorize=False``) and SoA paths.
+    built on the circuit's current state.
     """
 
     def __init__(
@@ -120,7 +111,6 @@ class IncrementalSTA:
         vdd: Optional[float] = None,
         input_slew: float = DEFAULT_INPUT_SLEW,
         missing_arc_policy: str = "error",
-        vectorize: bool = True,
         full_rebuild: bool = False,
     ):
         circuit.check()
@@ -129,7 +119,7 @@ class IncrementalSTA:
         self.ec = EngineCircuit(circuit)
         self.calc = DelayCalculator(
             self.ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
-            missing_arc_policy=missing_arc_policy, vectorize=vectorize,
+            missing_arc_policy=missing_arc_policy,
         )
         self.tg = self.ec.tgraph
         #: Scratch mode: every edit re-derives all state (CI reference).
@@ -273,10 +263,9 @@ class IncrementalSTA:
             else:
                 for stale in self._peaks_stale.values():
                     stale.update(dirty)
-                if calc._tarrays is not None:
-                    if not calc._tarrays.patch_gate(gate.index):
-                        registry.counter("incremental.soa_recompiles").inc()
-                    calc._tarrays.invalidate_slew_groups()
+                if (calc._tarrays is not None
+                        and not calc._tarrays.patch_gate(gate.index)):
+                    registry.counter("incremental.soa_recompiles").inc()
                 new_slews = self._slew_fixed_point()
                 if new_slews != calc._bound_slews:
                     # The achievable-slew domain moved: every fitted
@@ -337,10 +326,9 @@ class IncrementalSTA:
         # dirty gates' input nets in *descending* level order (every
         # influence on a net sits at a strictly higher level, so the
         # max-heap finalizes all of them before the net pops).
-        if calc.vectorize:
-            # Batch-refill the worst-arc holes the invalidation opened
-            # before the scalar sweep reads them one by one.
-            calc.ensure_worst_arc_table()
+        # Batch-refill the worst-arc holes the invalidation opened
+        # before the per-net sweep reads them one by one.
+        calc.ensure_worst_arc_table()
         required = calc.required_bounds()
         suffix = calc.remaining_bounds()
         bheap: List[Tuple[int, int]] = []
@@ -439,32 +427,20 @@ class IncrementalSTA:
     # slew fixed point with per-gate peak tables
     # ------------------------------------------------------------------
     def _slew_fixed_point(self) -> Tuple[float, ...]:
-        """Replay :meth:`DelayCalculator.bound_slews` exactly (same
-        grids, ceiling seed, round cap, 1.05x overshoot), but read each
-        round's worst slew from a per-gate peak table so only dirty
-        gates re-evaluate per edit.  The global max over per-gate peaks
-        equals the scalar pass's running max over the identical
-        (arc, sample) multiset, so the returned tuple is bitwise the
-        one a fresh calculator derives."""
-        calc = self.calc
-        grid = (calc.charlib.metadata or {}).get("grid", {})
-        grid_slews = tuple(float(t) for t in grid.get("t_in", ()))
-        ceiling = max((*grid_slews, calc.input_slew, 4 * calc.input_slew))
-        for _ in range(_SLEW_CEILING_ROUNDS):
-            samples = calc._slew_samples(grid_slews, ceiling)
-            worst = max(self._gate_peaks(samples), default=0.0)
-            if worst <= ceiling:
-                break
-            ceiling = 1.05 * worst
-        else:
-            _log.warning("bound.slew_ceiling_unconverged",
-                         circuit=self.ec.circuit.name, ceiling=ceiling)
-        return calc._slew_samples(grid_slews, ceiling)
+        """:meth:`DelayCalculator.slew_fixed_point` with each round's
+        worst slew read from a per-gate peak table, so only dirty gates
+        re-evaluate per edit.  The max over per-gate peaks is the max
+        over the identical (arc, sample) multiset a fresh calculator
+        sweeps, so the returned tuple is bitwise the one it derives."""
+        return self.calc.slew_fixed_point(
+            lambda samples: max(self._gate_peaks(samples), default=0.0)
+        )
 
     def _gate_peaks(self, samples: Tuple[float, ...]) -> List[float]:
         peaks = self._slew_peaks.get(samples)
+        arrays = self.calc.tarrays
         if peaks is None:
-            peaks = self._compute_peaks(samples, None)
+            peaks = arrays.slew_peaks(samples)
             self._slew_peaks[samples] = peaks
             self._peaks_stale[samples] = set()
             return peaks
@@ -472,30 +448,10 @@ class IncrementalSTA:
         if stale:
             indices = sorted(stale)
             for index, value in zip(
-                indices, self._compute_peaks(samples, indices)
+                indices, arrays.slew_peaks(samples, indices)
             ):
                 peaks[index] = value
             stale.clear()
-        return peaks
-
-    def _compute_peaks(
-        self, samples: Tuple[float, ...], gate_indices: Optional[List[int]]
-    ) -> List[float]:
-        calc = self.calc
-        if calc.vectorize:
-            return calc.tarrays.slew_peaks(samples, gate_indices)
-        gates = (self.ec.gates if gate_indices is None
-                 else [self.ec.gates[i] for i in gate_indices])
-        peaks = []
-        for g in gates:
-            fo = calc.fo[g.index]
-            peak = 0.0
-            for arc in calc.gate_arcs(g):
-                value = _model_max(arc.slew_model, fo, samples,
-                                   calc.temp, calc.vdd)
-                if value > peak:
-                    peak = value
-            peaks.append(peak)
         return peaks
 
     # ------------------------------------------------------------------

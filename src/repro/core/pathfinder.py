@@ -297,8 +297,8 @@ class PathFinder:
             # The pruning hot loop reads calc.worst_arc_delay per
             # traversal; with shipped bounds the calculator may not have
             # swept yet, so batch-fill the whole worst-arc table now
-            # instead of one lazy scalar sweep per first read (no-op in
-            # scalar mode and when the table was seeded or self-built).
+            # instead of one lazy per-arc sweep per first read (no-op
+            # when the table was seeded or self-built).
             calc.ensure_worst_arc_table()
 
     # ------------------------------------------------------------------

@@ -1,20 +1,16 @@
-"""Greedy gate sizing on the true critical path (ECO flow).
+"""Gate-sizing primitives shared by the ECO flow.
 
-A small engineering-change-order loop built on the single-pass STA:
-while the worst true path misses the required time, upsize the gate on
-it with the largest delay contribution (swapping in its X2 drive
-variant), then re-analyze.  Because the analysis is vector-resolved,
-the loop optimizes against the *functional* worst case rather than an
-easy-vector estimate -- sizing driven by a vector-blind tool can stop
-too early (it thinks timing is met while a harder vector still fails).
+:func:`replace_cell` is the in-place pin-compatible swap, and
+:class:`SizingResult` / :class:`SizingChange` are the accepted-moves
+summary :class:`repro.opt.sizer.SizerResult` renders.  The sizing loop
+itself lives in :class:`repro.opt.sizer.TimingDrivenSizer`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from repro.charlib.store import CharacterizedLibrary
 from repro.netlist.circuit import Circuit
 
 
@@ -62,43 +58,3 @@ class SizingResult:
                 f"{c.arrival_after * 1e12:.1f} ps)"
             )
         return "\n".join(lines)
-
-
-def upsize_critical_path(
-    circuit: Circuit,
-    charlib: CharacterizedLibrary,
-    required_time: float,
-    variant_suffix: str = "_X2",
-    max_iterations: int = 20,
-    max_paths: Optional[int] = 5000,
-    temp: float = 25.0,
-    vdd: Optional[float] = None,
-) -> SizingResult:
-    """Greedy upsizing until the worst true path meets ``required_time``.
-
-    The circuit's library must contain the drive variants and the
-    characterized library must cover them (use
-    :func:`repro.gates.library.sized_library`).  The circuit is
-    modified in place.
-
-    Thin compatibility wrapper: the loop itself now lives in
-    :class:`repro.opt.sizer.TimingDrivenSizer` (strategy ``greedy``,
-    identical round semantics -- ``max_iterations`` rounds, first
-    strictly-improving swap per round, reverts otherwise), driven by
-    the incremental STA session instead of a from-scratch rebuild per
-    candidate.  When no gate on the critical path has a drive variant
-    the sizer emits a structured ``sizer.no_candidate`` warning and
-    counter instead of silently returning an empty result.
-    """
-    from repro.opt.sizer import TimingDrivenSizer  # late: avoids cycle
-
-    sizer = TimingDrivenSizer(
-        circuit, charlib, required_time,
-        strategy="greedy",
-        max_moves=max_iterations,
-        variant_suffix=variant_suffix,
-        max_paths=max_paths,
-        temp=temp,
-        vdd=vdd,
-    )
-    return sizer.run().to_sizing_result()

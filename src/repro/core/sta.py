@@ -76,11 +76,9 @@ class TruePathSTA:
         ``error`` (default) raises on any unresolvable timing arc;
         ``warn-substitute`` falls back to the nearest characterized arc
         of the same cell, counting ``delaycalc.arc_substitutions``.
-    vectorize:
-        Route the sweep passes (pruning bounds, slew fixed point, GBA
-        forward) through the structure-of-arrays batched kernels
-        (:mod:`repro.core.tarrays`).  Results are byte-identical either
-        way; ``--no-vectorize`` exposes the scalar reference path.
+
+    The sweep passes (pruning bounds, slew fixed point, GBA forward)
+    run on the structure-of-arrays kernels in :mod:`repro.core.tarrays`.
     """
 
     def __init__(
@@ -91,7 +89,6 @@ class TruePathSTA:
         vdd: Optional[float] = None,
         input_slew: float = DEFAULT_INPUT_SLEW,
         missing_arc_policy: str = "error",
-        vectorize: bool = True,
     ):
         circuit.check()
         self.circuit = circuit
@@ -100,7 +97,7 @@ class TruePathSTA:
         self.ec = EngineCircuit(circuit)
         self.calc = DelayCalculator(
             self.ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
-            missing_arc_policy=missing_arc_policy, vectorize=vectorize,
+            missing_arc_policy=missing_arc_policy,
         )
         self.last_stats: Optional[SearchStats] = None
         #: Per-origin completeness of the most recent search (None
@@ -158,7 +155,6 @@ class TruePathSTA:
                 vdd=self.calc.vdd,
                 input_slew=self.calc.input_slew,
                 missing_arc_policy=self.missing_arc_policy,
-                vectorize=self.calc.vectorize,
                 **kwargs,
             )
             self.last_stats = result.stats
@@ -198,7 +194,6 @@ class TruePathSTA:
             vdd=self.calc.vdd,
             input_slew=self.calc.input_slew,
             missing_arc_policy=self.missing_arc_policy,
-            vectorize=self.calc.vectorize,
             budgets=budgets,
             **kwargs,
         )
@@ -228,7 +223,6 @@ class TruePathSTA:
             vdd=self.calc.vdd,
             input_slew=self.calc.input_slew,
             missing_arc_policy=self.missing_arc_policy,
-            vectorize=self.calc.vectorize,
         ).run()
         bound: Optional[float] = None
         for output in self.circuit.outputs:

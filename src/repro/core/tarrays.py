@@ -1,12 +1,11 @@
 """Structure-of-arrays compilation of the timing graph.
 
-The scalar engines in :mod:`repro.core.tgraph` and
-:mod:`repro.core.delaycalc` walk Python objects arc by arc and call
-``model.evaluate`` once per traversal.  That is fine for the search hot
-loop (which is dominated by branching, not evaluation), but the three
-*sweep* passes -- the GBA forward pass, the backward required-time
-bound and the achievable-slew fixed point -- evaluate every arc of the
-circuit over a dense slew grid and spend their time in Python dispatch.
+The search hot loop walks Python objects arc by arc and calls
+``model.evaluate`` once per traversal, which is fine there (it is
+dominated by branching, not evaluation).  The three *sweep* passes --
+the GBA forward pass, the backward required-time bound and the
+achievable-slew fixed point -- evaluate every arc of the circuit over a
+dense slew grid, and this module is their only implementation.
 
 :class:`TimingArrays` compiles the levelized graph once per
 calculator into flat numpy arrays indexed by *traversal record* (one
@@ -15,27 +14,30 @@ the sweeps level by level with **one** ``evaluate_many`` call per
 (level, model group) instead of one ``evaluate`` per record:
 
 * ``forward_arrivals`` -- level-batched worst arrival/slew scatter-max;
-* ``max_slew`` -- one batched sweep per fixed-point round of
-  :meth:`DelayCalculator.bound_slews`;
+* ``slew_peaks`` -- per-gate worst output slew over one sample grid,
+  one batched sweep per slew model (each fixed-point round of
+  :meth:`DelayCalculator.bound_slews` maximizes over it);
 * ``prefill_worst_arcs`` -- fills the per-(gate, pin) worst-arc-delay
   cache with one batched sweep per delay model;
 * ``backward_required_bounds`` -- level-batched reverse scatter-max.
 
-**Byte identity.**  Results are bitwise-equal to the scalar passes, not
-merely close: the per-record arithmetic (``arrival = arrival_in +
-delay``) replays the scalar operation on the same IEEE doubles (the
+**Byte identity.**  Results are bitwise-equal to the arc-at-a-time
+reference passes in :mod:`repro.verify.metamorphic` (built on the
+per-net kernels incremental repair uses), not merely close: the
+per-record arithmetic (``arrival = arrival_in + delay``) replays the
+scalar operation on the same IEEE doubles (the
 :class:`~repro.charlib.model.DelayModel` batch-equivalence law makes
 ``evaluate_many`` rows bitwise-equal to ``evaluate``), and every
 reduction is a plain maximum over the identical multiset of values --
 ``np.maximum.at`` is order-independent because ``max`` over floats is
 exact.  ``tests/test_core_tarrays.py`` pins the equivalence over the
 ISCAS suite, fuzz netlists and degenerate graphs for both model
-families.
+families, and ``repro verify --fuzz`` re-checks it on random netlists.
 
 Divergences that are *allowed*: evaluation/cache counters (the batched
 path resolves arcs at compile time), log ordering, and which of several
 missing arcs raises first under the ``error`` policy (both paths raise
-:class:`~repro.core.delaycalc.MissingArcsError`, but the scalar pass
+:class:`~repro.core.delaycalc.MissingArcsError`, but the reference pass
 discovers missing arcs in gate order while the batched pass discovers
 them level by level).
 
@@ -264,9 +266,9 @@ class TimingArrays:
     """Level-batched numpy sweeps over one calculator's timing graph.
 
     Compilation is lazy and piecewise: the forward tables are built on
-    the first forward pass, the bound-slew groups on the first ceiling
-    round, the backward tables on the first required-bound pass -- a
-    GBA-only run never pays for the backward compile and vice versa.
+    the first forward pass, the backward tables on the first
+    required-bound pass -- a GBA-only run never pays for the backward
+    compile and vice versa.
     """
 
     def __init__(self, calc: "DelayCalculator"):
@@ -278,7 +280,6 @@ class TimingArrays:
         self._forward: Optional[_ForwardTables] = None
         #: Lookup args per record (only consulted to re-raise lazily).
         self._record_lookups: List[Tuple] = []
-        self._slew_groups: Optional[List[Tuple["DelayModel", np.ndarray]]] = None
         self._backward: Optional[Tuple] = None
 
     # ------------------------------------------------------------------
@@ -292,12 +293,10 @@ class TimingArrays:
         calc = self.calc
         lookup_id = BLIND if calc.vector_blind else vector_id
         key = (gate.cell.name, pin, lookup_id, input_rising, output_rising)
-        cache = calc._arc_cache
-        arc = cache.get(key) if cache is not None else None
+        arc = calc._arc_cache.get(key)
         if arc is None:
             arc = calc._lookup_arc(*key)
-            if cache is not None:
-                cache[key] = arc
+            calc._arc_cache[key] = arc
         return arc
 
     def _compile_forward(self) -> _ForwardTables:
@@ -394,9 +393,11 @@ class TimingArrays:
     # forward pass (GBA semantics)
     # ------------------------------------------------------------------
     def forward_arrivals(self) -> ForwardTiming:
-        """Level-batched worst arrival/slew pass, bitwise-equal to the
-        scalar :meth:`TimingGraph.forward_arrivals
-        <repro.core.tgraph.TimingGraph.forward_arrivals>`.
+        """Level-batched worst arrival/slew pass, bitwise-equal to
+        :func:`~repro.verify.metamorphic.reference_forward` (one
+        :meth:`TimingGraph.forward_update_net
+        <repro.core.tgraph.TimingGraph.forward_update_net>` per driven
+        net in level order).
 
         Correctness of the batching: a net at level ``L`` only receives
         contributions from records whose destination is that net, all
@@ -481,46 +482,6 @@ class TimingArrays:
             for n in range(n_nets)
         ]
         return ForwardTiming(arrivals=arrivals, slews=slews)
-
-    # ------------------------------------------------------------------
-    # achievable-slew ceiling
-    # ------------------------------------------------------------------
-    def _compile_slew_sweep(self) -> List[Tuple["DelayModel", np.ndarray]]:
-        """(slew model, fanout vector) groups covering the same
-        (gate, arc) multiset the scalar ceiling rounds iterate."""
-        if self._slew_groups is not None:
-            return self._slew_groups
-        calc = self.calc
-        fos: Dict[int, List[float]] = {}
-        model_of: Dict[int, "DelayModel"] = {}
-        for gate in self.ec.gates:
-            fo = calc.fo[gate.index]
-            for arc in calc.gate_arcs(gate):
-                token = id(arc.slew_model)
-                model_of[token] = arc.slew_model
-                fos.setdefault(token, []).append(fo)
-        self._slew_groups = [
-            (model_of[token], np.asarray(values, dtype=float))
-            for token, values in fos.items()
-        ]
-        return self._slew_groups
-
-    def max_slew(self, samples: Sequence[float]) -> float:
-        """Worst output slew any gate of the circuit can emit over one
-        sample grid -- one fixed-point round of
-        :meth:`DelayCalculator.bound_slews`, batched per model."""
-        groups = self._compile_slew_sweep()
-        grid = np.asarray(samples, dtype=float)
-        worst = 0.0
-        for model, fo_values in groups:
-            pts = self._points(
-                np.repeat(fo_values, grid.size),
-                np.tile(grid, fo_values.size),
-            )
-            peak = float(np.max(model.evaluate_many(pts)))
-            if peak > worst:
-                worst = peak
-        return worst
 
     # ------------------------------------------------------------------
     # in-place record patching (repro.core.incremental)
@@ -609,23 +570,18 @@ class TimingArrays:
         for index in gate_indices:
             self.fo[index] = self.calc.fo[index]
 
-    def invalidate_slew_groups(self) -> None:
-        """Drop the ceiling-sweep model groups; an edit changed some
-        gate's (model, fanout) pairs, and the groups are cheap to
-        rebuild lazily relative to the fixed-point rounds."""
-        self._slew_groups = None
-
     def slew_peaks(
         self, samples: Sequence[float],
         gate_indices: Optional[Sequence[int]] = None,
     ) -> List[float]:
         """Worst output slew *per gate* over one sample grid, batched
         per model.  Each value is the max over the gate's resolvable
-        arcs of ``evaluate_many`` on the grid -- bitwise the same
-        floats the global :meth:`max_slew` round maximizes over, so a
-        per-gate peak table maintained from these reproduces the scalar
-        ceiling fixed point exactly while re-evaluating only dirty
-        gates per edit."""
+        arcs of ``evaluate_many`` on the grid -- bitwise the per-arc
+        sweeps of :func:`~repro.verify.metamorphic.reference_slew_peaks`.
+        One fixed-point round of :meth:`DelayCalculator.bound_slews`
+        maximizes over all of them; a per-gate peak table maintained
+        from these reproduces that fixed point exactly while
+        re-evaluating only dirty gates per edit."""
         calc = self.calc
         gates = (self.ec.gates if gate_indices is None
                  else [self.ec.gates[i] for i in gate_indices])
@@ -716,9 +672,8 @@ class TimingArrays:
         return self._backward
 
     def backward_required_bounds(self) -> List[float]:
-        """Level-batched reverse pass, bitwise-equal to the scalar
-        :meth:`TimingGraph.backward_required_bounds
-        <repro.core.tgraph.TimingGraph.backward_required_bounds>`:
+        """Level-batched reverse pass, bitwise-equal to
+        :func:`~repro.verify.metamorphic.reference_required_bounds`:
         ``bound[src] = max over outgoing arcs (worst_arc_delay +
         bound[dst])`` with the same worst-arc floats (prefilled above)
         and the same IEEE additions; max is exact, so batching cannot

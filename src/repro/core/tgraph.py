@@ -171,59 +171,19 @@ class TimingGraph:
         the ``error`` policy the moment a reachable polarity traverses
         it, like every other engine.
 
-        Delegates to the structure-of-arrays sweep
+        Runs the structure-of-arrays sweep
         (:meth:`TimingArrays.forward_arrivals
-        <repro.core.tarrays.TimingArrays.forward_arrivals>`) when the
-        calculator has vectorization enabled; results are byte
-        identical either way.  Wall-clock is published to the
-        ``tgraph.forward_pass_ms`` histogram.
+        <repro.core.tarrays.TimingArrays.forward_arrivals>`).
+        Wall-clock is published to the ``tgraph.forward_pass_ms``
+        histogram.
         """
         started = time.perf_counter()
         with span("tgraph.forward_pass"):
-            if getattr(calc, "vectorize", False):
-                timing = calc.tarrays.forward_arrivals()
-            else:
-                timing = self._forward_arrivals_scalar(calc)
+            timing = calc.tarrays.forward_arrivals()
         obs_metrics.REGISTRY.histogram("tgraph.forward_pass_ms").observe(
             (time.perf_counter() - started) * 1e3
         )
         return timing
-
-    def _forward_arrivals_scalar(self, calc: "DelayCalculator") -> ForwardTiming:
-        """Reference arc-at-a-time forward pass (``--no-vectorize``)."""
-        ec = self.ec
-        n_nets = ec.num_nets
-        arrivals: List[List[Optional[float]]] = [[None, None] for _ in range(n_nets)]
-        slews: List[List[Optional[float]]] = [[None, None] for _ in range(n_nets)]
-        for net in ec.input_ids:
-            arrivals[net] = [0.0, 0.0]
-            slews[net] = [calc.input_slew, calc.input_slew]
-
-        for gate in ec.gates:  # topological
-            out_arr = arrivals[gate.output_net]
-            out_slew = slews[gate.output_net]
-            for arc in self.fanin[gate.output_net]:
-                in_arr = arrivals[arc.src_net]
-                in_slew = slews[arc.src_net]
-                for option in gate.options[arc.pin]:
-                    vector = option.vector
-                    for in_pol in (0, 1):
-                        if in_arr[in_pol] is None:
-                            continue
-                        input_rising = in_pol == 0
-                        output_rising = input_rising ^ vector.inverting
-                        out_pol = 0 if output_rising else 1
-                        delay, slew = calc.arc_timing(
-                            gate, arc.pin, vector.vector_id,
-                            input_rising, output_rising,
-                            in_slew[in_pol],
-                        )
-                        arrival = in_arr[in_pol] + delay
-                        if out_arr[out_pol] is None or arrival > out_arr[out_pol]:
-                            out_arr[out_pol] = arrival
-                        if out_slew[out_pol] is None or slew > out_slew[out_pol]:
-                            out_slew[out_pol] = slew
-        return ForwardTiming(arrivals=arrivals, slews=slews)
 
     # ------------------------------------------------------------------
     # per-net recompute primitives (incremental dirty-cone re-analysis)
@@ -236,16 +196,19 @@ class TimingGraph:
     ) -> bool:
         """Recompute one driven net's worst arrival/slew slots in place.
 
-        Replays exactly the per-gate inner loop of
-        :meth:`_forward_arrivals_scalar` for this net, reading the
-        (already final) arrivals/slews of the net's fanin sources from
-        ``timing`` and overwriting the net's own slots.  Because float
-        ``max`` over a fixed multiset is order-independent and the
-        per-record arithmetic is the same IEEE doubles the full pass
-        performs, the updated slots are bitwise-equal to a from-scratch
-        pass -- this is the primitive
+        Evaluates every (fanin arc x sensitization option x reachable
+        input polarity) traversal of this net one :meth:`arc_timing
+        <repro.core.delaycalc.DelayCalculator.arc_timing>` call at a
+        time, reading the (already final) arrivals/slews of the net's
+        fanin sources from ``timing`` and overwriting the net's own
+        slots.  Because float ``max`` over a fixed multiset is
+        order-independent and the per-record arithmetic is the same IEEE
+        doubles the full pass performs, the updated slots are
+        bitwise-equal to a from-scratch pass -- this is the primitive
         :class:`~repro.core.incremental.IncrementalSTA` sweeps over the
-        dirty cone.  Returns True when either polarity slot changed
+        dirty cone, and the reference forward pass in
+        :mod:`repro.verify.metamorphic` applies it to every driven net
+        in level order.  Returns True when either polarity slot changed
         (including reachability flips, which a function-changing cell
         swap can cause).
         """
@@ -331,25 +294,15 @@ class TimingGraph:
         suffix sum because an arc's worst delay never exceeds its
         gate's worst delay over all pins.
 
-        Delegates to the structure-of-arrays sweep
+        Runs the structure-of-arrays sweep
         (:meth:`TimingArrays.backward_required_bounds
-        <repro.core.tarrays.TimingArrays.backward_required_bounds>`)
-        when the calculator has vectorization enabled; results are
-        byte identical either way.  Wall-clock is published to the
-        ``tgraph.backward_pass_ms`` histogram.
+        <repro.core.tarrays.TimingArrays.backward_required_bounds>`).
+        Wall-clock is published to the ``tgraph.backward_pass_ms``
+        histogram.
         """
         started = time.perf_counter()
         with span("tgraph.backward_pass"):
-            if getattr(calc, "vectorize", False):
-                bounds = calc.tarrays.backward_required_bounds()
-            else:
-                bounds = [0.0] * self.ec.num_nets
-                for gate in reversed(self.ec.gates):
-                    downstream = bounds[gate.output_net]
-                    for arc in self.fanin[gate.output_net]:
-                        through = calc.worst_arc_delay(gate, arc.pin) + downstream
-                        if through > bounds[arc.src_net]:
-                            bounds[arc.src_net] = through
+            bounds = calc.tarrays.backward_required_bounds()
         obs_metrics.REGISTRY.histogram("tgraph.backward_pass_ms").observe(
             (time.perf_counter() - started) * 1e3
         )

@@ -1,23 +1,22 @@
 """Timing-driven gate sizing: the incremental STA core's first consumer.
 
-The legacy :func:`repro.core.sizing.upsize_critical_path` rebuilt the
-entire analysis pipeline -- engine indexing, arc resolution, slew fixed
-point, SoA compilation -- for *every* candidate swap, including the
-reverted ones.  :class:`TimingDrivenSizer` drives the same decisions
-through one persistent :class:`~repro.core.incremental.IncrementalSTA`
-session, so each move costs a dirty-cone repair plus one pruned
-worst-path query instead of a from-scratch run.  Accept/reject is on
-the true-path delay (vector-resolved, like the legacy loop), never on
-a GBA estimate.
+A small engineering-change-order loop: while the worst true path
+misses the required time, swap gates on it for their drive variants.
+:class:`TimingDrivenSizer` drives every decision through one persistent
+:class:`~repro.core.incremental.IncrementalSTA` session, so each move
+costs a dirty-cone repair plus one pruned worst-path query instead of a
+from-scratch rebuild.  Accept/reject is on the true-path delay
+(vector-resolved), never on a GBA estimate: sizing driven by a
+vector-blind tool can stop too early, thinking timing is met while a
+harder vector still fails.
 
 Two strategies:
 
-* ``greedy`` -- round-based critical-path upsizing with the exact
-  legacy semantics: each round takes the worst true path, tries its
-  gates in descending delay-contribution order, keeps the first swap
-  that strictly improves the worst arrival and reverts the rest.  A
-  round that accepts nothing ends the loop.  ``max_moves`` caps rounds,
-  matching the legacy ``max_iterations``.
+* ``greedy`` -- round-based critical-path upsizing: each round takes
+  the worst true path, tries its gates in descending delay-contribution
+  order, keeps the first swap that strictly improves the worst arrival
+  and reverts the rest.  A round that accepts nothing ends the loop.
+  ``max_moves`` caps rounds.
 * ``anneal`` -- seeded simulated annealing over the same move set plus
   *downsizing* (back to the base cell), with Metropolis acceptance on
   the worst-arrival delta and a geometric temperature schedule.  Useful
@@ -83,7 +82,7 @@ class SizerResult:
         return [m for m in self.moves if m.accepted]
 
     def to_sizing_result(self) -> SizingResult:
-        """Legacy :class:`SizingResult` view (accepted moves only)."""
+        """:class:`SizingResult` view (accepted moves only)."""
         result = SizingResult(
             met=self.met,
             required_time=self.required_time,
@@ -130,7 +129,6 @@ class TimingDrivenSizer:
         max_paths: Optional[int] = 5000,
         temp: float = 25.0,
         vdd: Optional[float] = None,
-        vectorize: bool = True,
         budgets: Optional[SearchBudgets] = None,
         scratch: bool = False,
     ):
@@ -148,8 +146,7 @@ class TimingDrivenSizer:
         self.max_paths = max_paths
         self.budgets = budgets
         self.sta = IncrementalSTA(
-            circuit, charlib, temp=temp, vdd=vdd, vectorize=vectorize,
-            full_rebuild=scratch,
+            circuit, charlib, temp=temp, vdd=vdd, full_rebuild=scratch,
         )
         self._deadline: Optional[float] = None
 

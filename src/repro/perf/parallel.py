@@ -70,7 +70,6 @@ def supervised_find_paths(
     complete: bool = False,
     budgets: Optional[SearchBudgets] = None,
     missing_arc_policy: str = "error",
-    vectorize: bool = True,
     shard_timeout: Optional[float] = None,
     shard_retries: int = 2,
     retry_backoff: float = 0.05,
@@ -99,8 +98,7 @@ def supervised_find_paths(
     origins = list(inputs) if inputs is not None else list(circuit.inputs)
     calc_kwargs = dict(temp=temp, vdd=vdd, input_slew=input_slew,
                        vector_blind=vector_blind, wire=wire,
-                       missing_arc_policy=missing_arc_policy,
-                       vectorize=vectorize)
+                       missing_arc_policy=missing_arc_policy)
     finder_kwargs = dict(
         max_paths=max_paths,
         n_worst=n_worst,

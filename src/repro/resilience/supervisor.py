@@ -524,6 +524,7 @@ class ShardSupervisor:
                 for entry in due:
                     retry_at.remove(entry)
                     queue.append(entry[1])
+                submit_broken = False
                 while queue and len(in_flight) < config.jobs:
                     if self._suspects:
                         # Quarantine: blame for the last pool break was
@@ -539,8 +540,17 @@ class ShardSupervisor:
                         del queue[idx]
                     else:
                         shard = queue.popleft()
-                    future = pool.submit(_search_shard, shard.origin,
-                                         shard.attempts)
+                    try:
+                        future = pool.submit(_search_shard, shard.origin,
+                                             shard.attempts)
+                    except BrokenProcessPool:
+                        # The executor noticed a dead worker after the
+                        # last wait().  This shard never ran: it goes
+                        # back uncharged, and the break is handled
+                        # below exactly like a result-time one.
+                        queue.appendleft(shard)
+                        submit_broken = True
+                        break
                     shard.attempts += 1
                     shard.submitted_at = time.monotonic()
                     shard.deadline = (
@@ -552,7 +562,7 @@ class ShardSupervisor:
                         # mask a silent retry.
                         self._board.last_beat.pop(shard.origin, None)
                     in_flight[future] = shard
-                if not in_flight:
+                if not in_flight and not submit_broken:
                     # Only backed-off retries remain: sleep to the next.
                     if retry_at:
                         time.sleep(
@@ -560,10 +570,13 @@ class ShardSupervisor:
                                 - time.monotonic())
                         )
                     continue
-                done, _ = wait(list(in_flight), timeout=_POLL_SECONDS,
+                # After a submit-time break, harvest only what already
+                # finished; everything still in flight is a casualty.
+                done, _ = wait(list(in_flight),
+                               timeout=0 if submit_broken else _POLL_SECONDS,
                                return_when=FIRST_COMPLETED)
                 self._drain_beats()
-                pool_broken = False
+                pool_broken = submit_broken
                 broken: List[_Shard] = []
                 for future in done:
                     shard = in_flight.pop(future)

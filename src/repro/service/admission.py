@@ -98,7 +98,10 @@ class Ticket:
             await asyncio.wait_for(self.event.wait(), timeout)
             return True
         except asyncio.TimeoutError:
-            return False
+            # wait_for can time out while the grant lands during its
+            # cancellation; a granted ticket must not beat "queued" with
+            # position 0.
+            return self.granted or self.expired
 
 
 class AdmissionController:

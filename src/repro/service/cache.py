@@ -4,7 +4,7 @@ Two caches with different keys and lifetimes:
 
 :class:`HotCache`
     Maps a *context key* (netlist spec, mapping, tech, tool,
-    missing-arc policy, vectorize flag) to a built
+    missing-arc policy) to a built
     :class:`~repro.service.requests.AnalysisContext` -- the indexed
     circuit, characterized library, and compiled analysis session.
     This is the expensive state whose rebuild the service exists to

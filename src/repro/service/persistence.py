@@ -40,8 +40,10 @@ from repro.service.protocol import encode_payload
 
 _log = obs.get_logger("repro.service")
 
-#: Schema version; bumped on incompatible snapshot layout changes.
-SNAPSHOT_VERSION = 1
+#: Schema version; bumped on incompatible snapshot layout changes
+#: (2: context keys and request fingerprints lost the scalar-sweep
+#: switch field).
+SNAPSHOT_VERSION = 2
 
 
 def _digest(payload: Dict[str, Any]) -> str:

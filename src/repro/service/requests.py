@@ -120,7 +120,6 @@ class AnalysisRequest:
     no_map: bool = False
     jobs: int = 1
     missing_arc_policy: str = "error"
-    vectorize: bool = True
     wall_budget: Optional[float] = None
     extension_budget: Optional[int] = None
     backtrack_budget: Optional[int] = None
@@ -155,7 +154,7 @@ class AnalysisRequest:
         """The subset of fields selecting the heavy cached state
         (circuit + characterized library + compiled analysis session)."""
         return ("analyze", self.netlist, self.no_map, self.tech, self.tool,
-                self.missing_arc_policy, self.vectorize)
+                self.missing_arc_policy)
 
     def fingerprint(self) -> str:
         """Stable digest of the *full* request -- the result-memo key."""
@@ -234,7 +233,6 @@ def build_context(request: AnalysisRequest) -> AnalysisContext:
             context.sta = TruePathSTA(
                 circuit, charlib,
                 missing_arc_policy=request.missing_arc_policy,
-                vectorize=request.vectorize,
             )
         return context
 
@@ -283,8 +281,7 @@ def execute_analysis(
             from repro.core.sta import TruePathSTA
 
             sta = TruePathSTA(circuit, charlib,
-                              missing_arc_policy=request.missing_arc_policy,
-                              vectorize=request.vectorize)
+                              missing_arc_policy=request.missing_arc_policy)
             context.sta = sta
         budgets = request.budgets()
         if request.wants_supervision() or fault_plan is not None:
@@ -331,8 +328,7 @@ def execute_analysis(
 
         gba = context.gba_result
         if gba is None:
-            gba = GraphSTA(circuit, charlib,
-                           vectorize=request.vectorize).run()
+            gba = GraphSTA(circuit, charlib).run()
             context.gba_result = gba
         lines.append(f"GBA endpoint arrivals for {circuit.name} "
                      f"({charlib.tech_name}, one topological pass)")
@@ -346,7 +342,7 @@ def execute_analysis(
             lines.append(f"  {endpoint:<12s} {cells}")
         paths = []
         if request.compare:
-            sta = TruePathSTA(circuit, charlib, vectorize=request.vectorize)
+            sta = TruePathSTA(circuit, charlib)
             paths = sta.enumerate_paths(max_paths=request.max_paths,
                                         jobs=request.jobs)
             comparison = gba_pessimism(gba, paths)
@@ -443,7 +439,6 @@ def execute_size(
     variant_suffix: str = "_X2",
     max_paths: int = 5000,
     no_map: bool = False,
-    vectorize: bool = True,
     scratch: bool = False,
     wall_budget: Optional[float] = None,
     extension_budget: Optional[int] = None,
@@ -484,7 +479,6 @@ def execute_size(
         max_moves=max_moves,
         variant_suffix=variant_suffix,
         max_paths=max_paths,
-        vectorize=vectorize,
         budgets=budgets if budgets.bounded() else None,
         scratch=scratch,
     )

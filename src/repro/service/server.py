@@ -308,13 +308,12 @@ class AnalysisServer:
     def _rewarm_contexts(self, keys: List[Tuple]) -> None:
         for key in keys:
             try:
-                kind, netlist, no_map, tech, tool, policy, vectorize = key
+                kind, netlist, no_map, tech, tool, policy = key
                 if kind != "analyze":
                     continue
                 request = AnalysisRequest(
                     netlist=netlist, no_map=bool(no_map), tech=tech,
-                    tool=tool, missing_arc_policy=policy,
-                    vectorize=bool(vectorize))
+                    tool=tool, missing_arc_policy=policy)
                 self.contexts.get_or_build(
                     request.context_key(), lambda: build_context(request))
             except Exception as exc:

@@ -119,16 +119,6 @@ class TestEditIdentity:
         session.replace_cell(name, "NAND2")
         assert _session_state(session) == want
 
-    def test_scalar_session_matches_vectorized(self, charlib_poly_90):
-        circuit_a = build_circuit("c17")
-        circuit_b = build_circuit("c17")
-        vec = IncrementalSTA(circuit_a, charlib_poly_90, vectorize=True)
-        scalar = IncrementalSTA(circuit_b, charlib_poly_90, vectorize=False)
-        name = _endpoint_gate(circuit_a)
-        vec.replace_cell(name, "AND2")
-        scalar.replace_cell(name, "AND2")
-        assert _session_state(vec) == _session_state(scalar)
-
     def test_scratch_mode_identical_and_counted(self, charlib_poly_90,
                                                 clean_obs):
         circuit_a = build_circuit("c17")

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.charlib.characterize import FAST_GRID, characterize_library
-from repro.core.sizing import replace_cell, upsize_critical_path
+from repro.core.sizing import replace_cell
 from repro.core.sta import TruePathSTA
 from repro.gates.library import sized_library
 from repro.netlist.circuit import Circuit
+from repro.opt.sizer import TimingDrivenSizer
 from repro.spice.cellsim import CellSimulator, input_capacitance
 
 SIZING_CELLS = ["INV", "INV_X2", "NAND2", "NAND2_X2", "AO22", "AO22_X2"]
@@ -82,14 +83,20 @@ class TestReplaceCell:
             replace_cell(c, "U2", "NAND2")
 
 
+def _greedy(circuit, charlib, required_time, max_moves=20):
+    return TimingDrivenSizer(
+        circuit, charlib, required_time,
+        strategy="greedy", max_moves=max_moves,
+    ).run().to_sizing_result()
+
+
 class TestSizingLoop:
     def test_upsizing_reduces_arrival(self, sized_lib, charlib_sized):
         circuit = chain_circuit(sized_lib)
         sta = TruePathSTA(circuit, charlib_sized)
         before = max(p.worst_arrival for p in sta.enumerate_paths())
-        result = upsize_critical_path(
-            circuit, charlib_sized, required_time=before * 0.9,
-            max_iterations=6,
+        result = _greedy(
+            circuit, charlib_sized, required_time=before * 0.9, max_moves=6,
         )
         assert result.initial_arrival == pytest.approx(before, rel=1e-9)
         assert result.final_arrival < before
@@ -97,15 +104,15 @@ class TestSizingLoop:
 
     def test_met_flag(self, sized_lib, charlib_sized):
         circuit = chain_circuit(sized_lib)
-        result = upsize_critical_path(
+        result = _greedy(
             circuit, charlib_sized, required_time=1.0,  # trivially met
         )
         assert result.met and not result.changes
 
     def test_describe(self, sized_lib, charlib_sized):
         circuit = chain_circuit(sized_lib)
-        result = upsize_critical_path(
-            circuit, charlib_sized, required_time=1e-12, max_iterations=3,
+        result = _greedy(
+            circuit, charlib_sized, required_time=1e-12, max_moves=3,
         )
         text = result.describe()
         assert "sizing:" in text

@@ -24,14 +24,17 @@ class TestDualLogic:
 
 
 class TestModelOrder:
-    def test_adaptive_beats_first_order(self, tech90):
-        result = model_order_ablation(tech90, steps_per_window=250)
+    @pytest.fixture(scope="class")
+    def result(self, tech90):
+        """One ablation run (the slow part) shared by both tests."""
+        return model_order_ablation(tech90, steps_per_window=250)
+
+    def test_adaptive_beats_first_order(self, result):
         assert result["adaptive_max_err"] <= result["first_order_max_err"]
         assert result["adaptive_max_err"] < 0.06
         assert result["adaptive_orders"][0] >= 1
 
-    def test_probe_rows(self, tech90):
-        result = model_order_ablation(tech90, steps_per_window=250)
+    def test_probe_rows(self, result):
         for row in result["probes"]:
             assert row["adaptive"] > 0 and row["lut"] > 0
             # Models agree within ~15% off-grid.

@@ -4,7 +4,6 @@ and incremental-vs-scratch agreement."""
 import pytest
 
 from repro.charlib.characterize import FAST_GRID, characterize_library
-from repro.core.sizing import upsize_critical_path
 from repro.eval.iscas import build_circuit
 from repro.gates.library import sized_library
 from repro.netlist.circuit import Circuit
@@ -54,31 +53,6 @@ class TestGreedy:
         assert result.final_arrival < result.initial_arrival
         for move in result.accepted_moves:
             assert move.arrival_after < move.arrival_before
-
-    def test_matches_legacy_wrapper(self, sized_lib, charlib_sized):
-        """The refactored loop and the compatibility wrapper make the
-        identical decisions on identical circuits."""
-        circuit_a = chain_circuit(sized_lib)
-        circuit_b = chain_circuit(sized_lib)
-        legacy = upsize_critical_path(
-            circuit_a, charlib_sized, required_time=1e-12, max_iterations=4,
-        )
-        direct = TimingDrivenSizer(
-            circuit_b, charlib_sized, required_time=1e-12, max_moves=4,
-        ).run().to_sizing_result()
-        assert legacy.initial_arrival == direct.initial_arrival
-        assert legacy.final_arrival == direct.final_arrival
-        assert (
-            [(c.gate_name, c.to_cell) for c in legacy.changes]
-            == [(c.gate_name, c.to_cell) for c in direct.changes]
-        )
-        assert {
-            name: circuit_a.instances[name].cell.name
-            for name in circuit_a.instances
-        } == {
-            name: circuit_b.instances[name].cell.name
-            for name in circuit_b.instances
-        }
 
     def test_met_without_moves(self, sized_lib, charlib_sized):
         circuit = chain_circuit(sized_lib)

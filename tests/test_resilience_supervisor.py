@@ -5,6 +5,8 @@ fire only inside pool workers, so every recovery path must converge on
 output identical to the undisturbed serial search.
 """
 
+import time
+
 import pytest
 
 from repro.core.sta import TruePathSTA
@@ -100,6 +102,59 @@ class TestCrashRecovery:
         assert [_path_identity(p) for p in result.paths] == expected
         registry = clean_obs.metrics.REGISTRY
         assert registry.counter("resilience.degraded_origins").value == 1
+
+
+def _break_pool(pool, timeout=30.0):
+    """Kill every worker of ``pool`` and wait until the executor has
+    marked itself broken, so its next ``submit`` raises."""
+    for process in list(pool._processes.values()):
+        process.kill()
+    deadline = time.monotonic() + timeout
+    while not pool._broken:
+        assert time.monotonic() < deadline, "executor never noticed"
+        time.sleep(0.01)
+
+
+class TestSubmitTimeBreak:
+    def test_break_before_submit_recovers_to_identical_output(
+            self, circuit, charlib_poly_90, clean_obs, monkeypatch):
+        """A worker death noticed between ``wait()`` and the next
+        ``submit`` makes ``submit`` itself raise ``BrokenProcessPool``;
+        the supervisor must recover exactly as from a result-time
+        break: re-queue, rebuild the pool, converge on serial output."""
+        from repro.resilience.supervisor import ShardSupervisor
+
+        serial = _reference(circuit, charlib_poly_90)
+        real_make_pool = ShardSupervisor._make_pool
+        pools = []
+
+        def make_pool(self):
+            pool = real_make_pool(self)
+            pools.append(pool)
+            if len(pools) == 1:
+                real_submit = pool.submit
+                submits = []
+
+                def submit(*args, **kwargs):
+                    submits.append(args)
+                    if len(submits) == 2:  # after the first shard went out
+                        _break_pool(pool)
+                    return real_submit(*args, **kwargs)
+
+                pool.submit = submit
+            return pool
+
+        monkeypatch.setattr(ShardSupervisor, "_make_pool", make_pool)
+        result = supervised_find_paths(
+            circuit, charlib_poly_90, jobs=2, retry_backoff=0.0,
+        )
+        assert pools[0]._broken
+        assert len(pools) == 2  # rebuilt exactly once
+        assert ([_path_identity(p) for p in result.paths]
+                == [_path_identity(p) for p in serial])
+        assert result.completeness.complete
+        registry = clean_obs.metrics.REGISTRY
+        assert registry.counter("resilience.worker_crashes").value == 1
 
 
 class TestTimeoutRecovery:

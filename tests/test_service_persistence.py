@@ -31,7 +31,7 @@ MEMO_ITEMS = [
     ("fp-2", {"kind": "result", "op": "analyze", "report": "second"}),
 ]
 CONTEXT_KEYS = [
-    ("analyze", "iscas:c17", False, "90nm", "pathfinder", "error", True),
+    ("analyze", "iscas:c17", False, "90nm", "pathfinder", "error"),
 ]
 
 

@@ -251,6 +251,20 @@ def test_expired_deadline_refused_before_search(client):
     assert err.value.code == "deadline-exceeded"
 
 
+@pytest.mark.parametrize("op,params", [
+    ("analyze", {"netlist": "iscas:c17", "vectorize": False}),
+    ("size", {"netlist": "iscas:c17", "required_ps": 100.0,
+              "vectorize": False}),
+], ids=["analyze", "size"])
+def test_unknown_param_rejected_naming_it(client, op, params):
+    """The retired scalar-sweep switch is now an unknown param: a
+    structured bad-request naming it, never silently ignored."""
+    with pytest.raises(ServiceError) as err:
+        client.call(op, params)
+    assert err.value.code == "bad-request"
+    assert "vectorize" in err.value.message
+
+
 def test_effort_capped_request_still_serves(client):
     result = client.call("analyze",
                          {"netlist": "iscas:c17", "top": 6},
