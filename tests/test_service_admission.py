@@ -96,6 +96,31 @@ def test_queued_ticket_waits_then_resolves():
     asyncio.run(main())
 
 
+def test_grant_landing_as_wait_times_out_counts_as_resolved(monkeypatch):
+    """``wait_for`` can raise ``TimeoutError`` after the grant already
+    landed (the grant races the timeout's cancellation): the ticket is
+    resolved, so it must not be reported as still queued."""
+
+    async def main():
+        ctrl = AdmissionController(max_inflight=1, max_queue=4)
+        hold = ctrl.submit("hold")
+        queued = ctrl.submit("queued")
+
+        async def grant_then_time_out(awaitable, timeout):
+            awaitable.close()
+            ctrl.release(hold)  # pumps the queue: ``queued`` is granted
+            raise asyncio.TimeoutError
+
+        with monkeypatch.context() as patch:
+            patch.setattr(asyncio, "wait_for", grant_then_time_out)
+            resolved = await queued.wait(0.05)
+        assert queued.granted
+        assert resolved
+        ctrl.release(queued)
+
+    asyncio.run(main())
+
+
 def test_abandon_frees_queue_capacity():
     async def main():
         ctrl = AdmissionController(max_inflight=1, max_queue=1)
