@@ -1,7 +1,7 @@
 """Serial vs sharded search: equivalence and effort bookkeeping.
 
 Runs the same exhaustive enumeration serially and through the
-process-pool driver (one shard per primary input) and records both
+supervised worker pool (one shard per primary input) and records both
 wall-clock numbers plus the per-run search counters in
 ``extra_info`` -- the trajectory of interest is that the merged
 parallel counters equal the serial ones (the shards do exactly the
@@ -18,7 +18,7 @@ import pytest
 from repro.core.sta import TruePathSTA
 from repro.netlist.generate import random_dag
 from repro.netlist.techmap import techmap
-from repro.perf import parallel_find_paths
+from repro.perf import supervised_find_paths
 
 JOBS = 2
 
@@ -38,9 +38,8 @@ def test_parallel_matches_serial_effort(benchmark, poly90, circuit,
         serial_stats = sta.last_stats.as_dict()
 
         start = time.perf_counter()
-        parallel_paths, merged = parallel_find_paths(
-            circuit, poly90, jobs=JOBS
-        )
+        result = supervised_find_paths(circuit, poly90, jobs=JOBS)
+        parallel_paths, merged = result.paths, result.stats
         parallel_seconds = time.perf_counter() - start
         return (
             serial_paths,

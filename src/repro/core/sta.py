@@ -140,9 +140,10 @@ class TruePathSTA:
     def enumerate_paths(self, jobs: Optional[int] = None, **kwargs) -> List[TimedPath]:
         """All true paths x sensitization-vector combinations.
 
-        ``jobs`` > 1 shards the search across primary inputs in a
-        process pool (:func:`repro.perf.parallel_find_paths`) and
-        merges the per-origin streams in declaration order.
+        ``jobs`` > 1 shards the search across primary inputs on
+        supervised worker processes
+        (:func:`repro.perf.supervised_find_paths`) and merges the
+        per-origin streams in declaration order.
         """
         if jobs is not None and jobs > 1:
             from repro.perf import supervised_find_paths

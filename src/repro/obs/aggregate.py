@@ -1,7 +1,7 @@
 """Cross-process telemetry shipping: shard snapshots in, one registry out.
 
-The parallel drivers (:mod:`repro.perf.parallel`,
-:mod:`repro.resilience.supervisor`) run shards in worker processes,
+The supervised worker pool (:mod:`repro.resilience.workers`) runs
+``--jobs N`` shards and served requests in worker processes,
 each with its *own* process-wide metrics registry and span tree.
 Without shipping, everything those workers record -- counters,
 histograms, labeled copies, span aggregates -- dies with the pool, and
@@ -22,8 +22,8 @@ roughly ``(N-1)/N``.  This module closes that gap:
   lane.  Gauges are point-in-time per process, so they merge under a
   ``shard=<origin>`` label instead of being summed.
 
-Merging is deterministic: the supervisor merges shipments in origin
-declaration order, and every fold is commutative addition, so a
+Merging is deterministic: the supervisor merges shipments one at a
+time on its own thread, and every fold is commutative addition, so a
 ``--jobs N`` snapshot equals a serial one (modulo timing fields) no
 matter the completion, retry, or fallback order.
 
@@ -61,7 +61,7 @@ except ImportError:  # pragma: no cover
 class ShardTelemetry:
     """One shard's registry/span delta, shipped parent-ward.
 
-    Plain data only (pickles through the process pool and serializes
+    Plain data only (pickles through the worker pipe and serializes
     into checkpoints if ever needed).
     """
 

@@ -21,6 +21,8 @@ runs.
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 from datetime import datetime, timezone
 from typing import Dict, IO, Optional
@@ -48,6 +50,16 @@ class _Config:
 
 _config = _Config()
 _loggers: Dict[str, "Logger"] = {}
+
+#: Held around every sink write and across ``fork``: a pool worker
+#: forked from a supervising thread must not inherit a stream another
+#: thread had locked mid-write, or its first log line would block
+#: forever.
+_WRITE_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_WRITE_LOCK.acquire,
+                        after_in_parent=_WRITE_LOCK.release,
+                        after_in_child=_WRITE_LOCK.release)
 
 
 def configure(
@@ -93,9 +105,6 @@ class Logger:
             "event": event,
         }
         record.update(fields)
-        if _config.jsonl is not None:
-            _config.jsonl.write(json.dumps(record, default=str) + "\n")
-            _config.jsonl.flush()
         stream = _config.stream
         if stream is None:
             import sys
@@ -106,7 +115,11 @@ class Logger:
         )[:-3]
         extras = " ".join(f"{k}={v}" for k, v in fields.items())
         line = f"{stamp} {record['level']:<7s} {self.name} {event}"
-        stream.write(line + (f" {extras}" if extras else "") + "\n")
+        with _WRITE_LOCK:
+            if _config.jsonl is not None:
+                _config.jsonl.write(json.dumps(record, default=str) + "\n")
+                _config.jsonl.flush()
+            stream.write(line + (f" {extras}" if extras else "") + "\n")
 
     def log(self, levelno: int, event: str, **fields) -> None:
         if levelno >= _config.level:

@@ -20,6 +20,7 @@ helpers operate on it.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -268,6 +269,13 @@ class MetricsRegistry:
 
 #: The process-wide default registry.
 REGISTRY = MetricsRegistry()
+
+if hasattr(os, "register_at_fork"):
+    # Pool workers fork from supervising threads: a registration lock
+    # another thread held at that instant would stay held forever in
+    # the child.
+    os.register_at_fork(
+        after_in_child=lambda: setattr(REGISTRY, "_lock", threading.Lock()))
 
 
 def counter(name: str, **labels: str) -> Counter:

@@ -5,11 +5,11 @@ Three pieces:
 * :class:`HeartbeatPublisher` -- worker-side.  Hooked into the path
   search (``PathFinder(progress=...)``), it publishes small plain-dict
   beats (origin, extensions tried, paths found, current best arrival)
-  onto a queue at a wall-clock-throttled rate, plus unconditional
-  ``started`` / ``done`` beats around each shard.  The queue is a
-  ``multiprocessing.Manager().Queue()`` proxy, which pickles through
-  the pool initializer; in-process shards publish straight into the
-  board with no queue at all.
+  into a sink at a wall-clock-throttled rate, plus unconditional
+  ``started`` / ``done`` beats around each shard.  In a pool worker the
+  sink sends each beat home on the worker's own pipe
+  (:mod:`repro.resilience.workers`); in-process shards publish
+  straight into the board.
 * :class:`ProgressBoard` -- parent-side.  Folds beats into per-origin
   state, derives totals (origins done/total, extensions/s, best bound,
   ETA from the origin completion rate) and remembers each origin's
@@ -28,10 +28,6 @@ import sys
 import time
 from typing import Callable, Dict, IO, Optional
 
-#: Extensions between queue publications (beats are also wall-clock
-#: throttled; this just keeps the hook's fast path branch-cheap).
-BEAT_EXTENSION_INTERVAL = 1024
-
 #: Minimum seconds between periodic beats from one shard.
 BEAT_SECONDS = 0.25
 
@@ -40,14 +36,14 @@ class HeartbeatPublisher:
     """Worker-side beat source for one shard.
 
     Callable so it can be handed to ``PathFinder(progress=...)``; the
-    finder invokes it periodically from the search loop.  ``sink`` is
-    anything with ``put(dict)`` (a manager queue proxy) or a plain
-    callable (the in-process board's ``update``).
+    finder invokes it periodically from the search loop.  ``sink`` is a
+    callable taking one beat dict (the worker pipe's sender, or the
+    in-process board's ``update``).
     """
 
-    def __init__(self, sink, origin: str,
+    def __init__(self, sink: Callable[[Dict], None], origin: str,
                  min_interval: float = BEAT_SECONDS):
-        self._put = sink.put if hasattr(sink, "put") else sink
+        self._put = sink
         self.origin = origin
         self.min_interval = min_interval
         # -inf, not 0.0: monotonic() starts near zero on a fresh boot,
@@ -66,8 +62,8 @@ class HeartbeatPublisher:
                 "ts": time.time(),
             })
         except Exception:
-            # A torn-down manager (parent exiting) must never take the
-            # search down with it.
+            # A broken pipe (parent exiting) must never take the search
+            # down with it.
             pass
 
     def started(self) -> None:

@@ -1,21 +1,14 @@
 """Hot-path performance layer for the single-pass search.
 
-Two public entry points: :func:`parallel_find_paths`, the historical
-``(paths, stats)`` process-pool driver that shards the search across
-primary inputs (each origin's search is independent -- the paper's
-natural partition) and merges the per-origin streams back into the
-calling process, including its metrics registry; and
-:func:`supervised_find_paths`, the same pipeline returning the full
-:class:`~repro.resilience.supervisor.SupervisedResult` (per-origin
-completeness, resume accounting).  Both run under the
-:mod:`repro.resilience.supervisor` -- worker crashes, shard timeouts
-and SIGINT degrade or retry instead of killing the run.  The serial
-hot-path pieces (arc-resolution memoization, justify-skip) live
-directly in :mod:`repro.core.delaycalc` and
-:mod:`repro.core.pathfinder`; see ``docs/PERFORMANCE.md`` for how to
-measure them and ``docs/ROBUSTNESS.md`` for the supervision knobs.
+:func:`supervised_find_paths` shards the search across primary inputs
+(origins never share state -- the paper's natural partition), runs the
+shards under :mod:`repro.resilience.supervisor`, and merges paths,
+stats and metrics back into the calling process.  The serial hot-path
+pieces (arc-resolution memoization, justify-skip) live in
+:mod:`repro.core.delaycalc` and :mod:`repro.core.pathfinder`; see
+``docs/PERFORMANCE.md`` and ``docs/ROBUSTNESS.md``.
 """
 
-from repro.perf.parallel import parallel_find_paths, supervised_find_paths
+from repro.perf.parallel import supervised_find_paths
 
-__all__ = ["parallel_find_paths", "supervised_find_paths"]
+__all__ = ["supervised_find_paths"]

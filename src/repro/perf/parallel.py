@@ -1,16 +1,14 @@
-"""Process-pool parallel driver for the path search.
+"""Supervised parallel driver for the path search.
 
 The single-pass search visits one primary input at a time and never
 shares state between origins, so the natural partition is one shard per
 origin.  Supervision (worker-crash retry, shard timeouts, serial
 fallback, checkpoint/resume, clean SIGINT unwinding) lives in
 :class:`repro.resilience.supervisor.ShardSupervisor`; this module is
-the thin public face that assembles the search configuration, ships the
-precomputed pruning bounds to the shards, and preserves the historical
-``(paths, merged_stats)`` return shape.
+the thin public face that assembles the search configuration and ships
+the precomputed pruning bounds to the shards.
 
-Merge semantics under the search limits (unchanged from the plain
-driver):
+Merge semantics under the search limits:
 
 * ``max_paths``: each shard is capped at ``max_paths`` (a single origin
   can never contribute more), and the merged stream is truncated after
@@ -20,24 +18,16 @@ driver):
   is a superset of the serial one that provably contains the true top-N
   set; callers keep the N worst of the merge exactly as they would keep
   the N worst of a serial run.
-
-On SIGINT the supervisor shuts the pool down cleanly (workers ignore
-SIGINT, so no child traceback storm), publishes the merged metrics of
-every completed shard, flushes the checkpoint if one is being written,
-and raises :class:`~repro.resilience.errors.SearchInterrupted` whose
-``partial`` attribute carries the merged partial result.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.charlib.fanout import WireLoadModel
 from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DEFAULT_INPUT_SLEW, DelayCalculator
 from repro.core.engine import EngineCircuit
-from repro.core.path import TimedPath
-from repro.core.pathfinder import SearchStats
 from repro.netlist.circuit import Circuit
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
@@ -123,7 +113,7 @@ def supervised_find_paths(
         circuit, charlib, calc_kwargs, finder_kwargs, config,
         fault_plan=fault_plan,
     )
-    with span("perf.parallel_find_paths"):
+    with span("perf.supervised_find_paths"):
         if n_worst is not None:
             # The backward required-time bounds depend only on the
             # circuit and corner: compute them once here and ship the
@@ -152,14 +142,3 @@ def supervised_find_paths(
                degraded=result.degraded)
     return result
 
-
-def parallel_find_paths(
-    circuit: Circuit,
-    charlib: CharacterizedLibrary,
-    jobs: int = 2,
-    **kwargs,
-) -> Tuple[List[TimedPath], SearchStats]:
-    """Historical entry point: :func:`supervised_find_paths` narrowed to
-    the ``(paths, merged_stats)`` pair."""
-    result = supervised_find_paths(circuit, charlib, jobs=jobs, **kwargs)
-    return result.paths, result.stats

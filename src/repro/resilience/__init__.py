@@ -1,6 +1,6 @@
 """Resilience layer: the pipeline degrades instead of dying.
 
-Four cooperating pieces:
+Five cooperating pieces:
 
 * :mod:`repro.resilience.errors` -- structured error taxonomy with
   per-class exit codes, so the CLI maps every failure to a one-line
@@ -10,19 +10,22 @@ Four cooperating pieces:
   statuses for degraded-mode results;
 * :mod:`repro.resilience.checkpoint` -- atomic JSON snapshots of
   completed origins for crash/SIGINT survival and exact resume;
-* :mod:`repro.resilience.supervisor` -- the supervised parallel driver:
-  per-shard timeouts, worker-crash detection, bounded retry with
-  backoff, serial fallback, and clean SIGINT unwinding.
+* :mod:`repro.resilience.workers` -- the supervised worker pool under
+  both ``--jobs N`` shards and the daemon's fleet: one task per forked
+  worker, so each crash or hang is blamed on its own task;
+* :mod:`repro.resilience.supervisor` -- the supervised parallel driver
+  on that pool: retry budget, serial fallback, clean SIGINT unwinding.
 
 Only the leaf modules (errors, budgets) are re-exported here: the core
 search imports them, so pulling :mod:`~repro.resilience.supervisor`
 (which imports the core search back) into the package ``__init__``
-would create an import cycle.  Import the supervisor and checkpoint
-modules explicitly.
+would create an import cycle.  Import the workers, supervisor and
+checkpoint modules explicitly.
 
 Recovery events surface through :mod:`repro.obs` as ``resilience.*``
 metrics: ``shard_retries``, ``worker_crashes``, ``shard_timeouts``,
-``serial_fallbacks``, ``degraded_origins``, ``resumed_shards``.
+``heartbeat_stalls``, ``serial_fallbacks``, ``degraded_origins``,
+``resumed_shards``.
 """
 
 from repro.resilience.budgets import (
@@ -39,7 +42,6 @@ from repro.resilience.errors import (
     NetlistLoadError,
     ResilienceError,
     SearchInterrupted,
-    ShardFailureError,
     UnknownCellError,
     classify,
 )
@@ -56,7 +58,6 @@ __all__ = [
     "ResilienceError",
     "SearchBudgets",
     "SearchInterrupted",
-    "ShardFailureError",
     "UnknownCellError",
     "classify",
 ]

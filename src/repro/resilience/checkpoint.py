@@ -5,8 +5,9 @@ search is sharded per origin (one primary input at a time), so the
 natural checkpoint granularity is the *completed origin*: after each
 origin finishes, the supervisor appends its path list, search-effort
 counters, and completeness status to a JSON snapshot, written
-atomically (temp file + rename) so a crash mid-write never corrupts the
-last good checkpoint.
+atomically (:func:`atomic_write_json`: temp file + rename, shared with
+the service's warm-state snapshots) so a crash mid-write never corrupts
+the last good checkpoint.
 
 A checkpoint is bound to its run by a configuration fingerprint (the
 circuit name plus every search parameter that affects the path set).
@@ -111,38 +112,35 @@ class Checkpoint:
         return ckpt
 
 
-class CheckpointWriter:
-    """Appends shard results to an on-disk checkpoint, atomically.
+def atomic_write_json(path: Union[str, Path], document: Dict) -> None:
+    """Write ``document`` as JSON to ``path`` atomically: the bytes land
+    in ``<path>.tmp<pid>`` and are renamed over the target, so a crash
+    mid-write leaves the previous good file intact, never a torn one.
+    Creates the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
+    temporary.write_text(json.dumps(document))
+    temporary.replace(path)
 
-    ``flush_every`` bounds how many completed shards a crash can lose
-    (default: flush after every shard -- one origin is minutes of work
-    on the circuits that need checkpoints at all).
-    """
+
+class CheckpointWriter:
+    """Appends shard results to an on-disk checkpoint, rewriting it
+    atomically after every shard -- one origin is minutes of work on the
+    circuits that need checkpoints at all."""
 
     def __init__(self, path: Union[str, Path], circuit_name: str,
-                 fingerprint: str, flush_every: int = 1):
+                 fingerprint: str):
         self.path = Path(path)
         self.checkpoint = Checkpoint(circuit_name, fingerprint)
-        self.flush_every = max(1, flush_every)
-        self._dirty = 0
 
     def record(self, origin: str, status: str, paths: Sequence[TimedPath],
                stats: Dict[str, float], deltas: Dict[str, int]) -> None:
         self.checkpoint.record(origin, status, paths, stats, deltas)
-        self._dirty += 1
-        if self._dirty >= self.flush_every:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
-        if self._dirty == 0:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = self.path.with_suffix(
-            self.path.suffix + f".tmp{os.getpid()}"
-        )
-        temporary.write_text(json.dumps(self.checkpoint.to_dict()))
-        temporary.replace(self.path)
-        self._dirty = 0
+        atomic_write_json(self.path, self.checkpoint.to_dict())
         _log.debug("checkpoint.flushed", path=str(self.path),
                    shards=len(self.checkpoint.shards))
 

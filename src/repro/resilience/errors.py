@@ -24,7 +24,6 @@ EXIT_NOINPUT = 66       #: input file missing / unreadable
 EXIT_UNAVAILABLE = 69   #: a required resource (timing arc) is absent
 EXIT_SOFTWARE = 70      #: internal invariant violation
 EXIT_CANTCREAT = 73     #: a requested output file cannot be written
-EXIT_TEMPFAIL = 75      #: shard/worker failure after retries
 EXIT_CONFIG = 78        #: bad configuration (checkpoint mismatch, flags)
 EXIT_INTERRUPTED = 130  #: SIGINT (128 + signal 2)
 
@@ -93,13 +92,6 @@ class CheckpointError(ResilienceError):
     current circuit/search configuration."""
 
     exit_code = EXIT_CONFIG
-
-
-class ShardFailureError(ResilienceError):
-    """A parallel shard kept failing after exhausting its retry budget
-    *and* the in-process serial fallback."""
-
-    exit_code = EXIT_TEMPFAIL
 
 
 class SearchInterrupted(ResilienceError):

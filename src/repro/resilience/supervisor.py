@@ -1,60 +1,49 @@
 """Supervised parallel search: the driver that refuses to die.
 
-The plain process-pool driver (PR 2) is all-or-nothing: one crashed
-worker poisons the whole pool, one hung shard stalls the run forever,
-and SIGINT unwinds through a child-process traceback storm with every
-completed shard's work lost.  :class:`ShardSupervisor` wraps the same
-shard/merge pipeline in a supervision loop:
+:class:`ShardSupervisor` runs one shard per origin on the supervised
+worker pool (:mod:`repro.resilience.workers`), one shard per worker at
+a time, so every failure is blamed on the shard that caused it and no
+other shard is re-run:
 
-* **Worker crashes** (``BrokenProcessPool``): the pool is rebuilt and
-  every in-flight shard is re-queued.  A dead worker poisons all
-  in-flight futures identically, so with several shards in flight the
-  crasher cannot be identified; the casualties are then refunded and
-  quarantined to run one at a time until a solo crash assigns blame.
-  Only unambiguous crashes charge the bounded retry budget, with
-  exponential backoff (``resilience.worker_crashes`` /
+* **Worker crashes** are retried by the pool on a respawned worker,
+  with exponential backoff (``resilience.worker_crashes``,
   ``resilience.shard_retries``).
-* **Shard timeouts**: each pooled shard attempt carries a wall-clock
-  deadline; an expired shard's pool is torn down (hung worker processes
-  are terminated) and the shard re-queued
-  (``resilience.shard_timeouts``).
-* **Retry exhaustion**: the shard falls back to an in-process serial
-  run -- worker-environment faults cannot follow it there.  If even
-  that fails, the origin is recorded as ``failed`` with zero paths and
-  the run *continues* (``resilience.serial_fallbacks``,
-  ``resilience.degraded_origins``); only policy errors from the
-  resilience taxonomy (e.g. a missing arc under the ``error`` policy)
-  abort the run, because they are deterministic decisions, not
-  infrastructure failures.
-* **SIGINT**: the pool is shut down cleanly (workers ignore SIGINT, so
-  there is no child traceback storm), completed-shard results and
-  merged metrics are preserved, the checkpoint is flushed, and
+* **Shard timeouts** (a wall-clock deadline per attempt, started when a
+  worker takes the shard) and **heartbeat stalls** kill only that
+  worker; the shard is re-queued (``resilience.shard_timeouts``,
+  ``resilience.heartbeat_stalls``).
+* **Retry exhaustion**: crashes, timeouts, stalls and worker exceptions
+  together get ``shard_retries + 1`` pooled attempts; then the shard
+  runs in-process, where worker-environment faults cannot follow.  If
+  even that fails, the origin is recorded as ``failed`` and the run
+  *continues* (``resilience.serial_fallbacks``,
+  ``resilience.degraded_origins``).  Only policy errors from the
+  resilience taxonomy (a missing arc under the ``error`` policy) abort
+  the run: they are deterministic decisions, not infrastructure faults.
+* **SIGINT**: the pool shuts down (workers ignore SIGINT), completed
+  shards and their merged metrics are kept, and
   :class:`~repro.resilience.errors.SearchInterrupted` carries the
   partial result out.
 * **Checkpoint/resume**: completed origins stream to a JSON snapshot
-  (:mod:`repro.resilience.checkpoint`); a resumed run adopts them
-  without re-searching and reproduces the exact path set of an
-  uninterrupted run.
+  (:mod:`repro.resilience.checkpoint`); a resumed run adopts them and
+  reproduces the exact path set of an uninterrupted run.
 
 The merge stays byte-identical to the serial search: results are
-collected per origin *index* and concatenated in declaration order, no
-matter the completion, retry, or resume order.
-
-This module is imported lazily (``repro.resilience.__init__`` does not
-pull it in) because it imports the core search -- which itself uses the
-leaf modules :mod:`repro.resilience.budgets` and
+concatenated in origin declaration order, whatever the completion,
+retry, or resume order.  This module is imported lazily
+(``repro.resilience.__init__`` does not pull it in) because it imports
+the core search, which itself uses :mod:`repro.resilience.budgets` and
 :mod:`repro.resilience.errors`.
 """
 
 from __future__ import annotations
 
-import signal
+import queue
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DelayCalculator
@@ -64,9 +53,7 @@ from repro.core.pathfinder import PathFinder, SearchStats
 from repro.netlist.circuit import Circuit
 from repro.obs import export as obs_export
 from repro.obs import metrics as obs_metrics
-from repro.obs import tracing as obs_tracing
 from repro.obs.aggregate import (
-    RegistryShipper,
     ShardTelemetry,
     merge_shard_telemetry,
     record_resource_usage,
@@ -84,25 +71,19 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
 )
 from repro.resilience.errors import ResilienceError, SearchInterrupted
+from repro.resilience.workers import Task, WorkerPool
 
 _log = get_logger("repro.resilience")
 
-#: Supervision loop poll period (seconds): how often deadlines are
+#: Supervision loop poll period (seconds): how often heartbeat ages are
 #: checked while waiting on in-flight shards.
 _POLL_SECONDS = 0.05
-
-#: Per-process worker context, set by the pool initializer.
-_WORKER: Optional[Tuple] = None
 
 #: One shard's wire format: paths, SearchStats.as_dict(), delaycalc
 #: counter deltas, per-origin completeness outcome dicts.
 ShardResult = Tuple[
     List[TimedPath], Dict[str, float], Dict[str, int], Dict[str, Dict]
 ]
-
-#: What a pooled shard ships home: the result plus the worker's
-#: registry/span delta (:mod:`repro.obs.aggregate`).
-ShardShipment = Tuple[ShardResult, ShardTelemetry]
 
 #: The delaycalc counters folded across shards into the parent registry.
 DELTA_KEYS = (
@@ -113,23 +94,14 @@ DELTA_KEYS = (
 )
 
 
-def _init_worker(circuit: Circuit, charlib: CharacterizedLibrary,
-                 calc_kwargs: Dict, finder_kwargs: Dict,
-                 fault_plan: object, obs_config: Dict,
-                 beat_queue: object, compiled_tables: object = None) -> None:
-    # Workers ignore SIGINT: the parent owns interruption, so a Ctrl-C
-    # does not spray one KeyboardInterrupt traceback per child.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Mirror the parent's observability switches (a fork inherits them,
-    # a spawn does not) and start this worker's telemetry shipper from
-    # a clean slate: whatever the registry holds now predates the first
-    # shard and must not ship.
-    if obs_config.get("tracing"):
-        obs_tracing.enable()
-    if obs_config.get("events"):
-        obs_tracing.capture_events()
-        obs_tracing.drain_events()
-    global _WORKER
+def _shard_worker(circuit: Circuit, charlib: CharacterizedLibrary,
+                  calc_kwargs: Dict, finder_kwargs: Dict,
+                  fault_plan: object, beats: bool,
+                  compiled_tables: object = None) -> Callable:
+    """Pool worker init: build this worker's search context once and
+    return the per-shard handler.  The forked worker inherits the
+    parent's tracing switches; the pool's shipper absorbs everything
+    recorded before the first shard."""
     ec = EngineCircuit(circuit)
     # The parent's compiled timing tables (slew fixed point, worst-arc
     # delays, pruning bounds) are derived purely from circuit + corner:
@@ -137,9 +109,26 @@ def _init_worker(circuit: Circuit, charlib: CharacterizedLibrary,
     # sweeps once per worker process.
     calc = DelayCalculator(ec, charlib, compiled=compiled_tables,
                            **calc_kwargs)
-    shipper = RegistryShipper()
-    shipper.collect("__init__")  # absorb pre-shard registry state
-    _WORKER = (ec, calc, finder_kwargs, fault_plan, shipper, beat_queue)
+
+    def search(origin: str, attempt: int, beat: Callable) -> ShardResult:
+        if fault_plan is not None:
+            fault_plan.before_shard(origin, attempt, in_worker=True)
+        publisher = HeartbeatPublisher(beat, origin) if beats else None
+        if publisher is not None:
+            publisher.started()
+        result = run_shard(ec, calc, finder_kwargs, [origin],
+                           progress=publisher)
+        record_resource_usage()
+        if publisher is not None:
+            paths, stats = result[0], result[1]
+            publisher.done(
+                extensions=int(stats.get("extensions_tried", 0)),
+                paths=len(paths),
+                best=max((p.worst_arrival for p in paths), default=None),
+            )
+        return result
+
+    return search
 
 
 def run_shard(ec: EngineCircuit, calc: DelayCalculator, finder_kwargs: Dict,
@@ -164,36 +153,6 @@ def run_shard(ec: EngineCircuit, calc: DelayCalculator, finder_kwargs: Dict,
     return paths, finder.stats.as_dict(), deltas, outcomes
 
 
-def _search_shard(origin: str, attempt: int) -> ShardShipment:
-    ec, calc, finder_kwargs, fault_plan, shipper, beat_queue = _WORKER
-    if fault_plan is not None:
-        fault_plan.before_shard(origin, attempt, in_worker=True)
-    publisher = (HeartbeatPublisher(beat_queue, origin)
-                 if beat_queue is not None else None)
-    if publisher is not None:
-        publisher.started()
-    try:
-        result = run_shard(ec, calc, finder_kwargs, [origin],
-                           progress=publisher)
-    except Exception:
-        # A failed attempt will be retried elsewhere; absorb whatever
-        # the aborted search already recorded into the shipper baseline
-        # so the *next* shard on this worker does not ship it.
-        shipper.collect(origin)
-        raise
-    record_resource_usage()
-    telemetry = shipper.collect(origin)
-    if publisher is not None:
-        stats = result[1]
-        paths = result[0]
-        publisher.done(
-            extensions=int(stats.get("extensions_tried", 0)),
-            paths=len(paths),
-            best=max((p.worst_arrival for p in paths), default=None),
-        )
-    return result, telemetry
-
-
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Supervision policy knobs (all have production-safe defaults)."""
@@ -213,12 +172,11 @@ class SupervisorConfig:
     serial_fallback: bool = True
     checkpoint_path: Optional[str] = None
     resume_path: Optional[str] = None
-    checkpoint_flush_every: int = 1
     #: Render a throttled live progress line (origins done/total,
     #: extensions, best bound, ETA) on stderr.
     progress: bool = False
     #: Treat a pooled shard whose *heartbeat* goes silent this long as
-    #: hung (pool teardown + retry, like a deadline expiry) -- unlike
+    #: hung (worker kill + retry, like a deadline expiry) -- unlike
     #: ``shard_timeout`` this distinguishes a stalled shard from a
     #: merely slow one, which keeps beating.  None disables.
     heartbeat_timeout: Optional[float] = None
@@ -240,7 +198,7 @@ class SupervisedResult:
         return not self.completeness.complete
 
 
-@dataclass(eq=False)  # identity semantics: shards live in sets/dicts
+@dataclass
 class _Shard:
     """Supervisor-side bookkeeping for one origin."""
 
@@ -249,9 +207,6 @@ class _Shard:
     attempts: int = 0
     result: Optional[ShardResult] = None
     status: str = "pending"
-    deadline: Optional[float] = None
-    submitted_at: Optional[float] = None
-    fallback_error: Optional[str] = None
     #: Metrics for this shard already landed in the parent registry
     #: (telemetry merge for pooled shards, direct publication for
     #: in-process ones); the merge must not publish them again.
@@ -292,10 +247,6 @@ class ShardSupervisor:
         self._completed_count = 0
         self._writer: Optional[CheckpointWriter] = None
         self._board: Optional[ProgressBoard] = None
-        self._beat_queue = None  # manager-queue proxy (pooled + board)
-        # Shards caught in a pool break whose blame was ambiguous; run
-        # one at a time until the crasher identifies itself solo.
-        self._suspects: set = set()
         self.metrics = {
             "worker_crashes": 0,
             "shard_timeouts": 0,
@@ -336,17 +287,13 @@ class ShardSupervisor:
         if self.config.checkpoint_path:
             self._writer = CheckpointWriter(
                 self.config.checkpoint_path, self.circuit.name, fingerprint,
-                flush_every=self.config.checkpoint_flush_every,
             )
-            # Carry adopted shards forward so a later resume of the new
-            # checkpoint still covers them.
-            for shard in shards:
-                if shard.result is not None:
-                    self._record_checkpoint(shard)
-
-        if self._board is not None:
-            for shard in shards:
-                if shard.result is not None:  # adopted from the resume
+        for shard in shards:
+            if shard.result is not None:  # adopted from the resume
+                # Carry it forward so a later resume of the new
+                # checkpoint still covers it.
+                self._record_checkpoint(shard)
+                if self._board is not None:
                     self._board.mark_done(shard.origin,
                                           paths=len(shard.result[0]))
         pending = [s for s in shards if s.result is None]
@@ -360,8 +307,6 @@ class ShardSupervisor:
         except KeyboardInterrupt:
             interrupted = True
         finally:
-            if self._writer is not None:
-                self._writer.flush()
             if self._board is not None:
                 self._board.close()
 
@@ -412,29 +357,24 @@ class ShardSupervisor:
 
     # ------------------------------------------------------------------
     def _finish_shard(self, shard: _Shard, result: ShardResult,
-                      telemetry: Optional[ShardTelemetry] = None,
-                      in_process: bool = False) -> None:
-        self._suspects.discard(shard)
+                      telemetry: Optional[ShardTelemetry] = None) -> None:
+        """Record a searched shard.  Its metrics reach this registry
+        exactly once: an in-process search published them at stream
+        close, a pooled shard's telemetry merges here (counters add,
+        histograms merge, gauges keep a shard label, trace events land
+        on the worker's lane)."""
         shard.result = result
+        shard.published = True
         if telemetry is not None:
-            # Pooled shard: fold the worker's registry/span delta into
-            # this process's registry (counters add, histograms merge,
-            # gauges keep a shard label, trace events land on the
-            # worker's lane).
             merge_shard_telemetry(telemetry)
-            shard.published = True
-        elif in_process:
-            # The in-process search already published straight into
-            # this registry at stream close.
-            shard.published = True
-        outcome = result[3].get(shard.origin)
-        shard.status = outcome["status"] if outcome else "complete"
-        self._completed_count += 1
-        if self._board is not None and telemetry is None:
+        elif self._board is not None:
             self._board.mark_done(
                 shard.origin, paths=len(result[0]),
                 extensions=int(result[1].get("extensions_tried", 0)),
             )
+        outcome = result[3].get(shard.origin)
+        shard.status = outcome["status"] if outcome else "complete"
+        self._completed_count += 1
         self._record_checkpoint(shard)
         if (self.fault_plan is not None
                 and getattr(self.fault_plan, "interrupt_after", None)
@@ -447,7 +387,6 @@ class ShardSupervisor:
     def _fail_shard(self, shard: _Shard, reason: str) -> None:
         """Retries and fallback exhausted: degrade, don't die."""
         shard.status = "failed"
-        shard.fallback_error = reason
         shard.result = (
             [], SearchStats().as_dict(), {key: 0 for key in DELTA_KEYS},
             {shard.origin: OriginOutcome(shard.origin, "failed").as_dict()},
@@ -470,9 +409,7 @@ class ShardSupervisor:
             self._finish_shard(
                 shard,
                 run_shard(ec, calc, self.finder_kwargs, [shard.origin],
-                          progress=self._local_progress(shard.origin)),
-                in_process=True,
-            )
+                          progress=self._local_progress(shard.origin)))
 
     def _local_progress(self, origin: str) -> Optional[HeartbeatPublisher]:
         """In-process shards beat straight into the board, no queue."""
@@ -481,232 +418,111 @@ class ShardSupervisor:
         return HeartbeatPublisher(self._board.update, origin)
 
     # ------------------------------------------------------------------
-    def _make_pool(self) -> ProcessPoolExecutor:
-        obs_config = {
-            "tracing": obs_tracing.enabled(),
-            "events": obs_tracing.events_enabled(),
-        }
-        return ProcessPoolExecutor(
-            max_workers=self.config.jobs,
-            initializer=_init_worker,
-            initargs=(self.circuit, self.charlib, self.calc_kwargs,
-                      self.finder_kwargs, self.fault_plan, obs_config,
-                      self._beat_queue, self.compiled_tables),
-        )
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting on hung workers."""
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-
     def _run_pooled(self, pending: List[_Shard]) -> None:
         config = self.config
-        queue: Deque[_Shard] = deque(pending)
-        in_flight: Dict[Future, _Shard] = {}
-        retry_at: List[Tuple[float, _Shard]] = []
-        manager = None
-        if self._board is not None:
-            import multiprocessing
+        # Pool events arrive on the slot threads; they are counted and
+        # folded into the board on this thread, like everything else.
+        events: "queue.SimpleQueue" = queue.SimpleQueue()
+        pool = WorkerPool(
+            config.jobs,
+            partial(_shard_worker, self.circuit, self.charlib,
+                    self.calc_kwargs, self.finder_kwargs, self.fault_plan,
+                    self._board is not None, self.compiled_tables),
+            on_event=lambda *event: events.put(event),
+            retries=config.shard_retries, retry_backoff=config.retry_backoff,
+            name="shard",
+        )
+        in_flight: Dict[Future, Tuple[_Shard, Task]] = {}
 
-            manager = multiprocessing.Manager()
-            self._beat_queue = manager.Queue()
-        pool = self._make_pool()
+        def submit(shard: _Shard) -> None:
+            # The pool's crash retries draw on the same budget as the
+            # resubmissions below: shard_retries + 1 attempts in total.
+            task = pool.submit(shard.origin, shard.attempts,
+                               timeout=config.shard_timeout,
+                               retries=config.shard_retries - shard.attempts,
+                               label=shard.origin)
+            in_flight[task.future] = (shard, task)
+
         try:
-            while queue or in_flight or retry_at:
-                now = time.monotonic()
-                # Promote retries whose backoff has elapsed.
-                due = [entry for entry in retry_at if entry[0] <= now]
-                for entry in due:
-                    retry_at.remove(entry)
-                    queue.append(entry[1])
-                submit_broken = False
-                while queue and len(in_flight) < config.jobs:
-                    if self._suspects:
-                        # Quarantine: blame for the last pool break was
-                        # ambiguous, so suspects run strictly alone --
-                        # the next break identifies the crasher.
-                        if in_flight:
-                            break
-                        idx = next((i for i, s in enumerate(queue)
-                                    if s in self._suspects), None)
-                        if idx is None:
-                            break
-                        shard = queue[idx]
-                        del queue[idx]
-                    else:
-                        shard = queue.popleft()
-                    try:
-                        future = pool.submit(_search_shard, shard.origin,
-                                             shard.attempts)
-                    except BrokenProcessPool:
-                        # The executor noticed a dead worker after the
-                        # last wait().  This shard never ran: it goes
-                        # back uncharged, and the break is handled
-                        # below exactly like a result-time one.
-                        queue.appendleft(shard)
-                        submit_broken = True
-                        break
-                    shard.attempts += 1
-                    shard.submitted_at = time.monotonic()
-                    shard.deadline = (
-                        shard.submitted_at + config.shard_timeout
-                        if config.shard_timeout is not None else None
-                    )
-                    if self._board is not None:
-                        # A stale beat from a previous attempt must not
-                        # mask a silent retry.
-                        self._board.last_beat.pop(shard.origin, None)
-                    in_flight[future] = shard
-                if not in_flight and not submit_broken:
-                    # Only backed-off retries remain: sleep to the next.
-                    if retry_at:
-                        time.sleep(
-                            max(0.0, min(t for t, _ in retry_at)
-                                - time.monotonic())
-                        )
-                    continue
-                # After a submit-time break, harvest only what already
-                # finished; everything still in flight is a casualty.
-                done, _ = wait(list(in_flight),
-                               timeout=0 if submit_broken else _POLL_SECONDS,
+            for shard in pending:
+                submit(shard)
+            while in_flight:
+                done, _ = wait(list(in_flight), timeout=_POLL_SECONDS,
                                return_when=FIRST_COMPLETED)
-                self._drain_beats()
-                pool_broken = submit_broken
-                broken: List[_Shard] = []
+                self._drain_events(events)
                 for future in done:
-                    shard = in_flight.pop(future)
+                    shard, task = in_flight.pop(future)
+                    shard.attempts = task.attempt + 1
                     try:
                         result, telemetry = future.result()
-                    except BrokenProcessPool:
-                        broken.append(shard)
-                        pool_broken = True
                     except ResilienceError:
                         # Policy decision (missing arc under `error`,
                         # checkpoint mismatch...): deterministic, so a
                         # retry cannot help -- propagate.
                         raise
-                    except Exception as exc:  # worker raised: retry
+                    except Exception as exc:
                         _log.warning("supervisor.shard_error",
                                      origin=shard.origin,
                                      attempt=shard.attempts, error=str(exc))
-                        self._requeue(shard, queue, retry_at)
+                        self._retry_or_fallback(shard, submit)
                     else:
                         self._finish_shard(shard, result,
                                            telemetry=telemetry)
-                if pool_broken:
-                    # A dead worker poisons every in-flight future with
-                    # the same BrokenProcessPool, so the executor cannot
-                    # say which shard crashed.  Charge the retry budget
-                    # only when blame is unambiguous (a single shard was
-                    # in flight); otherwise refund all casualties and
-                    # quarantine them to run one at a time.
-                    casualties = broken + list(in_flight.values())
-                    in_flight.clear()
-                    self.metrics["worker_crashes"] += 1
-                    obs_export.instant(
-                        "resilience.worker_crash",
-                        origins=",".join(s.origin for s in casualties))
-                    _log.warning(
-                        "supervisor.worker_crash",
-                        origins=",".join(s.origin for s in casualties))
-                    if len(casualties) == 1:
-                        self._requeue(casualties[0], queue, retry_at)
-                    else:
-                        for shard in casualties:
-                            shard.attempts -= 1  # blame unproven
-                            self._suspects.add(shard)
-                            queue.append(shard)
-                    self._kill_pool(pool)
-                    pool = self._make_pool()
-                    continue
-                # Deadline sweep: a hung worker cannot be cancelled, so
-                # the whole pool is torn down and survivors re-queued.
-                now = time.monotonic()
-                expired = [
-                    (future, shard) for future, shard in in_flight.items()
-                    if shard.deadline is not None and now > shard.deadline
-                ]
-                for _future, shard in expired:
-                    self.metrics["shard_timeouts"] += 1
-                    obs_export.instant("resilience.shard_timeout",
-                                       origin=shard.origin,
-                                       attempt=shard.attempts)
-                    _log.warning("supervisor.shard_timeout",
-                                 origin=shard.origin,
-                                 attempt=shard.attempts,
-                                 timeout=config.shard_timeout)
-                # Heartbeat sweep: a shard whose beats went silent is
-                # stalled (a slow one keeps beating); same teardown.
-                if (config.heartbeat_timeout is not None
-                        and self._board is not None):
-                    flagged = {shard for _f, shard in expired}
-                    for future, shard in in_flight.items():
-                        if shard in flagged:
-                            continue
-                        age = self._board.beat_age(shard.origin)
-                        if age is None and shard.submitted_at is not None:
-                            age = now - shard.submitted_at
-                        if age is not None and age > config.heartbeat_timeout:
-                            expired.append((future, shard))
-                            self.metrics["heartbeat_stalls"] += 1
-                            obs_export.instant(
-                                "resilience.heartbeat_stall",
-                                origin=shard.origin, silent_s=round(age, 3))
-                            _log.warning("supervisor.heartbeat_stall",
-                                         origin=shard.origin,
-                                         attempt=shard.attempts,
-                                         silent_s=age)
-                if expired:
-                    expired_shards = {shard for _f, shard in expired}
-                    for future, shard in list(in_flight.items()):
-                        if shard in expired_shards:
-                            self._requeue(shard, queue, retry_at)
-                        else:
-                            shard.attempts -= 1  # innocent casualty
-                            queue.append(shard)
-                    in_flight.clear()
-                    self._kill_pool(pool)
-                    pool = self._make_pool()
-        except KeyboardInterrupt:
-            self._kill_pool(pool)
-            raise
-        else:
-            pool.shutdown()
+                if config.heartbeat_timeout is not None:
+                    self._kill_stalled(pool, in_flight.values())
         finally:
-            self._drain_beats()
-            if manager is not None:
-                self._beat_queue = None
-                manager.shutdown()
+            pool.shutdown()
+            self._drain_events(events)
 
-    def _drain_beats(self) -> None:
-        if self._beat_queue is None or self._board is None:
-            return
-        while True:
-            try:
-                beat = self._beat_queue.get_nowait()
-            except Exception:  # queue.Empty, or a torn-down manager
-                break
-            self._board.update(beat)
+    def _drain_events(self, events: "queue.SimpleQueue") -> None:
+        while not events.empty():
+            kind, task, detail = events.get()
+            if kind == "beat":
+                self._board.update(detail)
+            elif kind == "crashed":
+                self.metrics["worker_crashes"] += 1
+                obs_export.instant("resilience.worker_crash",
+                                   origins=task.payload)
+            elif kind == "retry":
+                self._count_retry(task.payload, task.attempt)
+            elif kind == "timeout":
+                self.metrics["shard_timeouts"] += 1
+                obs_export.instant("resilience.shard_timeout",
+                                   origin=task.payload,
+                                   attempt=task.attempt + 1)
 
-    def _requeue(self, shard: _Shard, queue: Deque[_Shard],
-                 retry_at: List[Tuple[float, _Shard]]) -> None:
-        """Schedule a failed attempt for retry, or exhaust into the
-        serial fallback."""
-        self._suspects.discard(shard)  # blame assigned: quarantine over
+    def _kill_stalled(self, pool: WorkerPool, running) -> None:
+        """Kill every running shard whose beats went silent for
+        ``heartbeat_timeout`` (a slow shard keeps beating)."""
+        now = time.monotonic()
+        for _shard, task in running:
+            started = task.started_at  # None while not on a worker
+            if started is None or task.kill_requested:
+                continue
+            # A beat from an earlier attempt must not mask a silent
+            # retry: the attempt's own start bounds the age.
+            age = now - started
+            beat_age = self._board.beat_age(task.payload)
+            if beat_age is not None:
+                age = min(age, beat_age)
+            if age > self.config.heartbeat_timeout:
+                pool.kill(task)
+                self.metrics["heartbeat_stalls"] += 1
+                obs_export.instant("resilience.heartbeat_stall",
+                                   origin=task.payload, silent_s=round(age, 3))
+
+    def _count_retry(self, origin: str, attempt: int) -> None:
+        self.metrics["shard_retries"] += 1
+        obs_export.instant("resilience.shard_retry", origin=origin,
+                           attempt=attempt)
+
+    def _retry_or_fallback(self, shard: _Shard,
+                           submit: Callable[[_Shard], None]) -> None:
+        """Resubmit a failed attempt while the retry budget lasts, else
+        exhaust into the serial fallback."""
         if shard.attempts <= self.config.shard_retries:
-            self.metrics["shard_retries"] += 1
-            obs_export.instant("resilience.shard_retry",
-                               origin=shard.origin, attempt=shard.attempts)
-            backoff = self.config.retry_backoff * (2 ** (shard.attempts - 1))
-            if backoff > 0:
-                retry_at.append((time.monotonic() + backoff, shard))
-            else:
-                queue.append(shard)
+            self._count_retry(shard.origin, shard.attempts)
+            submit(shard)
             return
         if self.config.serial_fallback:
             self.metrics["serial_fallbacks"] += 1
@@ -719,11 +535,7 @@ class ShardSupervisor:
                 self._finish_shard(
                     shard,
                     run_shard(ec, calc, self.finder_kwargs, [shard.origin],
-                              progress=self._local_progress(shard.origin)),
-                    in_process=True,
-                )
-            except KeyboardInterrupt:
-                raise
+                              progress=self._local_progress(shard.origin)))
             except ResilienceError:
                 raise
             except Exception as exc:
@@ -735,18 +547,14 @@ class ShardSupervisor:
     def _merge(self, shards: List[_Shard], resumed: int,
                interrupted: bool) -> SupervisedResult:
         """Fold shard results in origin declaration order and publish
-        the merged totals -- identical semantics to the plain parallel
-        driver, plus completeness and resilience accounting."""
+        the merged totals plus completeness and resilience accounting."""
         max_paths = self.finder_kwargs.get("max_paths")
         paths: List[TimedPath] = []
         merged = SearchStats()
         # Shards whose metrics never reached this registry -- adopted
         # from a resume checkpoint, or recorded as failed -- are
-        # published here from their checkpointed stats/deltas.  Pooled
-        # shards arrived via telemetry shipping and in-process shards
-        # published at stream close; re-publishing either would double
-        # count (which the old unconditional publish did for every
-        # supervised serial run).
+        # published here from their checkpointed stats/deltas; pooled
+        # (telemetry) and in-process (stream close) shards already were.
         unpublished = SearchStats()
         totals: Dict[str, int] = {key: 0 for key in DELTA_KEYS}
         completeness = CompletenessReport()

@@ -1,67 +1,48 @@
 """Supervised worker processes behind the analysis acceptor.
 
-PR 9's daemon computed every request inside its own
-``ThreadPoolExecutor``: one poisoned request (a segfaulting extension,
-a runaway C loop, an OOM kill) took the whole daemon -- and every other
-in-flight client -- down with it.  This module moves the compute into
-N supervised **worker processes** so a worker death kills exactly one
-request attempt:
+Compute runs in N supervised **worker processes**, so a segfault, OOM
+kill or runaway loop costs one request attempt, not the daemon:
 
-* :func:`run_work` -- the single spec-driven execution function.  Both
-  the in-process :class:`ThreadedExecutor` (``--fleet 0``) and every
-  fleet worker run *this* function on *the same spec*, which is what
-  makes fleet-mode reports byte-identical to threaded-mode reports by
-  construction (and both byte-identical to the one-shot CLI, because
-  ``run_work`` calls the shared execution layer in
-  :mod:`repro.service.requests`).
-* :class:`WorkerFleet` -- N ``multiprocessing`` workers, each paired
-  with a parent-side supervising thread that feeds it tasks from a
-  shared queue and watches for crashes (pipe EOF / dead process),
-  hangs (per-request hard deadline derived from the QoS wall budget),
-  and preemption requests.  The supervision idiom mirrors
-  :class:`repro.resilience.supervisor.ShardSupervisor`: crash detection,
-  bounded retry with exponential backoff
-  (``retry_backoff * 2**attempt``), kill-and-respawn on a tripped
-  deadline.  Counters: ``service.worker_crashes``,
-  ``service.request_retries``, ``service.worker_timeouts``,
-  ``service.worker_respawns``, ``service.preemptions``.
-* :class:`ThreadedExecutor` -- the deterministic in-process fallback at
-  ``--fleet 0`` (the PR 9 behavior): same ``run_work``, same frames,
-  no process isolation.
+* :func:`run_work` -- the single spec-driven execution function.  The
+  in-process :class:`ThreadedExecutor` (``--fleet 0``) and every fleet
+  worker run *this* function on *the same spec*, which makes fleet
+  reports byte-identical to threaded ones by construction (and both to
+  the one-shot CLI: ``run_work`` calls :mod:`repro.service.requests`).
+  Request-level failures become structured error frames here.
+* :class:`WorkerFleet` -- a thin layer over the supervised worker pool
+  shared with ``--jobs N`` shards
+  (:class:`repro.resilience.workers.WorkerPool`): crash retry with
+  backoff, a hard per-request deadline derived from the QoS wall
+  budget, hog preemption.  Its futures resolve to the frames plus the
+  worker's telemetry delta, which the acceptor merges (the threaded
+  executor's carry ``None``), and raise only the pool's
+  infrastructure failures -- ``WorkerCrashed`` (retries exhausted),
+  ``WorkerTimeout`` (worker killed at the deadline) and ``Preempted``
+  (the server re-enqueues the request).  Counters:
+  ``service.worker_crashes``, ``service.request_retries``,
+  ``service.worker_timeouts``, ``service.worker_respawns``,
+  ``service.preemptions``.
+* :class:`ThreadedExecutor` -- the deterministic in-process fallback:
+  same ``run_work``, same frames, no process isolation.
 
-Exceptions *inside* the request (bad params, resilience failures) are
-converted to structured error frames by :func:`run_work` itself, so a
-task future only ever raises for **infrastructure** failures:
-:class:`WorkerCrashed` (retries exhausted), :class:`WorkerTimeout`
-(hard deadline tripped, worker killed), or :class:`Preempted` (the
-admission layer reclaimed the worker for higher-priority work; the
-server re-enqueues the request).
-
-Workers inherit the warm in-process charlib memo on platforms with
-``fork`` and hold their own :class:`~repro.service.cache.HotCache` of
-built contexts, so a long-lived worker answers repeat configurations
-as fast as the threaded path.  Fault injection for the chaos harness
-rides in the spec (``fleet_fault``): a scheduled crash hard-kills the
-worker with ``os._exit`` before the compute starts, exactly like an
-OOM kill.
+Forked workers inherit the warm charlib memo and keep their own
+:class:`~repro.service.cache.HotCache` of built contexts.  The chaos
+harness's ``fleet_fault`` spec field hard-kills a worker with
+``os._exit`` before the compute starts, exactly like an OOM kill.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue
-import stat
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
 from repro.obs import metrics as obs_metrics
-from repro.obs.aggregate import RegistryShipper, merge_shard_telemetry
 from repro.resilience.errors import ConfigError, ResilienceError
+from repro.resilience.workers import Task, WorkerPool
 from repro.service.cache import HotCache
 from repro.service.protocol import (
     ProtocolError,
@@ -85,24 +66,6 @@ _log = obs.get_logger("repro.service")
 #: try and lets the retry succeed).
 FLEET_FAULT_FIELDS = ("crash_attempts", "crash_exit_code",
                       "hang_attempts", "hang_s")
-
-
-class FleetError(Exception):
-    """Infrastructure failure of a fleet task (not a request error)."""
-
-
-class WorkerCrashed(FleetError):
-    """Every retry of a task died with its worker."""
-
-
-class WorkerTimeout(FleetError):
-    """The task's hard wall deadline tripped; its worker was killed."""
-
-
-class Preempted(FleetError):
-    """The worker was reclaimed for higher-priority work; the request
-    should be re-enqueued (it lost its partial progress, nothing
-    else)."""
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +168,8 @@ class ThreadedExecutor:
             max_workers=width, thread_name_prefix="repro-service")
 
     def submit(self, spec: Dict[str, Any], attempt: int = 0) -> Future:
-        return self._pool.submit(run_work, spec, self._contexts)
+        return self._pool.submit(
+            lambda: (run_work(spec, self._contexts), None))
 
     def preemptible(self) -> bool:
         return False
@@ -224,51 +188,13 @@ class ThreadedExecutor:
 # Worker fleet
 
 
-def _close_inherited_sockets(keep_fd: int) -> None:
-    """Close socket fds a forked worker inherited from the acceptor.
-
-    A worker holding a duplicate of a client connection (or the listen
-    socket) keeps that peer's EOF from ever reaching the acceptor, so
-    disconnects would hang until the worker died.  The task pipe
-    (``keep_fd``) is itself a socketpair and is preserved; non-socket
-    fds (log files, the multiprocessing resource tracker) are left
-    alone.
-    """
-    try:
-        fds = [int(name) for name in os.listdir("/proc/self/fd")]
-    except (OSError, ValueError):  # pragma: no cover - non-Linux
-        return
-    for fd in fds:
-        if fd <= 2 or fd == keep_fd:
-            continue
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:
-            continue
-
-
-def _worker_main(conn, cache_size: int) -> None:
-    """Long-lived worker loop: recv a (spec, attempt) task, run it
-    against a worker-local context cache, send the frames back.
-
-    Exits on pipe EOF (parent died or shut the fleet down) so orphaned
-    workers cannot outlive the daemon.  Each answer ships the worker's
-    registry *delta* (:class:`~repro.obs.aggregate.RegistryShipper`, the
-    PR 6 shard idiom) so the acceptor's metrics still see fleet work.
-    """
-    _close_inherited_sockets(conn.fileno())
+def _fleet_worker(cache_size: int) -> Callable:
+    """Pool worker init: a worker-local context cache, and the handler
+    that runs one request spec against it."""
     contexts = HotCache(cache_size, name="worker_cache")
-    shipper = RegistryShipper()
-    shipper.collect("__init__")  # absorb fork-inherited registry state
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        if message is None:
-            break
-        spec, attempt = message
+
+    def handle(spec: Dict[str, Any], attempt: int,
+               beat: Callable) -> List[Dict[str, Any]]:
         fault = spec.get("fleet_fault") or {}
         if attempt in tuple(fault.get("crash_attempts", ())):
             # Hard death before any compute: skips every finally/atexit,
@@ -276,222 +202,46 @@ def _worker_main(conn, cache_size: int) -> None:
             os._exit(int(fault.get("crash_exit_code", 23)))
         if attempt in tuple(fault.get("hang_attempts", ())):
             time.sleep(float(fault.get("hang_s", 30.0)))
-        frames = run_work(spec, contexts)
-        telemetry = shipper.collect(f"fleet-pid{os.getpid()}")
-        try:
-            conn.send((frames, telemetry))
-        except (BrokenPipeError, OSError):
-            break
+        return run_work(spec, contexts)
+
+    return handle
 
 
-def _fork_context():
-    """Prefer ``fork`` (workers inherit the warm charlib memo and start
-    in milliseconds); fall back to the platform default elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+#: Pool event -> the fleet counter it bumps.
+_EVENT_COUNTERS = {
+    "spawn": "service.worker_respawns",
+    "crashed": "service.worker_crashes",
+    "retry": "service.request_retries",
+    "timeout": "service.worker_timeouts",
+    "killed": "service.preemptions",
+}
 
 
-@dataclass
-class _Task:
-    spec: Dict[str, Any]
-    attempt: int
-    future: Future = field(default_factory=Future)
-
-
-_STOP = object()
-
-#: Supervision poll period (matches the resilience supervisor).
-_POLL_SECONDS = 0.05
-
-
-class _WorkerSlot:
-    """One worker process plus its parent-side supervising thread."""
-
-    def __init__(self, fleet: "WorkerFleet", index: int):
-        self.fleet = fleet
-        self.index = index
-        self.process = None
-        self.conn = None
-        #: The task currently executing in this slot's worker (read by
-        #: the preemption scan; plain attribute, GIL-consistent).
-        self.current: Optional[_Task] = None
-        self.preempt_requested = False
-        self.thread = threading.Thread(
-            target=self._run, daemon=True,
-            name=f"repro-fleet-supervisor-{index}")
-        self.thread.start()
-
-    # -- worker lifecycle --------------------------------------------------
-
-    def _spawn(self) -> None:
-        ctx = _fork_context()
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self.fleet.cache_size),
-            name=f"repro-fleet-worker-{self.index}",
-        )
-        process.start()
-        child_conn.close()
-        self.process, self.conn = process, parent_conn
-        obs.counter("service.worker_respawns").inc()
-        _log.info("fleet.worker_spawned", slot=self.index,
-                  pid=process.pid)
-
-    def _ensure_worker(self) -> None:
-        if self.process is None or not self.process.is_alive():
-            self._kill_worker()
-            self._spawn()
-
-    def _kill_worker(self) -> None:
-        process, conn = self.process, self.conn
-        self.process = self.conn = None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(2.0)
-            if process.is_alive():
-                process.kill()
-                process.join(2.0)
-
-    # -- task execution ----------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            task = self.fleet._tasks.get()
-            if task is _STOP:
-                break
-            try:
-                self._execute(task)
-            except Exception as exc:  # supervision must never die
-                if not task.future.done():
-                    task.future.set_exception(exc)
-        self._kill_worker()
-
-    def _execute(self, task: _Task) -> None:
-        attempt = task.attempt
-        while True:
-            if self.fleet._stopping:
-                task.future.set_exception(
-                    WorkerCrashed("fleet is shutting down"))
-                return
-            self._ensure_worker()
-            self.preempt_requested = False
-            self.current = task
-            started = time.monotonic()
-            timeout_s = task.spec.get("timeout_s")
-            try:
-                self.conn.send((task.spec, attempt))
-                status, payload = self._supervise(started, timeout_s)
-            except (BrokenPipeError, OSError, EOFError):
-                status, payload = "crashed", None
-            finally:
-                self.current = None
-            if status == "ok":
-                frames, telemetry = payload
-                merge_shard_telemetry(telemetry)
-                task.future.set_result(frames)
-                return
-            if status == "preempted":
-                self._kill_worker()
-                if self.fleet._stopping:
-                    # Shutdown reuses the preemption signal to unblock
-                    # a supervisor stuck on a hung worker.
-                    task.future.set_exception(
-                        WorkerCrashed("fleet is shutting down"))
-                    return
-                obs.counter("service.preemptions").inc()
-                _log.info("fleet.preempted", slot=self.index,
-                          attempt=attempt)
-                task.future.set_exception(Preempted(
-                    f"worker {self.index} reclaimed for higher-priority "
-                    f"work (attempt {attempt})"))
-                return
-            if status == "timeout":
-                obs.counter("service.worker_timeouts").inc()
-                _log.warning("fleet.worker_timeout", slot=self.index,
-                             attempt=attempt, timeout_s=timeout_s)
-                self._kill_worker()
-                task.future.set_exception(WorkerTimeout(
-                    f"request exceeded its {timeout_s:g}s hard wall "
-                    f"deadline; worker killed (attempt {attempt})"))
-                return
-            # Crashed: the worker died under the request (segfault, OOM
-            # kill, injected os._exit).  Bounded retry with backoff.
-            obs.counter("service.worker_crashes").inc()
-            exitcode = self.process.exitcode if self.process else None
-            _log.warning("fleet.worker_crashed", slot=self.index,
-                         attempt=attempt, exitcode=exitcode)
-            self._kill_worker()
-            attempt += 1
-            if attempt > task.attempt + self.fleet.retries:
-                task.future.set_exception(WorkerCrashed(
-                    f"request killed its worker on "
-                    f"{self.fleet.retries + 1} consecutive attempts "
-                    f"(last exit code {exitcode})"))
-                return
-            obs.counter("service.request_retries").inc()
-            delay = self.fleet.retry_backoff * (
-                2 ** (attempt - task.attempt - 1))
-            time.sleep(min(delay, 2.0))
-
-    def _supervise(self, started: float, timeout_s: Optional[float]):
-        """Poll the worker until it answers, dies, hangs past its
-        deadline, or is preempted."""
-        while True:
-            if self.conn.poll(_POLL_SECONDS):
-                try:
-                    return "ok", self.conn.recv()
-                except (EOFError, OSError):
-                    return "crashed", None
-            if self.process is None or not self.process.is_alive():
-                return "crashed", None
-            if self.preempt_requested:
-                return "preempted", None
-            if timeout_s is not None and \
-                    time.monotonic() - started > timeout_s:
-                return "timeout", None
+def _count_event(kind: str, task: Optional[Task], detail: Any) -> None:
+    name = _EVENT_COUNTERS.get(kind)
+    if name is not None:
+        obs.counter(name).inc()
 
 
 class WorkerFleet:
     """N supervised worker processes sharing one task queue.
 
     ``submit`` returns a :class:`concurrent.futures.Future` resolving
-    to the response frames, or raising :class:`WorkerCrashed` /
-    :class:`WorkerTimeout` / :class:`Preempted` -- see the module
-    docstring for the contract.
+    to ``(frames, telemetry)``, or raising the pool's ``WorkerCrashed``
+    / ``WorkerTimeout`` / ``Preempted`` -- see the module docstring for
+    the contract.
     """
 
     def __init__(self, size: int, cache_size: int = 8,
                  retries: int = 2, retry_backoff: float = 0.1):
-        if size < 1:
-            raise ValueError(f"fleet needs >= 1 worker, got {size}")
-        self.size = size
-        self.cache_size = cache_size
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self._stopping = False
-        self._tasks: "queue.Queue" = queue.Queue()
-        self._slots = [_WorkerSlot(self, i) for i in range(size)]
-
-    @property
-    def width(self) -> int:
-        return self.size
+        self.width = size
+        self._pool = WorkerPool(size, partial(_fleet_worker, cache_size),
+                                on_event=_count_event, retries=retries,
+                                retry_backoff=retry_backoff, name="fleet")
 
     def submit(self, spec: Dict[str, Any], attempt: int = 0) -> Future:
-        task = _Task(spec=spec, attempt=attempt)
-        if self._stopping:
-            task.future.set_exception(
-                WorkerCrashed("fleet is shutting down"))
-            return task.future
-        self._tasks.put(task)
-        return task.future
+        return self._pool.submit(spec, attempt,
+                                 timeout=spec.get("timeout_s")).future
 
     def preemptible(self) -> bool:
         return True
@@ -500,35 +250,22 @@ class WorkerFleet:
         """Reclaim one worker running a preemptible hog (an uncapped
         ``exhaustive`` request); returns whether a preemption was
         requested."""
-        for slot in self._slots:
-            task = slot.current
-            if (task is not None and task.spec.get("hog")
-                    and not slot.preempt_requested):
-                slot.preempt_requested = True
+        for task in self._pool.running():
+            if task.payload.get("hog") and not task.kill_requested:
+                self._pool.kill(task)
                 return True
         return False
 
     def stats(self) -> Dict[str, Any]:
         return {
             "mode": "fleet",
-            "width": self.size,
-            "workers_alive": sum(
-                1 for s in self._slots
-                if s.process is not None and s.process.is_alive()),
-            "busy": sum(1 for s in self._slots if s.current is not None),
+            "width": self.width,
+            "workers_alive": self._pool.alive(),
+            "busy": len(self._pool.running()),
             "crashes": obs.counter("service.worker_crashes").value,
             "retries": obs.counter("service.request_retries").value,
             "preemptions": obs.counter("service.preemptions").value,
         }
 
     def shutdown(self) -> None:
-        self._stopping = True
-        for slot in self._slots:
-            # Busy supervisors notice within one poll period instead of
-            # waiting out a hung (or long) request.
-            slot.preempt_requested = True
-        for _ in self._slots:
-            self._tasks.put(_STOP)
-        for slot in self._slots:
-            slot.thread.join(5.0)
-            slot._kill_worker()
+        self._pool.shutdown()

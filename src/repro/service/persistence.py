@@ -10,8 +10,9 @@ drain, and re-warms a booting server from the last good snapshot.
 Trust model (the :mod:`repro.resilience.checkpoint` idiom):
 
 * **Atomic writes.**  Snapshot bytes land in ``<path>.tmp<pid>`` and
-  are ``rename``\\ d over the target, so a crash mid-write leaves the
-  previous good snapshot intact, never a torn file.
+  are ``rename``\\ d over the target
+  (:func:`~repro.resilience.checkpoint.atomic_write_json`), so a crash
+  mid-write leaves the previous good snapshot intact, never a torn file.
 * **Fingerprint guard.**  The file carries a blake2b digest of its
   canonical payload JSON plus a schema version.  On load, *anything*
   unexpected -- unreadable file, bad JSON, version skew, digest
@@ -30,12 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import obs
+from repro.resilience.checkpoint import atomic_write_json
 from repro.service.protocol import encode_payload
 
 _log = obs.get_logger("repro.service")
@@ -82,11 +83,7 @@ class WarmStateStore:
             "digest": _digest(payload),
             "payload": payload,
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = self.path.with_suffix(
-            self.path.suffix + f".tmp{os.getpid()}")
-        temporary.write_text(json.dumps(document))
-        temporary.replace(self.path)
+        atomic_write_json(self.path, document)
         obs.counter("service.snapshots_written").inc()
         _log.info("persistence.snapshot_written", path=str(self.path),
                   memo_entries=len(payload["memo"]),

@@ -49,16 +49,15 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.obs.aggregate import merge_shard_telemetry
 from repro.resilience.errors import ConfigError
+from repro.resilience.workers import Preempted, WorkerCrashed, WorkerTimeout
 from repro.service.admission import AdmissionController, Overloaded, Ticket
 from repro.service.cache import HotCache, ResultMemo
 from repro.service.fleet import (
     FLEET_FAULT_FIELDS,
-    Preempted,
     ThreadedExecutor,
-    WorkerCrashed,
     WorkerFleet,
-    WorkerTimeout,
 )
 from repro.service.persistence import WarmStateStore
 from repro.service.protocol import (
@@ -740,7 +739,7 @@ class AnalysisServer:
                 # when the worker actually frees up.
                 disconnected = True
         try:
-            frames = future.result()
+            frames, telemetry = future.result()
         except Preempted:
             raise
         except WorkerTimeout as exc:
@@ -753,6 +752,11 @@ class AnalysisServer:
                          error=f"{type(exc).__name__}: {exc}")
             frames = [error_frame(request_id, "internal",
                                   f"{type(exc).__name__}: {exc}")]
+        else:
+            if telemetry is not None:
+                # A fleet worker's registry delta: the acceptor's
+                # metrics see fleet work, merged on this one thread.
+                merge_shard_telemetry(telemetry)
         # On a mid-compute disconnect the frames are returned anyway:
         # the caller releases the slot first, then the doomed send
         # surfaces the broken pipe to the connection handler.

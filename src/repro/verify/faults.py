@@ -56,8 +56,8 @@ FAULT_SCENARIOS = (
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Deterministic fault schedule, shipped to workers via the pool
-    initializer (plain data only, so it pickles).
+    """Deterministic fault schedule, handed to every pool worker at
+    start (plain data only, so it also pickles).
 
     Attempt numbers are zero-based: ``crash_attempts=(0,)`` crashes the
     first try of each listed origin and lets every retry succeed.

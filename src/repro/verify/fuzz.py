@@ -150,7 +150,7 @@ def run_fuzz(
 
     ``jobs`` feeds the metamorphic ``parallel_identical`` invariant:
     the default 1 exercises the shard/merge pipeline in-process (cheap
-    enough per circuit); pass >= 2 to also cover the process pool.
+    enough per circuit); pass >= 2 to also cover the worker pool.
     """
     report = FuzzReport(seed=seed, requested=n)
     registry = obs_metrics.REGISTRY

@@ -1,6 +1,6 @@
-"""Equivalence of the process-pool parallel driver with the serial search.
+"""Equivalence of the supervised parallel driver with the serial search.
 
-Property-style: on generated circuits, ``parallel_find_paths`` must
+Property-style: on generated circuits, ``supervised_find_paths`` must
 yield exactly the same path stream (nets, vectors, arrivals) and the
 same merged search-effort totals as the serial single-pass search --
 the shards are per-origin and origins never share state, so any
@@ -15,7 +15,7 @@ from repro import obs
 from repro.core.sta import TruePathSTA
 from repro.netlist.generate import random_dag
 from repro.netlist.techmap import techmap
-from repro.perf import parallel_find_paths
+from repro.perf import supervised_find_paths
 
 #: Counters that must merge to exactly the serial totals on an
 #: unrestricted search (cpu_seconds is wall-clock, pruned depends on
@@ -56,7 +56,8 @@ class TestParallelEqualsSerial:
         serial = sta.enumerate_paths()
         serial_stats = sta.last_stats.as_dict()
 
-        paths, merged = parallel_find_paths(circuit, charlib_poly_90, jobs=jobs)
+        result = supervised_find_paths(circuit, charlib_poly_90, jobs=jobs)
+        paths, merged = result.paths, result.stats
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
         assert _arrivals(serial) == [p.worst_arrival for p in paths]
         merged_dict = merged.as_dict()
@@ -70,9 +71,9 @@ class TestParallelEqualsSerial:
         circuit = _circuit(seed)
         sta = TruePathSTA(circuit, charlib_poly_90)
         serial = sta.enumerate_paths(max_paths=5)
-        paths, _ = parallel_find_paths(
+        paths = supervised_find_paths(
             circuit, charlib_poly_90, jobs=2, max_paths=5
-        )
+        ).paths
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
 
     @pytest.mark.parametrize("seed,n", [(3, 2), (11, 4)])
@@ -84,9 +85,9 @@ class TestParallelEqualsSerial:
         exhaustive = sorted(
             (p.worst_arrival for p in sta.enumerate_paths()), reverse=True
         )[:n]
-        paths, _ = parallel_find_paths(
+        paths = supervised_find_paths(
             circuit, charlib_poly_90, jobs=2, n_worst=n
-        )
+        ).paths
         top = sorted((p.worst_arrival for p in paths), reverse=True)[:n]
         assert top == pytest.approx(exhaustive)
 
@@ -94,17 +95,17 @@ class TestParallelEqualsSerial:
         """The in-process shard/merge pipeline (jobs=1) is the reference
         the pooled path must match."""
         circuit = _circuit(5)
-        lone, lone_stats = parallel_find_paths(circuit, charlib_poly_90, jobs=1)
-        pooled, pooled_stats = parallel_find_paths(
-            circuit, charlib_poly_90, jobs=2
-        )
+        lone_result = supervised_find_paths(circuit, charlib_poly_90, jobs=1)
+        lone, lone_stats = lone_result.paths, lone_result.stats
+        pooled_result = supervised_find_paths(circuit, charlib_poly_90, jobs=2)
+        pooled, pooled_stats = pooled_result.paths, pooled_result.stats
         assert [_key(p) for p in pooled] == [_key(p) for p in lone]
         for counter in EXACT_COUNTERS:
             assert pooled_stats.as_dict()[counter] == lone_stats.as_dict()[counter]
 
     def test_rejects_bad_jobs(self, charlib_poly_90):
         with pytest.raises(ValueError):
-            parallel_find_paths(_circuit(5), charlib_poly_90, jobs=0)
+            supervised_find_paths(_circuit(5), charlib_poly_90, jobs=0)
 
 
 class TestParallelMetrics:
@@ -112,7 +113,8 @@ class TestParallelMetrics:
         self, charlib_poly_90, clean_obs
     ):
         circuit = _circuit(9)
-        paths, merged = parallel_find_paths(circuit, charlib_poly_90, jobs=2)
+        result = supervised_find_paths(circuit, charlib_poly_90, jobs=2)
+        paths, merged = result.paths, result.stats
         snap = obs.metrics.snapshot()
         assert snap["pathfinder.paths_found"] == len(paths)
         assert snap["pathfinder.extensions_tried"] == merged.extensions_tried

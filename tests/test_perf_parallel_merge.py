@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.sta import TruePathSTA
 from repro.netlist.circuit import Circuit
-from repro.perf import parallel_find_paths
+from repro.perf import supervised_find_paths
 
 
 def _key(path):
@@ -42,9 +42,8 @@ class TestEmptyShard:
         serial = TruePathSTA(circuit, charlib_small_90).enumerate_paths()
         assert serial, "sanity: the live origin must yield paths"
         assert all(p.nets[0] == "a" for p in serial)
-        paths, stats = parallel_find_paths(
-            circuit, charlib_small_90, jobs=2
-        )
+        result = supervised_find_paths(circuit, charlib_small_90, jobs=2)
+        paths, stats = result.paths, result.stats
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
         assert stats.paths_found == len(serial)
 
@@ -56,8 +55,8 @@ class TestEmptyShard:
         sta = TruePathSTA(circuit, charlib_small_90)
         sta.enumerate_paths()
         serial_stats = sta.last_stats
-        _paths, merged = parallel_find_paths(circuit, charlib_small_90,
-                                             jobs=2)
+        merged = supervised_find_paths(circuit, charlib_small_90,
+                                       jobs=2).stats
         assert merged.extensions_tried == serial_stats.extensions_tried
         assert merged.conflicts == serial_stats.conflicts
 
@@ -69,7 +68,8 @@ class TestEmptyShard:
         c.add_gate("NAND2", "out", {"A": "m", "B": "mn"})
         c.add_output("out")
         c.check()
-        paths, stats = parallel_find_paths(c, charlib_small_90, jobs=2)
+        result = supervised_find_paths(c, charlib_small_90, jobs=2)
+        paths, stats = result.paths, result.stats
         assert paths == []
         assert stats.paths_found == 0
 
@@ -90,14 +90,15 @@ class TestSingleOrigin:
         serial = TruePathSTA(circuit, charlib_small_90).enumerate_paths()
         # jobs=8 on a one-input circuit must clamp, not spawn idle
         # workers or duplicate the shard.
-        paths, stats = parallel_find_paths(circuit, charlib_small_90, jobs=8)
+        result = supervised_find_paths(circuit, charlib_small_90, jobs=8)
+        paths, stats = result.paths, result.stats
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
         assert stats.paths_found == len(serial)
 
     def test_jobs_zero_rejected(self, charlib_small_90, library):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            parallel_find_paths(self._chain(library), charlib_small_90,
-                                jobs=0)
+            supervised_find_paths(self._chain(library), charlib_small_90,
+                                  jobs=0)
 
 
 class TestOrderAndTruncation:
@@ -105,7 +106,7 @@ class TestOrderAndTruncation:
         from repro.netlist.generate import c17
 
         serial = TruePathSTA(c17(), charlib_poly_90).enumerate_paths()
-        paths, _stats = parallel_find_paths(c17(), charlib_poly_90, jobs=3)
+        paths = supervised_find_paths(c17(), charlib_poly_90, jobs=3).paths
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
 
     def test_max_paths_truncates_merged_stream(self, charlib_poly_90):
@@ -113,9 +114,9 @@ class TestOrderAndTruncation:
 
         serial = TruePathSTA(c17(), charlib_poly_90).enumerate_paths()
         limit = max(1, len(serial) // 2)
-        paths, _stats = parallel_find_paths(
+        paths = supervised_find_paths(
             c17(), charlib_poly_90, jobs=2, max_paths=limit
-        )
+        ).paths
         assert len(paths) == limit
         # The kept prefix is origin-ordered like an early-stopped
         # serial run (per-shard streams are serial-identical).

@@ -12,6 +12,7 @@ import pytest
 from repro.core.sta import TruePathSTA
 from repro.netlist.generate import random_dag
 from repro.netlist.techmap import techmap
+from repro.obs.progress import ProgressBoard
 from repro.perf import supervised_find_paths
 from repro.resilience.errors import SearchInterrupted
 from repro.verify.faults import FaultPlan
@@ -104,57 +105,87 @@ class TestCrashRecovery:
         assert registry.counter("resilience.degraded_origins").value == 1
 
 
-def _break_pool(pool, timeout=30.0):
-    """Kill every worker of ``pool`` and wait until the executor has
-    marked itself broken, so its next ``submit`` raises."""
-    for process in list(pool._processes.values()):
-        process.kill()
-    deadline = time.monotonic() + timeout
-    while not pool._broken:
-        assert time.monotonic() < deadline, "executor never noticed"
-        time.sleep(0.01)
+class TestBlame:
+    """One shard per worker: every crash, hang or stall is charged to
+    the shard that caused it, and no other shard is ever re-run."""
 
-
-class TestSubmitTimeBreak:
-    def test_break_before_submit_recovers_to_identical_output(
-            self, circuit, charlib_poly_90, clean_obs, monkeypatch):
-        """A worker death noticed between ``wait()`` and the next
-        ``submit`` makes ``submit`` itself raise ``BrokenProcessPool``;
-        the supervisor must recover exactly as from a result-time
-        break: re-queue, rebuild the pool, converge on serial output."""
-        from repro.resilience.supervisor import ShardSupervisor
-
+    def test_each_crash_charged_to_its_own_shard(
+            self, circuit, charlib_poly_90, clean_obs):
         serial = _reference(circuit, charlib_poly_90)
-        real_make_pool = ShardSupervisor._make_pool
-        pools = []
-
-        def make_pool(self):
-            pool = real_make_pool(self)
-            pools.append(pool)
-            if len(pools) == 1:
-                real_submit = pool.submit
-                submits = []
-
-                def submit(*args, **kwargs):
-                    submits.append(args)
-                    if len(submits) == 2:  # after the first shard went out
-                        _break_pool(pool)
-                    return real_submit(*args, **kwargs)
-
-                pool.submit = submit
-            return pool
-
-        monkeypatch.setattr(ShardSupervisor, "_make_pool", make_pool)
+        victims = tuple(circuit.inputs[:2])
         result = supervised_find_paths(
             circuit, charlib_poly_90, jobs=2, retry_backoff=0.0,
+            fault_plan=FaultPlan(crash_origins=victims),
         )
-        assert pools[0]._broken
-        assert len(pools) == 2  # rebuilt exactly once
         assert ([_path_identity(p) for p in result.paths]
                 == [_path_identity(p) for p in serial])
-        assert result.completeness.complete
         registry = clean_obs.metrics.REGISTRY
-        assert registry.counter("resilience.worker_crashes").value == 1
+        assert registry.counter("resilience.worker_crashes").value == 2
+        assert registry.counter("resilience.shard_retries").value == 2
+        assert registry.counter("resilience.serial_fallbacks").value == 0
+
+    def test_timeout_reruns_only_the_hung_shard(
+            self, circuit, charlib_poly_90, clean_obs, monkeypatch,
+            tmp_path):
+        """A shard still running when another one times out is neither
+        killed nor re-run: only the hung shard's worker dies."""
+        from repro.resilience import supervisor
+
+        serial = _reference(circuit, charlib_poly_90)
+        victim, first, bystander = circuit.inputs[:3]
+        searches = tmp_path / "searches.txt"
+        real_run_shard = supervisor.run_shard
+
+        def run_shard(ec, calc, finder_kwargs, origins, progress=None):
+            with open(searches, "a") as log:
+                log.write(f"{origins[0]}\n")
+            # The bystander starts 1.5 s in and is still searching when
+            # the victim's 3 s deadline trips, well inside its own.
+            time.sleep({first: 1.5, bystander: 2.5}.get(origins[0], 0.0))
+            return real_run_shard(ec, calc, finder_kwargs, origins,
+                                  progress=progress)
+
+        monkeypatch.setattr(supervisor, "run_shard", run_shard)
+        result = supervised_find_paths(
+            circuit, charlib_poly_90, jobs=2, shard_timeout=3.0,
+            retry_backoff=0.0,
+            fault_plan=FaultPlan(hang_origins=(victim,),
+                                 hang_seconds=60.0),
+        )
+        assert ([_path_identity(p) for p in result.paths]
+                == [_path_identity(p) for p in serial])
+        # The victim hangs before its search starts, so every origin,
+        # bystander included, searched exactly once.
+        assert sorted(searches.read_text().split()) == sorted(circuit.inputs)
+        registry = clean_obs.metrics.REGISTRY
+        assert registry.counter("resilience.shard_timeouts").value == 1
+        assert registry.counter("resilience.shard_retries").value == 1
+        assert registry.counter("resilience.worker_crashes").value == 0
+
+
+class TestWorkerBeats:
+    def test_pooled_progress_delivers_worker_beats_for_every_origin(
+            self, circuit, charlib_poly_90, clean_obs, monkeypatch,
+            capsys):
+        """``started``/``done`` beats travel home on each worker's pipe
+        (board-direct ``mark_done`` beats carry no timestamp)."""
+        beats = []
+        real_update = ProgressBoard.update
+
+        def update(board, beat):
+            beats.append(beat)
+            real_update(board, beat)
+
+        monkeypatch.setattr(ProgressBoard, "update", update)
+        result = supervised_find_paths(circuit, charlib_poly_90, jobs=2,
+                                       progress=True)
+        assert result.completeness.complete
+        worker_beats = [b for b in beats if "ts" in b]
+        for phase in ("started", "done"):
+            assert sorted(b["origin"] for b in worker_beats
+                          if b["phase"] == phase) == sorted(circuit.inputs)
+        assert f"origins {len(circuit.inputs)}/{len(circuit.inputs)}" \
+            in capsys.readouterr().err
 
 
 class TestTimeoutRecovery:
