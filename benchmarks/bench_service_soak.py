@@ -154,7 +154,6 @@ def test_soak_survives_sustained_load_and_restart(poly90, bench_snapshot):
     assert all(kind == "result" for kind, _ in outcomes)
     total = stats["requests"]["total"]
     assert stats["requests"]["failed"] == 0
-    assert stats["executor"]["mode"] == "fleet"
 
     # -- byte identity held under load ---------------------------------
     assert first["cached"] is True, \

@@ -300,7 +300,6 @@ def _serve(args) -> int:
         port=args.port,
         cache_size=args.cache_size,
         result_cache_size=args.result_cache_size,
-        max_concurrent=args.max_concurrent,
         heartbeat_interval=args.heartbeat_interval,
         allow_fault_injection=args.allow_fault_injection,
         fleet=args.fleet,
@@ -621,13 +620,11 @@ def main(argv: Optional[list] = None) -> int:
                             "bound port is printed and, with "
                             "--port-file, written to a file)")
     serve.add_argument("--cache-size", type=int, default=8,
-                       help="LRU capacity for hot analysis contexts "
-                            "(default 8)")
+                       help="LRU capacity for hot analysis contexts, "
+                            "per fleet worker (default 8)")
     serve.add_argument("--result-cache-size", type=int, default=64,
                        help="LRU capacity for memoized deterministic "
                             "results (default 64)")
-    serve.add_argument("--max-concurrent", type=int, default=4,
-                       help="requests computed concurrently (default 4)")
     serve.add_argument("--heartbeat-interval", type=float, default=5.0,
                        metavar="SECONDS",
                        help="liveness beat period while a request "
@@ -635,15 +632,14 @@ def main(argv: Optional[list] = None) -> int:
     serve.add_argument("--allow-fault-injection", action="store_true",
                        help="honor the 'fault' request param (test/CI "
                             "harnesses only)")
-    serve.add_argument("--fleet", type=int, default=0, metavar="N",
-                       help="compute in N supervised worker processes "
+    serve.add_argument("--fleet", type=int, default=1, metavar="N",
+                       help="compute in N >= 1 supervised worker "
+                            "processes, each with its own context cache "
                             "(a worker crash kills one request, not the "
-                            "daemon); 0 = in-process thread pool "
-                            "(default)")
+                            "daemon; default 1)")
     serve.add_argument("--max-inflight", type=int, default=None,
                        metavar="N",
-                       help="admission slots (default: fleet size, or "
-                            "--max-concurrent at --fleet 0)")
+                       help="admission slots (default: fleet size)")
     serve.add_argument("--max-queue", type=int, default=32, metavar="N",
                        help="waiting requests beyond which new arrivals "
                             "are shed with 'overloaded' + retry_after_s "
@@ -651,16 +647,16 @@ def main(argv: Optional[list] = None) -> int:
     serve.add_argument("--request-retries", type=int, default=2,
                        metavar="N",
                        help="crash retries per request before giving up "
-                            "(fleet mode; default 2)")
+                            "(default 2)")
     serve.add_argument("--preempt-after", type=float, default=2.0,
                        metavar="SECONDS",
                        help="queue wait after which a deadline-bearing "
                             "request may preempt an exhaustive hog "
-                            "(fleet mode; default 2)")
+                            "(default 2)")
     serve.add_argument("--snapshot", default=None, metavar="PATH",
-                       help="persist warm state (result memo + hot "
-                            "context keys) to PATH periodically and on "
-                            "drain; re-warm from it on boot")
+                       help="persist warm state (the result memo) to "
+                            "PATH periodically and on drain; re-warm "
+                            "from it on boot")
     serve.add_argument("--snapshot-interval", type=float, default=30.0,
                        metavar="SECONDS",
                        help="period between warm-state snapshots "

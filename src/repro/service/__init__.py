@@ -10,8 +10,8 @@ holds the results hot behind a length-prefixed JSON socket protocol:
 * :mod:`repro.service.qos` -- ``deadline_s``/``effort`` onto
   :class:`~repro.resilience.budgets.SearchBudgets`;
 * :mod:`repro.service.cache` -- LRU context cache + result memo;
-* :mod:`repro.service.fleet` -- supervised worker processes (and the
-  in-process fallback) behind one spec-execution function;
+* :mod:`repro.service.fleet` -- the supervised worker processes every
+  request computes in, behind one spec-execution function;
 * :mod:`repro.service.admission` -- bounded priority queue, load
   shedding, preemption policy;
 * :mod:`repro.service.persistence` -- crash-safe warm-state snapshots;
@@ -27,7 +27,7 @@ from repro.service.client import (
     ServiceError,
     ServiceUnavailable,
 )
-from repro.service.fleet import ThreadedExecutor, WorkerFleet, run_work
+from repro.service.fleet import WorkerFleet, run_work
 from repro.service.persistence import WarmStateStore
 from repro.service.protocol import MAX_FRAME_BYTES, PROTOCOL_VERSION
 from repro.service.requests import (
@@ -56,7 +56,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "ServiceUnavailable",
-    "ThreadedExecutor",
     "WarmStateStore",
     "WorkerFleet",
     "build_context",

@@ -245,7 +245,7 @@ class AdmissionController:
     def should_preempt(self) -> bool:
         """True when a deadline-bearing ticket waits while every slot
         is busy -- the server decides whether a hog is actually
-        running (fleet mode) and preempts at most one."""
+        running and preempts at most one."""
         if self._inflight < self.max_inflight:
             return False
         return any(t.deadline_at is not None

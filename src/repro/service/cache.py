@@ -8,9 +8,10 @@ Two caches with different keys and lifetimes:
     :class:`~repro.service.requests.AnalysisContext` -- the indexed
     circuit, characterized library, and compiled analysis session.
     This is the expensive state whose rebuild the service exists to
-    amortize; eviction drops the least-recently-used context.  A
-    per-key build lock ensures concurrent first requests for one
-    configuration build it once, not N times.
+    amortize; each fleet worker holds one, and eviction drops the
+    least-recently-used context.  A per-key build lock ensures
+    concurrent first requests for one configuration build it once, not
+    N times.
 
 :class:`ResultMemo`
     Maps a *request fingerprint* (digest of every result-affecting
@@ -19,8 +20,9 @@ Two caches with different keys and lifetimes:
     injection) -- for those, the byte-identity contract guarantees the
     memoized text is exactly what a fresh run would print.
 
-Counters (``service.cache_*``, ``service.result_*``) feed the ``stats``
-endpoint and the warm-cache assertions in the test suite.
+Counters (``service.<name>_*`` -- ``service.worker_cache_*`` in the
+fleet -- and ``service.result_*``) feed the ``stats`` endpoint and the
+warm-cache assertions in the test suite.
 """
 
 from __future__ import annotations
@@ -84,17 +86,6 @@ class HotCache:
     def keys(self):
         with self._lock:
             return list(self._entries)
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            entries = len(self._entries)
-        return {
-            "entries": entries,
-            "max_entries": self.max_entries,
-            "hits": obs.counter(f"service.{self._name}_hits").value,
-            "misses": obs.counter(f"service.{self._name}_misses").value,
-            "evictions": obs.counter(f"service.{self._name}_evictions").value,
-        }
 
 
 class ResultMemo:

@@ -3,30 +3,29 @@
 Compute runs in N supervised **worker processes**, so a segfault, OOM
 kill or runaway loop costs one request attempt, not the daemon:
 
-* :func:`run_work` -- the single spec-driven execution function.  The
-  in-process :class:`ThreadedExecutor` (``--fleet 0``) and every fleet
-  worker run *this* function on *the same spec*, which makes fleet
-  reports byte-identical to threaded ones by construction (and both to
-  the one-shot CLI: ``run_work`` calls :mod:`repro.service.requests`).
+* :func:`run_work` -- the single spec-driven execution function.  Every
+  fleet worker runs it, and it calls the same
+  :mod:`repro.service.requests` code as the one-shot CLI, which makes
+  served reports byte-identical to CLI ones by construction.
   Request-level failures become structured error frames here.
 * :class:`WorkerFleet` -- a thin layer over the supervised worker pool
   shared with ``--jobs N`` shards
   (:class:`repro.resilience.workers.WorkerPool`): crash retry with
   backoff, a hard per-request deadline derived from the QoS wall
   budget, hog preemption.  Its futures resolve to the frames plus the
-  worker's telemetry delta, which the acceptor merges (the threaded
-  executor's carry ``None``), and raise only the pool's
-  infrastructure failures -- ``WorkerCrashed`` (retries exhausted),
-  ``WorkerTimeout`` (worker killed at the deadline) and ``Preempted``
-  (the server re-enqueues the request).  Counters:
+  worker's telemetry delta, which the acceptor merges, and raise only
+  the pool's infrastructure failures -- ``WorkerCrashed`` (retries
+  exhausted), ``WorkerTimeout`` (worker killed at the deadline) and
+  ``Preempted`` (the server re-enqueues the request).  Counters:
   ``service.worker_crashes``, ``service.request_retries``,
   ``service.worker_timeouts``, ``service.worker_respawns``,
   ``service.preemptions``.
-* :class:`ThreadedExecutor` -- the deterministic in-process fallback:
-  same ``run_work``, same frames, no process isolation.
 
 Forked workers inherit the warm charlib memo and keep their own
-:class:`~repro.service.cache.HotCache` of built contexts.  The chaos
+:class:`~repro.service.cache.HotCache` of built contexts
+(``service.worker_cache_*`` counters).  A worker runs one request at a
+time, so the per-request metric delta ``run_work`` takes around the
+compute sees that request's work and nothing else.  The chaos
 harness's ``fleet_fault`` spec field hard-kills a worker with
 ``os._exit`` before the compute starts, exactly like an OOM kill.
 """
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
@@ -89,8 +88,8 @@ def run_work(spec: Dict[str, Any], contexts: HotCache) -> List[Dict[str, Any]]:
     response frames (``partial``* then a terminal ``result``/``error``).
 
     Request-level failures are rendered to error frames *here*, so the
-    threaded pool and the worker pipe both carry plain frame lists --
-    the acceptor never needs to distinguish where the work ran.
+    worker pipe carries plain frame lists and only infrastructure
+    failures surface as exceptions in the acceptor.
     """
     try:
         op = spec["op"]
@@ -152,39 +151,6 @@ def _run_analyze(spec: Dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# In-process fallback (--fleet 0)
-
-
-class ThreadedExecutor:
-    """The deterministic in-process executor: ``run_work`` on a thread
-    pool against the server's own context cache.  No isolation -- a
-    worker segfault is a daemon segfault -- but zero IPC overhead and
-    bit-for-bit the PR 9 behavior."""
-
-    def __init__(self, width: int, contexts: HotCache):
-        self.width = width
-        self._contexts = contexts
-        self._pool = ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix="repro-service")
-
-    def submit(self, spec: Dict[str, Any], attempt: int = 0) -> Future:
-        return self._pool.submit(
-            lambda: (run_work(spec, self._contexts), None))
-
-    def preemptible(self) -> bool:
-        return False
-
-    def preempt_one(self) -> bool:
-        return False
-
-    def stats(self) -> Dict[str, Any]:
-        return {"mode": "threaded", "width": self.width}
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=False)
-
-
-# ---------------------------------------------------------------------------
 # Worker fleet
 
 
@@ -232,24 +198,19 @@ class WorkerFleet:
     the contract.
     """
 
-    def __init__(self, size: int, cache_size: int = 8,
-                 retries: int = 2, retry_backoff: float = 0.1):
+    def __init__(self, size: int, cache_size: int = 8, retries: int = 2):
         self.width = size
         self._pool = WorkerPool(size, partial(_fleet_worker, cache_size),
                                 on_event=_count_event, retries=retries,
-                                retry_backoff=retry_backoff, name="fleet")
+                                name="fleet")
 
     def submit(self, spec: Dict[str, Any], attempt: int = 0) -> Future:
         return self._pool.submit(spec, attempt,
                                  timeout=spec.get("timeout_s")).future
 
-    def preemptible(self) -> bool:
-        return True
-
     def preempt_one(self) -> bool:
-        """Reclaim one worker running a preemptible hog (an uncapped
-        ``exhaustive`` request); returns whether a preemption was
-        requested."""
+        """Reclaim one worker running a hog (an uncapped ``exhaustive``
+        request); returns whether a preemption was requested."""
         for task in self._pool.running():
             if task.payload.get("hog") and not task.kill_requested:
                 self._pool.kill(task)
@@ -258,7 +219,6 @@ class WorkerFleet:
 
     def stats(self) -> Dict[str, Any]:
         return {
-            "mode": "fleet",
             "width": self.width,
             "workers_alive": self._pool.alive(),
             "busy": len(self._pool.running()),

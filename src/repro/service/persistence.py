@@ -4,8 +4,8 @@ A restarted daemon used to cold-start: every characterized library,
 compiled session, and memoized result was gone, so the first request
 per configuration paid the full build (~500x a memo hit).  This module
 snapshots the daemon's warm state -- the :class:`ResultMemo` entries
-and the hot-context key list -- to disk periodically and on graceful
-drain, and re-warms a booting server from the last good snapshot.
+-- to disk periodically and on graceful drain, and re-warms a booting
+server from the last good snapshot.
 
 Trust model (the :mod:`repro.resilience.checkpoint` idiom):
 
@@ -43,8 +43,8 @@ _log = obs.get_logger("repro.service")
 
 #: Schema version; bumped on incompatible snapshot layout changes
 #: (2: context keys and request fingerprints lost the scalar-sweep
-#: switch field).
-SNAPSHOT_VERSION = 2
+#: switch field; 3: the context-key list is gone).
+SNAPSHOT_VERSION = 3
 
 
 def _digest(payload: Dict[str, Any]) -> str:
@@ -59,8 +59,8 @@ class WarmStateStore:
 
     ``save`` takes plain data: a list of ``(fingerprint, result_frame)``
     memo items (oldest -> newest, so restoring in order preserves LRU
-    recency) and a list of context-key tuples.  ``load`` returns the
-    same shapes, or ``None`` when no trustworthy snapshot exists.
+    recency).  ``load`` returns the same shape, or ``None`` when no
+    trustworthy snapshot exists.
     """
 
     def __init__(self, path: Union[str, Path],
@@ -70,12 +70,10 @@ class WarmStateStore:
 
     # -- write -------------------------------------------------------------
 
-    def save(self, memo_items: List[Tuple[str, Dict[str, Any]]],
-             context_keys: List[Tuple]) -> None:
+    def save(self, memo_items: List[Tuple[str, Dict[str, Any]]]) -> None:
         payload = {
             "memo": [[fingerprint, value]
                      for fingerprint, value in memo_items],
-            "contexts": [list(key) for key in context_keys],
             "saved_at": time.time(),
         }
         document = {
@@ -86,8 +84,7 @@ class WarmStateStore:
         atomic_write_json(self.path, document)
         obs.counter("service.snapshots_written").inc()
         _log.info("persistence.snapshot_written", path=str(self.path),
-                  memo_entries=len(payload["memo"]),
-                  context_keys=len(payload["contexts"]))
+                  memo_entries=len(payload["memo"]))
 
     # -- read --------------------------------------------------------------
 
@@ -98,8 +95,8 @@ class WarmStateStore:
 
     def load(self) -> Optional[Dict[str, Any]]:
         """Validated snapshot payload (``memo`` as ``(fingerprint,
-        value)`` pairs, ``contexts`` as key tuples, ``saved_at``), or
-        ``None`` when there is nothing trustworthy to restore."""
+        value)`` pairs, ``saved_at``), or ``None`` when there is nothing
+        trustworthy to restore."""
         if not self.path.exists():
             return None
         try:
@@ -123,9 +120,8 @@ class WarmStateStore:
             self._discard("digest mismatch (corrupt or tampered)")
             return None
         memo = payload.get("memo")
-        contexts = payload.get("contexts")
         saved_at = payload.get("saved_at")
-        if (not isinstance(memo, list) or not isinstance(contexts, list)
+        if (not isinstance(memo, list)
                 or not isinstance(saved_at, (int, float))):
             self._discard("payload shape is wrong")
             return None
@@ -144,10 +140,9 @@ class WarmStateStore:
         obs.counter("service.snapshot_restores").inc()
         obs.counter("service.snapshot_restored_entries").inc(len(memo))
         _log.info("persistence.snapshot_restored", path=str(self.path),
-                  memo_entries=len(memo), context_keys=len(contexts),
+                  memo_entries=len(memo),
                   age_s=round(time.time() - saved_at, 1))
         return {
             "memo": [(item[0], item[1]) for item in memo],
-            "contexts": [tuple(key) for key in contexts],
             "saved_at": saved_at,
         }

@@ -2,34 +2,33 @@
 
 One :class:`AnalysisServer` owns
 
-* a :class:`~repro.service.cache.HotCache` of built
-  :class:`~repro.service.requests.AnalysisContext` objects (circuit +
-  charlib + compiled session) keyed by context fingerprint,
 * a :class:`~repro.service.cache.ResultMemo` of rendered outcomes for
   deterministic request repeats (checked in the acceptor, so memo hits
   bypass admission entirely),
-* an **executor**: the in-process
-  :class:`~repro.service.fleet.ThreadedExecutor` at ``fleet=0`` or a
-  supervised :class:`~repro.service.fleet.WorkerFleet` of N worker
-  processes (a worker segfault/OOM/hang kills one request attempt, not
-  the daemon),
+* a supervised :class:`~repro.service.fleet.WorkerFleet` of
+  ``fleet`` worker processes, the only place compute runs (a worker
+  segfault/OOM/hang kills one request attempt, not the daemon).  Each
+  worker holds its own :class:`~repro.service.cache.HotCache` of built
+  :class:`~repro.service.requests.AnalysisContext` objects (circuit +
+  charlib + compiled session); ``stats`` reports their merged
+  ``service.worker_cache_*`` counters,
 * an :class:`~repro.service.admission.AdmissionController`: a bounded
   EDF/effort priority queue with load shedding (``overloaded`` +
   ``retry_after_s``), queue-wait heartbeats (``queued: true`` with the
   1-based position), deadline expiry before dispatch, and hog
-  preemption in fleet mode,
+  preemption,
 * optionally a :class:`~repro.service.persistence.WarmStateStore`
-  snapshotting the memo + hot-context keys periodically and on drain,
-  re-warming on boot (corrupt snapshots are discarded, never trusted).
+  snapshotting the result memo periodically and on drain, re-warming
+  it on boot (corrupt snapshots are discarded, never trusted).
 
 Request lifecycle: frame decoded -> envelope validated -> spec built
 (QoS effort applied; fingerprint/memo check) -> **admitted** (or shed)
 -> heartbeats with ``state="queued"`` while waiting -> on grant, the
 deadline's queue wait is charged (:func:`repro.service.qos
-.resolve_budgets`) -> the spec executes via
-:func:`repro.service.fleet.run_work` -- *the same function in both
-executor modes and the same compute code as the one-shot CLI*, which is
-what makes served reports byte-identical everywhere -> heartbeats with
+.resolve_budgets`) -> a fleet worker executes the spec via
+:func:`repro.service.fleet.run_work` -- *the same compute code as the
+one-shot CLI*, which is what makes served reports byte-identical to
+it -> heartbeats with
 ``state="running"`` -> ``partial`` frame for degraded results -> the
 terminal ``result``/``error`` frame.
 
@@ -46,22 +45,17 @@ import asyncio
 import threading
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro.obs.aggregate import merge_shard_telemetry
 from repro.resilience.errors import ConfigError
 from repro.resilience.workers import Preempted, WorkerCrashed, WorkerTimeout
 from repro.service.admission import AdmissionController, Overloaded, Ticket
-from repro.service.cache import HotCache, ResultMemo
-from repro.service.fleet import (
-    FLEET_FAULT_FIELDS,
-    ThreadedExecutor,
-    WorkerFleet,
-)
+from repro.service.cache import ResultMemo
+from repro.service.fleet import FLEET_FAULT_FIELDS, WorkerFleet
 from repro.service.persistence import WarmStateStore
 from repro.service.protocol import (
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     BadRequest,
     ProtocolError,
@@ -74,13 +68,12 @@ from repro.service.protocol import (
     validate_request,
 )
 from repro.service.qos import resolve_budgets
-from repro.service.requests import (
-    AnalysisRequest,
-    build_context,
-    execute_size,
-)
+from repro.service.requests import AnalysisRequest, execute_size
 
 _log = obs.get_logger("repro.service")
+
+#: Ceiling on how long a drain waits for in-flight work, seconds.
+DRAIN_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -88,29 +81,26 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     #: 0 = let the OS pick (the bound port is on the server/handle).
     port: int = 0
-    #: LRU capacity for built analysis contexts.
+    #: LRU capacity for built analysis contexts, per fleet worker.
     cache_size: int = 8
     #: LRU capacity for memoized deterministic results.
     result_cache_size: int = 64
-    #: Compute width of the in-process executor (``fleet=0``).
-    max_concurrent: int = 4
     #: Seconds between liveness beats (queued and running states).
     heartbeat_interval: float = 5.0
     #: Honor the ``fault`` request param (test/CI harnesses only).
     allow_fault_injection: bool = False
-    max_frame_bytes: int = MAX_FRAME_BYTES
-    #: Worker processes; 0 = deterministic in-process thread pool.
-    fleet: int = 0
-    #: Admission slots; default = executor width.
+    #: Worker processes (>= 1).  One worker keeps one context cache:
+    #: the pool hands sequential tasks to its workers in turn, so at
+    #: N workers one client's same-config requests pay up to N builds.
+    fleet: int = 1
+    #: Admission slots; default = fleet width.
     max_inflight: Optional[int] = None
     #: Waiting tickets beyond which new arrivals are shed.
     max_queue: int = 32
-    #: Crash retries per request before giving up (fleet mode).
+    #: Crash retries per request before giving up.
     request_retries: int = 2
-    #: Base of the crash-retry exponential backoff, seconds.
-    retry_backoff: float = 0.1
     #: Queue wait after which a deadline-bearing ticket may trigger a
-    #: hog preemption (fleet mode only).
+    #: hog preemption.
     preempt_after_s: float = 2.0
     #: Warm-state snapshot file; None disables persistence.
     snapshot_path: Optional[str] = None
@@ -118,8 +108,6 @@ class ServiceConfig:
     snapshot_interval_s: float = 30.0
     #: Discard snapshots older than this on boot; None = no horizon.
     snapshot_max_age_s: Optional[float] = None
-    #: Ceiling on how long a drain waits for in-flight work.
-    drain_timeout_s: float = 60.0
 
 
 @dataclass
@@ -173,18 +161,14 @@ class AnalysisServer:
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
+        if self.config.fleet < 1:
+            raise ConfigError(
+                f"--fleet must be >= 1 worker, got {self.config.fleet}")
         self.port: Optional[int] = None
-        self.contexts = HotCache(self.config.cache_size, name="cache")
         self.results = ResultMemo(self.config.result_cache_size)
-        if self.config.fleet > 0:
-            self.executor = WorkerFleet(
-                self.config.fleet,
-                cache_size=self.config.cache_size,
-                retries=self.config.request_retries,
-                retry_backoff=self.config.retry_backoff)
-        else:
-            self.executor = ThreadedExecutor(
-                self.config.max_concurrent, self.contexts)
+        self.fleet = WorkerFleet(
+            self.config.fleet, cache_size=self.config.cache_size,
+            retries=self.config.request_retries)
         self.store: Optional[WarmStateStore] = None
         if self.config.snapshot_path:
             self.store = WarmStateStore(
@@ -211,7 +195,7 @@ class AnalysisServer:
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_async = asyncio.Event()
-        width = self.executor.width
+        width = self.fleet.width
         max_inflight = self.config.max_inflight or width
         self._admission = AdmissionController(
             max_inflight=max_inflight, max_queue=self.config.max_queue)
@@ -246,7 +230,7 @@ class AnalysisServer:
                     await asyncio.gather(*pending, return_exceptions=True)
             if self.store is not None and not self.skip_final_snapshot:
                 self.snapshot_now()
-            self.executor.shutdown()
+            self.fleet.shutdown()
             _log.info("service.stopped", port=self.port)
 
     def wait_ready(self, timeout: float = 60.0) -> None:
@@ -276,11 +260,9 @@ class AnalysisServer:
 
     async def _drain_and_stop(self) -> None:
         assert self._admission is not None and self._stop_async is not None
-        drained = await self._admission.quiesce(
-            timeout=self.config.drain_timeout_s)
+        drained = await self._admission.quiesce(timeout=DRAIN_TIMEOUT_S)
         if not drained:
-            _log.warning("service.drain_timeout",
-                         timeout_s=self.config.drain_timeout_s)
+            _log.warning("service.drain_timeout", timeout_s=DRAIN_TIMEOUT_S)
         self._stop_async.set()
 
     # -- warm-state persistence --------------------------------------------
@@ -292,39 +274,14 @@ class AnalysisServer:
         if state is None:
             return
         restored = self.results.restore(state["memo"])
-        _log.info("service.rewarmed", memo_entries=restored,
-                  context_keys=len(state["contexts"]))
-        if self.config.fleet == 0 and state["contexts"]:
-            # Rebuild hot contexts in the background (threaded mode
-            # computes against the acceptor's cache; fleet workers own
-            # theirs).  Best effort: a key that no longer builds is
-            # skipped, never fatal.
-            keys = list(state["contexts"])[-self.config.cache_size:]
-            threading.Thread(target=self._rewarm_contexts, args=(keys,),
-                             daemon=True,
-                             name="repro-service-rewarm").start()
-
-    def _rewarm_contexts(self, keys: List[Tuple]) -> None:
-        for key in keys:
-            try:
-                kind, netlist, no_map, tech, tool, policy = key
-                if kind != "analyze":
-                    continue
-                request = AnalysisRequest(
-                    netlist=netlist, no_map=bool(no_map), tech=tech,
-                    tool=tool, missing_arc_policy=policy)
-                self.contexts.get_or_build(
-                    request.context_key(), lambda: build_context(request))
-            except Exception as exc:
-                _log.warning("service.rewarm_failed", key=repr(key),
-                             error=f"{type(exc).__name__}: {exc}")
+        _log.info("service.rewarmed", memo_entries=restored)
 
     def snapshot_now(self) -> None:
         """Write a warm-state snapshot (no-op without a store)."""
         if self.store is None:
             return
         try:
-            self.store.save(self.results.items(), self.contexts.keys())
+            self.store.save(self.results.items())
         except OSError as exc:
             _log.warning("service.snapshot_failed",
                          error=f"{type(exc).__name__}: {exc}")
@@ -362,20 +319,29 @@ class AnalysisServer:
                 "by_op": by_op,
                 "failed": failed,
             },
-            "contexts": self.contexts.stats(),
+            "contexts": self._context_stats(),
             "results": self.results.stats(),
-            "executor": self.executor.stats(),
+            "executor": self.fleet.stats(),
             "admission": (self._admission.stats()
                           if self._admission is not None else None),
             "draining": self._draining,
             "metrics": obs.snapshot(),
         }
 
+    def _context_stats(self) -> Dict[str, Any]:
+        """The fleet workers' context caches, from the
+        ``service.worker_cache_*`` counters their telemetry merges into
+        this registry (no one process holds the entry count)."""
+        stats: Dict[str, Any] = {"max_entries": self.config.cache_size}
+        for key in ("hits", "misses", "evictions"):
+            stats[key] = obs.counter(f"service.worker_cache_{key}").value
+        return stats
+
     # -- connection handling ----------------------------------------------
 
     async def _send(self, writer: asyncio.StreamWriter,
                     payload: Dict[str, Any]) -> None:
-        writer.write(encode_frame(payload, self.config.max_frame_bytes))
+        writer.write(encode_frame(payload))
         await writer.drain()
 
     async def _handle_client(self, reader: asyncio.StreamReader,
@@ -388,8 +354,7 @@ class AnalysisServer:
         try:
             while True:
                 try:
-                    payload = await read_frame(
-                        reader, self.config.max_frame_bytes)
+                    payload = await read_frame(reader)
                 except TruncatedFrame:
                     # Peer vanished mid-frame; nothing to answer to.
                     obs.counter("service.truncated_frames").inc()
@@ -510,9 +475,6 @@ class AnalysisServer:
         if not self.config.allow_fault_injection:
             raise BadRequest(
                 "fault injection is disabled on this server")
-        if self.config.fleet < 1:
-            raise BadRequest(
-                "fleet_fault requires a worker fleet (--fleet >= 1)")
         unknown = sorted(set(spec) - set(FLEET_FAULT_FIELDS))
         if unknown:
             raise BadRequest(
@@ -704,13 +666,12 @@ class AnalysisServer:
                 self._admission.abandon(ticket)
                 raise
             if (not preempt_tried
-                    and self.executor.preemptible()
                     and ticket.deadline_at is not None
                     and (time.monotonic() - arrived_at
                          >= self.config.preempt_after_s)
                     and self._admission.should_preempt()):
                 preempt_tried = True
-                self.executor.preempt_one()
+                self.fleet.preempt_one()
         return ticket.granted
 
     async def _run_with_heartbeats(
@@ -718,26 +679,34 @@ class AnalysisServer:
         spec: Dict[str, Any], attempt: int, arrived_at: float,
         ticket: Ticket,
     ) -> List[Dict[str, Any]]:
-        """Execute the spec on the current executor, beating while it
-        runs.  Returns response frames; raises only :class:`Preempted`
-        (executor-infrastructure failures map to error frames here)."""
-        future = asyncio.wrap_future(self.executor.submit(spec, attempt))
+        """Execute the spec on the fleet, beating while it runs.
+        Returns response frames; raises only :class:`Preempted` (fleet
+        infrastructure failures map to error frames here)."""
+        future = asyncio.wrap_future(self.fleet.submit(spec, attempt))
         disconnected = False
-        while True:
-            done, _ = await asyncio.wait(
-                [future], timeout=self.config.heartbeat_interval)
-            if done:
-                break
-            if disconnected:
-                continue
-            try:
-                await self._send(writer, heartbeat_frame(
-                    request_id, time.monotonic() - arrived_at))
-            except (ConnectionResetError, BrokenPipeError):
-                # The client is gone but the compute is not cancelable;
-                # keep waiting so the admission slot is released only
-                # when the worker actually frees up.
-                disconnected = True
+        try:
+            while True:
+                done, _ = await asyncio.wait(
+                    [future], timeout=self.config.heartbeat_interval)
+                if done:
+                    break
+                if disconnected:
+                    continue
+                try:
+                    await self._send(writer, heartbeat_frame(
+                        request_id, time.monotonic() - arrived_at))
+                except (ConnectionResetError, BrokenPipeError):
+                    # The client is gone but the compute is not
+                    # cancelable; keep waiting so the admission slot is
+                    # released only when the worker actually frees up.
+                    disconnected = True
+        except asyncio.CancelledError:
+            # The server is stopping under this request: the fleet's
+            # shutdown fails the future after this task is gone, so
+            # read that outcome here or asyncio reports it as lost.
+            future.add_done_callback(
+                lambda dead: dead.cancelled() or dead.exception())
+            raise
         try:
             frames, telemetry = future.result()
         except Preempted:
@@ -753,10 +722,9 @@ class AnalysisServer:
             frames = [error_frame(request_id, "internal",
                                   f"{type(exc).__name__}: {exc}")]
         else:
-            if telemetry is not None:
-                # A fleet worker's registry delta: the acceptor's
-                # metrics see fleet work, merged on this one thread.
-                merge_shard_telemetry(telemetry)
+            # The worker's registry delta: the acceptor's metrics see
+            # fleet work, merged on this one thread.
+            merge_shard_telemetry(telemetry)
         # On a mid-compute disconnect the frames are returned anyway:
         # the caller releases the slot first, then the doomed send
         # surfaces the broken pipe to the connection handler.

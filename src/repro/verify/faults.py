@@ -365,7 +365,7 @@ def run_server_faults(
         On a ``fleet=2`` server, a request whose *fleet worker* is
         OOM-killed (``os._exit`` before any compute) on its first
         attempt must be retried onto a respawned worker and return a
-        report byte-identical to the threaded reference, with the
+        report byte-identical to the fault-free reference, with the
         fleet's crash/retry counters raised.
 
     ``server_restart_mid_request``
@@ -543,7 +543,7 @@ def _server_degraded_bounds(client, base_params, context, rng, origins,
 def _server_fleet_kill(base_params, reference, before) -> FaultScenarioResult:
     """A fleet worker OOM-killed mid-request must cost one attempt, not
     the daemon: the retry lands on a respawned worker and the served
-    bytes match the threaded reference."""
+    bytes match the fault-free reference."""
     from repro.service import ServiceClient, ServiceConfig, start_in_thread
 
     handle = start_in_thread(ServiceConfig(
@@ -563,7 +563,8 @@ def _server_fleet_kill(base_params, reference, before) -> FaultScenarioResult:
     if result["report"] != reference["report"]:
         return FaultScenarioResult(
             "server_fleet_kill", False,
-            "fleet-recovered report differs from the threaded reference",
+            "fleet-recovered report differs from the fault-free "
+            "reference",
             recovery)
     for counter, why in (
         ("service.worker_crashes", "no worker death detected"),
@@ -753,7 +754,7 @@ def _server_queue_overflow(base_params, reference, origins, seed,
 
     handle = start_in_thread(ServiceConfig(
         allow_fault_injection=True, heartbeat_interval=0.25,
-        max_concurrent=1, max_inflight=1, max_queue=1))
+        max_inflight=1, max_queue=1))
     slow_box, queued_box = {}, {}
     threads = []
 

@@ -1,14 +1,15 @@
-"""Fleet-mode compute: byte identity and crash supervision.
+"""Fleet compute: byte identity, crash supervision, configuration.
 
 The worker fleet must be *invisible* in the answers: for any request,
-a ``fleet=N`` server serves the same bytes as the threaded server and
-the one-shot CLI (both run :func:`repro.service.fleet.run_work` on the
-same spec).  What the fleet adds is blast-radius control, exercised
-here via the ``fleet_fault`` chaos param: a worker hard-killed
+a ``fleet=N`` server serves the same bytes as the one-shot CLI (the
+workers run :func:`repro.service.fleet.run_work`, which calls the
+CLI's compute code).  What the fleet adds is blast-radius control,
+exercised here via the ``fleet_fault`` chaos param: a worker hard-killed
 mid-request costs one attempt (supervised retry onto a respawned
 worker), retries are bounded (exhaustion maps to a structured
 ``internal`` error, the daemon survives), and a hung worker is killed
-at its hard wall deadline.
+at its hard wall deadline.  The fleet is the daemon's only compute
+mode, so a fleet of zero workers is a configuration error.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import io
 import pytest
 
 from repro import cli
+from repro.resilience.errors import ConfigError
 from repro.service import ServiceClient, ServiceConfig, ServiceError
-from repro.service.server import start_in_thread
+from repro.service.server import AnalysisServer, start_in_thread
 
 #: (label, one-shot CLI argv, service op, service params) -- one entry
 #: per served op, so the byte-identity contract is pinned for all of
-#: analyze/verify/size in fleet mode.
+#: analyze/verify/size on a multi-worker fleet.
 WORKLOAD = [
     ("analyze-c17",
      ["analyze", "iscas:c17"],
@@ -53,7 +55,7 @@ def cli_stdout(argv) -> str:
 def fleet_server():
     handle = start_in_thread(ServiceConfig(
         heartbeat_interval=0.1, fleet=2, request_retries=2,
-        retry_backoff=0.05, allow_fault_injection=True))
+        allow_fault_injection=True))
     yield handle
     handle.stop()
 
@@ -78,26 +80,6 @@ def test_fleet_served_byte_identical_to_cli(client, label, argv, op,
         f"fleet-served {label} diverged from one-shot CLI"
 
 
-def test_fleet_and_threaded_servers_serve_identical_bytes():
-    params = {"netlist": "iscas:c432@0.1", "n_worst": 4, "top": 4}
-    threaded = start_in_thread(ServiceConfig(heartbeat_interval=0.1))
-    try:
-        with ServiceClient(threaded.host, threaded.port,
-                           timeout=300.0) as c:
-            reference = c.call("analyze", dict(params))
-    finally:
-        threaded.stop()
-    fleet = start_in_thread(ServiceConfig(heartbeat_interval=0.1,
-                                          fleet=1))
-    try:
-        with ServiceClient(fleet.host, fleet.port, timeout=300.0) as c:
-            served = c.call("analyze", dict(params))
-    finally:
-        fleet.stop()
-    assert served["report"] == reference["report"]
-    assert served["paths"] == reference["paths"]
-
-
 # ---------------------------------------------------------------------------
 # Crash supervision
 
@@ -110,7 +92,6 @@ def test_worker_crash_retried_to_identical_report(client):
     assert crashed["cached"] is False  # fault-injected: never memoized
     assert crashed["report"] == plain["report"]
     stats = client.call("stats")["executor"]
-    assert stats["mode"] == "fleet"
     assert stats["crashes"] >= 1
     assert stats["retries"] >= 1
 
@@ -147,21 +128,6 @@ def test_hung_worker_killed_at_hard_deadline(client):
 # Fault-injection gating
 
 
-def test_fleet_fault_rejected_without_fleet():
-    handle = start_in_thread(ServiceConfig(heartbeat_interval=0.1,
-                                           allow_fault_injection=True))
-    try:
-        with ServiceClient(handle.host, handle.port, timeout=60.0) as c:
-            with pytest.raises(ServiceError) as err:
-                c.call("analyze", {
-                    "netlist": "iscas:c17",
-                    "fleet_fault": {"crash_attempts": [0]}})
-    finally:
-        handle.stop()
-    assert err.value.code == "bad-request"
-    assert "--fleet" in err.value.message
-
-
 def test_fleet_fault_refused_on_production_server():
     handle = start_in_thread(ServiceConfig(heartbeat_interval=0.1,
                                            fleet=1))
@@ -175,3 +141,13 @@ def test_fleet_fault_refused_on_production_server():
         handle.stop()
     assert err.value.code == "bad-request"
     assert "disabled" in err.value.message
+
+
+# ---------------------------------------------------------------------------
+# Configuration
+
+
+def test_fleet_zero_is_config_error():
+    # Rejected at construction, before any socket or worker exists.
+    with pytest.raises(ConfigError, match="--fleet"):
+        AnalysisServer(ServiceConfig(fleet=0))

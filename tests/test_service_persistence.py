@@ -30,9 +30,6 @@ MEMO_ITEMS = [
     ("fp-1", {"kind": "result", "op": "analyze", "report": "first"}),
     ("fp-2", {"kind": "result", "op": "analyze", "report": "second"}),
 ]
-CONTEXT_KEYS = [
-    ("analyze", "iscas:c17", False, "90nm", "pathfinder", "error"),
-]
 
 
 def _store(tmp_path, **kwargs) -> WarmStateStore:
@@ -45,11 +42,10 @@ def _store(tmp_path, **kwargs) -> WarmStateStore:
 
 def test_snapshot_round_trip(tmp_path):
     store = _store(tmp_path)
-    store.save(MEMO_ITEMS, CONTEXT_KEYS)
+    store.save(MEMO_ITEMS)
     state = store.load()
     assert state is not None
     assert state["memo"] == MEMO_ITEMS
-    assert state["contexts"] == CONTEXT_KEYS
     assert state["saved_at"] <= time.time()
     assert obs.counter("service.snapshots_written").value == 1
     assert obs.counter("service.snapshot_restores").value == 1
@@ -70,7 +66,7 @@ def _assert_discarded(store):
 
 def test_truncated_snapshot_discarded(tmp_path):
     store = _store(tmp_path)
-    store.save(MEMO_ITEMS, CONTEXT_KEYS)
+    store.save(MEMO_ITEMS)
     text = store.path.read_text()
     store.path.write_text(text[:len(text) // 2])
     _assert_discarded(store)
@@ -78,7 +74,7 @@ def test_truncated_snapshot_discarded(tmp_path):
 
 def test_version_skew_discarded(tmp_path):
     store = _store(tmp_path)
-    store.save(MEMO_ITEMS, CONTEXT_KEYS)
+    store.save(MEMO_ITEMS)
     document = json.loads(store.path.read_text())
     document["version"] = SNAPSHOT_VERSION + 1
     store.path.write_text(json.dumps(document))
@@ -87,7 +83,7 @@ def test_version_skew_discarded(tmp_path):
 
 def test_digest_mismatch_discarded(tmp_path):
     store = _store(tmp_path)
-    store.save(MEMO_ITEMS, CONTEXT_KEYS)
+    store.save(MEMO_ITEMS)
     document = json.loads(store.path.read_text())
     # Well-formed JSON, tampered payload: only the digest guard can
     # catch this.
@@ -98,8 +94,7 @@ def test_digest_mismatch_discarded(tmp_path):
 
 def test_malformed_memo_entries_discarded(tmp_path):
     store = _store(tmp_path)
-    payload = {"memo": [["fp-1", "not-a-dict"]], "contexts": [],
-               "saved_at": time.time()}
+    payload = {"memo": [["fp-1", "not-a-dict"]], "saved_at": time.time()}
     document = {"version": SNAPSHOT_VERSION, "digest": _digest(payload),
                 "payload": payload}
     store.path.write_text(json.dumps(document))
@@ -108,14 +103,14 @@ def test_malformed_memo_entries_discarded(tmp_path):
 
 def test_stale_snapshot_discarded(tmp_path):
     store = _store(tmp_path, max_age_s=0.05)
-    store.save(MEMO_ITEMS, CONTEXT_KEYS)
+    store.save(MEMO_ITEMS)
     time.sleep(0.1)
     _assert_discarded(store)
 
 
 def test_atomic_write_leaves_no_temporary(tmp_path):
     store = _store(tmp_path)
-    store.save(MEMO_ITEMS, CONTEXT_KEYS)
+    store.save(MEMO_ITEMS)
     leftovers = [p.name for p in tmp_path.iterdir()
                  if p.name != store.path.name]
     assert not leftovers, f"non-atomic write artifacts: {leftovers}"

@@ -5,14 +5,18 @@ changes an answer: for any configuration, the served ``report`` equals
 the one-shot CLI's stdout byte for byte.  These tests run both front
 ends in-process over a mixed workload (full enumeration, GBA, N-worst,
 verify; c17 and scaled c432), concurrently, and compare bytes -- plus
-the cache observability: warm-context hit counters, result-memo hits,
-and LRU eviction under a capacity-1 cache.
+the observability: per-request metric deltas under concurrency, the
+fleet workers' warm-context hit counters, result-memo hits, and LRU
+eviction under a capacity-1 cache.  Tests that count context-cache
+hits exactly run on a one-worker fleet: two workers each build their
+own context.
 """
 
 from __future__ import annotations
 
 import io
 import contextlib
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -57,8 +61,7 @@ def cli_stdout(argv) -> str:
 
 @pytest.fixture(scope="module")
 def server():
-    handle = start_in_thread(ServiceConfig(heartbeat_interval=0.05,
-                                           max_concurrent=4))
+    handle = start_in_thread(ServiceConfig(heartbeat_interval=0.05))
     yield handle
     handle.stop()
 
@@ -113,25 +116,75 @@ def test_heartbeats_stream_while_computing():
 # Concurrent mixed workload
 
 
-def test_concurrent_mixed_workload_byte_identical(server):
+def test_concurrent_mixed_workload_byte_identical():
     # CLI references first (serially -- stdout capture is process-wide).
     references = {label: cli_stdout(argv)
                   for label, argv, _, _ in WORKLOAD}
+    handle = start_in_thread(ServiceConfig(heartbeat_interval=0.05,
+                                           fleet=2))
 
     def serve_one(entry):
         label, _, op, params = entry
         # Separate connection per worker: requests multiplex across
         # connections, not within one.
-        with ServiceClient(server.host, server.port, timeout=300.0) as c:
+        with ServiceClient(handle.host, handle.port, timeout=300.0) as c:
             return label, c.call(op, params)["report"]
 
-    # Two rounds of everything, interleaved across 5 threads: cold and
-    # warm answers must both match the CLI.
+    # Two rounds of everything, interleaved across 5 threads onto two
+    # workers: cold and warm answers must both match the CLI.
     jobs = WORKLOAD * 2
-    with ThreadPoolExecutor(max_workers=5) as pool:
-        for label, report in pool.map(serve_one, jobs):
-            assert report + "\n" == references[label], \
-                f"served {label} diverged from one-shot CLI"
+    try:
+        with ThreadPoolExecutor(max_workers=5) as pool:
+            for label, report in pool.map(serve_one, jobs):
+                assert report + "\n" == references[label], \
+                    f"served {label} diverged from one-shot CLI"
+    finally:
+        handle.stop()
+
+
+#: Two searches of very different length (~40 ms and ~3 s warm), so
+#: started together they overlap on any server that computes both at
+#: once.
+OVERLAPPING = [
+    {"netlist": "iscas:c432@0.15", "n_worst": 5},
+    {"netlist": "iscas:c1355@0.1", "n_worst": 5},
+]
+
+
+def _search_counters(result):
+    """A result's ``pathfinder.*`` metric delta, without CPU time."""
+    return {key: value for key, value in result["metrics"].items()
+            if key.startswith("pathfinder.")
+            and not key.startswith("pathfinder.cpu_seconds")}
+
+
+@pytest.mark.parametrize(
+    "config", [ServiceConfig(), ServiceConfig(fleet=2)],
+    ids=["default", "fleet2"])
+def test_concurrent_requests_report_only_their_own_metrics(config):
+    handle = start_in_thread(config)
+    barrier = threading.Barrier(len(OVERLAPPING), timeout=60.0)
+
+    def serve_together(params):
+        with ServiceClient(handle.host, handle.port, timeout=300.0) as c:
+            barrier.wait()
+            # A new `top` misses the result memo, not the warm context.
+            return c.call("analyze", dict(params, top=2))
+
+    try:
+        with ServiceClient(handle.host, handle.port, timeout=300.0) as c:
+            # Each request alone first: the reference counts (and a
+            # warm context, so the pair starts computing together).
+            alone = [c.call("analyze", dict(params, top=1))
+                     for params in OVERLAPPING]
+        with ThreadPoolExecutor(max_workers=len(OVERLAPPING)) as pool:
+            together = list(pool.map(serve_together, OVERLAPPING))
+    finally:
+        handle.stop()
+    for params, solo, paired in zip(OVERLAPPING, alone, together):
+        assert _search_counters(solo), solo["metrics"]
+        assert _search_counters(paired) == _search_counters(solo), \
+            f"{params['netlist']} counted another request's search"
 
 
 def test_verify_op_reports_ok_flag(client):
@@ -158,6 +211,21 @@ def test_warm_cache_hit_counters(server):
     # one miss here, and at least two of the three requests hit.
     assert after["misses"] - before["misses"] <= 1
     assert after["hits"] - before["hits"] >= 2
+
+
+def test_context_stats_count_worker_cache_hits():
+    handle = start_in_thread(ServiceConfig(fleet=1, heartbeat_interval=0.2))
+    try:
+        with ServiceClient(handle.host, handle.port, timeout=300.0) as c:
+            # One context key, three fingerprints: one build, two hits.
+            for top in (2, 3, 4):
+                c.call("analyze", {"netlist": "iscas:c17", "top": top})
+            stats = c.call("stats")
+    finally:
+        handle.stop()
+    assert stats["contexts"]["misses"] == 1
+    assert stats["contexts"]["hits"] == 2
+    assert stats["metrics"]["service.worker_cache_hits"] == 2
 
 
 def test_result_memo_counters(server):
@@ -188,18 +256,19 @@ def test_lru_eviction_under_capacity_one():
             stats3 = c.call("stats")["contexts"]
     finally:
         handle.stop()
-    assert stats1["entries"] == 1 and stats1["misses"] == 1
-    assert stats2["entries"] == 1 and stats2["evictions"] == 1
+    assert stats1["misses"] == 1 and stats1["evictions"] == 0
+    assert stats2["misses"] == 2 and stats2["evictions"] == 1
     assert stats3["misses"] == 3, "evicted context was not rebuilt"
     assert stats3["evictions"] == 2
+    assert stats3["max_entries"] == 1
 
 
 def test_stats_endpoint_shape(client):
     stats = client.call("stats")
     assert stats["requests"]["total"] >= 1
     assert "analyze" in stats["requests"]["by_op"] or True
-    assert set(stats["contexts"]) >= {"entries", "hits", "misses",
-                                      "evictions", "max_entries"}
+    assert set(stats["contexts"]) == {"hits", "misses", "evictions",
+                                      "max_entries"}
     assert "spans" in stats["metrics"]
     assert stats["uptime_s"] >= 0
 
