@@ -491,9 +491,8 @@ class DelayCalculator:
 
     def prune_bounds(self) -> PruneBounds:
         """Both pruning bounds (tight backward required-time + legacy
-        suffix sum) as one shippable object -- what the pathfinder
-        prunes with and what the parallel driver computes once in the
-        parent and sends to worker shards."""
+        suffix sum) -- what the pathfinder prunes with.  Pooled shards
+        receive them inside :meth:`export_tables`."""
         if self._prune_bounds is None:
             self._prune_bounds = PruneBounds(
                 required=tuple(self.required_bounds()),

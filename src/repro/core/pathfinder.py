@@ -61,6 +61,28 @@ from repro.resilience.budgets import (
 #: the hot loop's check is one branch on a modulo of a constant.
 PROGRESS_EXTENSION_INTERVAL = 1024
 
+#: The delay-calculator counters a run publishes as deltas (and a shard
+#: of the supervised driver ships home).
+DELTA_KEYS = (
+    "delaycalc.arc_evaluations",
+    "delaycalc.arc_cache_hits",
+    "delaycalc.arc_cache_misses",
+    "delaycalc.arc_substitutions",
+)
+
+
+def _calc_counters(calc: DelayCalculator) -> Tuple[int, int, int, int]:
+    return (calc.arc_evaluations, calc.arc_cache_hits,
+            calc.arc_cache_misses, calc.arc_substitutions)
+
+
+def keep_worst(best: List[float], n_worst: int, arrival: float) -> None:
+    """Offer one path arrival to ``best``, a min-heap of the ``n_worst``
+    largest arrivals seen so far (its root is the pruning threshold)."""
+    heapq.heappush(best, arrival)
+    if len(best) > n_worst:
+        heapq.heappop(best)
+
 
 @dataclass
 class SearchStats:
@@ -96,7 +118,7 @@ class SearchStats:
 
     def merge(self, other: Dict[str, float]) -> None:
         """Fold another run's counter dict (:meth:`as_dict`) into this
-        one -- how the parallel driver combines per-shard stats."""
+        one -- how the supervised driver combines per-shard stats."""
         for name, value in other.items():
             if name.startswith("_"):
                 continue
@@ -164,11 +186,7 @@ class PathStream:
         self._finder = finder
         self._gen = finder._iter_paths(inputs)
         self._started = time.perf_counter()
-        calc = finder.calc
-        self._counters_before = (
-            calc.arc_evaluations, calc.arc_cache_hits, calc.arc_cache_misses,
-            calc.arc_substitutions,
-        )
+        self._counters_before = _calc_counters(finder.calc)
         self._published = False
 
     def __iter__(self) -> "PathStream":
@@ -223,9 +241,13 @@ class PathFinder:
         sum).
     bounds:
         Precomputed :class:`~repro.core.tgraph.PruneBounds` for the
-        ``n_worst`` pruning.  Defaults to ``calc.prune_bounds()``; the
-        parallel driver computes the bounds once in the parent process
-        and passes them here so worker shards skip the backward pass.
+        ``n_worst`` pruning.  Defaults to ``calc.prune_bounds()``, which
+        pooled shard workers seed from the session's shipped tables.
+    best:
+        The top-N heap (see :func:`keep_worst`) to prune against and
+        record into.  The supervised driver hands one list to every
+        in-process origin shard, so they prune exactly like one serial
+        run; None starts an empty heap.
     single_polarity:
         Restrict the trace to one input polarity (``RISING`` or
         ``FALLING``).  The default (None) is the paper's dual-value
@@ -253,7 +275,9 @@ class PathFinder:
         stops the search *cleanly*: recorded paths are kept, and
         :attr:`completeness` tags every origin ``complete`` /
         ``partial`` / ``skipped`` so callers can attach sound GBA
-        bounds to the unfinished ones (anytime degraded mode).
+        bounds to the unfinished ones (anytime degraded mode).  The
+        ``max_paths`` stop tags the origin it cut and every later one
+        ``capped`` instead, which is not a degradation.
     """
 
     def __init__(
@@ -267,6 +291,7 @@ class PathFinder:
         complete: bool = False,
         justify_skip: bool = True,
         bounds: Optional[PruneBounds] = None,
+        best: Optional[List[float]] = None,
         budgets: Optional[SearchBudgets] = None,
         progress: Optional[Callable[["PathFinder"], None]] = None,
     ):
@@ -290,8 +315,10 @@ class PathFinder:
         self._origin: int = -1
         self.stats = SearchStats()
         self._bounds: Optional[PruneBounds] = None
-        self._best: List[float] = []  # min-heap of the N best arrivals
+        self._best: List[float] = best if best is not None else []
         self._stream: Optional[PathStream] = None
+        #: ``delaycalc.*`` counter deltas of the last closed run.
+        self.calc_deltas: Dict[str, int] = {}
         if n_worst is not None:
             self._bounds = bounds if bounds is not None else calc.prune_bounds()
             # The pruning hot loop reads calc.worst_arc_delay per
@@ -333,19 +360,12 @@ class PathFinder:
         self.stats.cpu_seconds += elapsed
         name = self.ec.circuit.name
         self.stats.publish(name)
-        calc = self.calc
+        self.calc_deltas = {
+            key: after - before for key, after, before
+            in zip(DELTA_KEYS, _calc_counters(self.calc), counters_before)
+        }
         registry = obs_metrics.REGISTRY
-        deltas = (
-            ("delaycalc.arc_evaluations",
-             calc.arc_evaluations - counters_before[0]),
-            ("delaycalc.arc_cache_hits",
-             calc.arc_cache_hits - counters_before[1]),
-            ("delaycalc.arc_cache_misses",
-             calc.arc_cache_misses - counters_before[2]),
-            ("delaycalc.arc_substitutions",
-             calc.arc_substitutions - counters_before[3]),
-        )
-        for key, delta in deltas:
+        for key, delta in self.calc_deltas.items():
             # Register even a zero delta so the snapshot schema is stable.
             registry.counter(key).inc(delta)
             registry.counter(key, circuit=name).inc(delta)
@@ -377,28 +397,30 @@ class PathFinder:
                 outcomes[name] = outcome
                 yield from self._search_from(origin)
                 outcome.paths_found = self.stats.paths_found - before
+                if self._done():
+                    # The max_paths cap stopped the run in this origin;
+                    # the rest are never visited.
+                    outcome.status = "capped"
+                    self._mark_unvisited(origin_ids[index + 1:], "capped")
+                    return
                 if self._ledger is not None and self._ledger.exhausted:
                     if not tripped:
                         tripped = True
                         self.stats.budget_trips += 1
-                elif not self._done():
+                else:
                     outcome.status = "complete"
-                if self._done():
-                    # The max_paths cap stopped this origin mid-search:
-                    # it stays partial, the rest were never visited.
-                    self._mark_unvisited(origin_ids[index + 1:])
-                    return
         except GeneratorExit:
             self._mark_unvisited(origin_ids)
             raise
 
-    def _mark_unvisited(self, origin_ids: Sequence[int]) -> None:
-        """Tag origins never searched this run as ``skipped``."""
+    def _mark_unvisited(self, origin_ids: Sequence[int],
+                        status: str = "skipped") -> None:
+        """Tag origins never searched this run with ``status``."""
         outcomes = self.completeness.origins
         names = self.ec.net_names
         for origin in origin_ids:
             outcomes.setdefault(names[origin],
-                                OriginOutcome(names[origin], "skipped"))
+                                OriginOutcome(names[origin], status))
 
     def _done(self) -> bool:
         return self.max_paths is not None and self.stats.paths_found >= self.max_paths
@@ -736,7 +758,5 @@ class PathFinder:
         )
         self.stats.paths_found += 1
         if self.n_worst is not None:
-            heapq.heappush(self._best, path.worst_arrival)
-            if len(self._best) > self.n_worst:
-                heapq.heappop(self._best)
+            keep_worst(self._best, self.n_worst, path.worst_arrival)
         return path

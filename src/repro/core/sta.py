@@ -7,13 +7,18 @@ examples and benchmarks use::
     sta = TruePathSTA(circuit, charlib)
     paths = sta.enumerate_paths()
     critical = sta.n_worst_paths(10)
+    result = sta.analyze(n_worst=10, budgets=SearchBudgets(...))
+
+:meth:`TruePathSTA.analyze` is the search driver of the developed tool
+(the CLI and the service call it for every request);
+:meth:`~TruePathSTA.iter_paths` is the plain stream underneath, kept as
+the reference of the equivalence tests and for library callers.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DEFAULT_INPUT_SLEW, DelayCalculator
@@ -21,41 +26,15 @@ from repro.core.engine import EngineCircuit
 from repro.core.path import TimedPath
 from repro.core.pathfinder import PathFinder, PathStream, SearchStats
 from repro.netlist.circuit import Circuit
+from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.resilience.budgets import CompletenessReport, SearchBudgets
-
-
-@dataclass
-class AnalysisResult:
-    """Anytime analysis product: always a report, always bounded.
-
-    ``paths`` is exact for every ``complete`` origin in
-    ``completeness``; each non-complete origin carries
-    ``gba_bound`` -- the GBA forward-pass worst endpoint arrival, a
-    sound upper bound on any path the budgeted search did not reach.
-    """
-
-    paths: List[TimedPath]
-    stats: SearchStats
-    completeness: CompletenessReport
-    resumed_shards: int = 0
-
-    @property
-    def degraded(self) -> bool:
-        return not self.completeness.complete
-
-    def describe_completeness(self) -> str:
-        lines = [f"origin completeness: {self.completeness.summary()}"]
-        for name, outcome in self.completeness.degraded_origins().items():
-            bound = (
-                f"GBA bound {outcome.gba_bound * 1e12:.1f} ps"
-                if outcome.gba_bound is not None else "no bound"
-            )
-            lines.append(
-                f"  {name}: {outcome.status} "
-                f"({outcome.paths_found} paths found, {bound})"
-            )
-        return "\n".join(lines)
+from repro.resilience.errors import ConfigError
+from repro.resilience.supervisor import (
+    AnalysisResult,
+    ShardSupervisor,
+    SupervisorConfig,
+)
 
 
 class TruePathSTA:
@@ -93,7 +72,6 @@ class TruePathSTA:
         circuit.check()
         self.circuit = circuit
         self.charlib = charlib
-        self.missing_arc_policy = missing_arc_policy
         self.ec = EngineCircuit(circuit)
         self.calc = DelayCalculator(
             self.ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
@@ -141,26 +119,12 @@ class TruePathSTA:
         """All true paths x sensitization-vector combinations.
 
         ``jobs`` > 1 shards the search across primary inputs on
-        supervised worker processes
-        (:func:`repro.perf.supervised_find_paths`) and merges the
+        supervised worker processes (:meth:`analyze`) and merges the
         per-origin streams in declaration order.
         """
         if jobs is not None and jobs > 1:
-            from repro.perf import supervised_find_paths
-
-            result = supervised_find_paths(
-                self.circuit,
-                self.charlib,
-                jobs=jobs,
-                temp=self.calc.temp,
-                vdd=self.calc.vdd,
-                input_slew=self.calc.input_slew,
-                missing_arc_policy=self.missing_arc_policy,
-                **kwargs,
-            )
-            self.last_stats = result.stats
-            self.last_completeness = result.completeness
-            return result.paths
+            return self.analyze(jobs=jobs, attach_gba_bounds=False,
+                                **kwargs).paths
         with span("pathfinder.search"):
             with self.iter_paths(**kwargs) as stream:
                 return list(stream)
@@ -168,71 +132,91 @@ class TruePathSTA:
     def analyze(
         self,
         jobs: int = 1,
+        inputs: Optional[Sequence[str]] = None,
+        max_paths: Optional[int] = None,
+        n_worst: Optional[int] = None,
+        justify_backtrack_limit: Optional[int] = None,
+        single_polarity: Optional[int] = None,
+        complete: bool = False,
         budgets: Optional[SearchBudgets] = None,
+        shard_timeout: Optional[float] = None,
+        shard_retries: int = 2,
+        serial_fallback: bool = True,
+        checkpoint: Optional[str] = None,
+        resume: Optional[str] = None,
+        fault_plan: object = None,
+        progress: bool = False,
+        heartbeat_timeout: Optional[float] = None,
         attach_gba_bounds: bool = True,
-        **kwargs,
     ) -> AnalysisResult:
-        """Supervised anytime analysis: always returns a report.
+        """The search driver: supervised anytime analysis that always
+        returns a report.
 
-        Routes the search through
-        :func:`repro.perf.supervised_find_paths` regardless of ``jobs``
-        (``jobs=1`` runs the same shard/merge pipeline in-process), so
-        budgets, checkpoint/resume and the missing-arc policy behave
-        identically in serial and parallel runs.  When
-        ``attach_gba_bounds`` is set and any origin came back
-        non-complete, a one-pass GBA forward analysis supplies a sound
-        upper bound on every arrival the budgeted search did not reach;
-        the bound lands on each degraded origin's
+        Runs one shard per origin under
+        :class:`~repro.resilience.supervisor.ShardSupervisor`.  With
+        ``jobs=1`` the shards search in-process on this session's
+        ``ec``/``calc``, sharing one top-N heap and one ``max_paths``
+        count, so the paths, their order and every work counter equal
+        the plain :meth:`iter_paths` stream's; ``jobs > 1`` runs them on
+        worker processes (merge semantics in :mod:`repro.perf.parallel`).
+        ``budgets`` apply per shard: every origin gets the full
+        allowance.  When ``attach_gba_bounds`` is set and an origin came
+        back degraded, the GBA worst endpoint arrival of this session's
+        forward pass -- a sound upper bound on every arrival the search
+        did not reach -- lands on each degraded origin's
         :attr:`~repro.resilience.budgets.OriginOutcome.gba_bound`.
         """
-        from repro.perf import supervised_find_paths
-
-        result = supervised_find_paths(
-            self.circuit,
-            self.charlib,
-            jobs=jobs,
-            temp=self.calc.temp,
-            vdd=self.calc.vdd,
-            input_slew=self.calc.input_slew,
-            missing_arc_policy=self.missing_arc_policy,
-            budgets=budgets,
-            **kwargs,
+        if jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        origins = list(inputs if inputs is not None else self.circuit.inputs)
+        jobs = min(jobs, max(len(origins), 1))
+        supervisor = ShardSupervisor(
+            self.ec,
+            self.calc,
+            dict(
+                max_paths=max_paths,
+                n_worst=n_worst,
+                justify_backtrack_limit=justify_backtrack_limit,
+                single_polarity=single_polarity,
+                complete=complete,
+                budgets=budgets,
+            ),
+            SupervisorConfig(
+                jobs=jobs,
+                shard_timeout=shard_timeout,
+                shard_retries=shard_retries,
+                serial_fallback=serial_fallback,
+                checkpoint_path=checkpoint,
+                resume_path=resume,
+                progress=progress,
+                heartbeat_timeout=heartbeat_timeout,
+            ),
+            fault_plan=fault_plan,
         )
+        with span("pathfinder.search"):
+            result = supervisor.run(origins)
         self.last_stats = result.stats
         self.last_completeness = result.completeness
-        analysis = AnalysisResult(
-            paths=result.paths,
-            stats=result.stats,
-            completeness=result.completeness,
-            resumed_shards=result.resumed_shards,
-        )
-        if attach_gba_bounds and analysis.degraded:
-            self._attach_gba_bounds(analysis.completeness)
-        return analysis
+        registry = obs_metrics.REGISTRY
+        registry.counter("perf.parallel_runs").inc()
+        registry.counter("perf.parallel_shards").inc(len(origins))
+        registry.gauge("perf.parallel_jobs").set(jobs)
+        if attach_gba_bounds and result.degraded:
+            self._attach_gba_bounds(result.completeness)
+        return result
 
     def _attach_gba_bounds(self, completeness: CompletenessReport) -> None:
-        """Stamp every non-complete origin with the GBA worst endpoint
+        """Stamp every degraded origin with the GBA worst endpoint
         arrival -- a sound upper bound on any true path arrival, since
         GBA takes the worst arc at every gate without asking whether the
-        required sensitization vectors coexist."""
-        from repro.core.graphsta import GraphSTA
-
-        gba = GraphSTA(
-            self.circuit,
-            self.charlib,
-            temp=self.calc.temp,
-            vdd=self.calc.vdd,
-            input_slew=self.calc.input_slew,
-            missing_arc_policy=self.missing_arc_policy,
-        ).run()
+        required sensitization vectors coexist.  The forward pass runs
+        on this session's calculator (no second circuit/calculator)."""
+        arrivals = self.ec.tgraph.forward_arrivals(self.calc).arrivals
         bound: Optional[float] = None
         for output in self.circuit.outputs:
-            try:
-                arrival = gba.worst_arrival(output)
-            except (KeyError, ValueError):
-                continue
-            if bound is None or arrival > bound:
-                bound = arrival
+            for arrival in arrivals[self.ec.net_id[output]]:
+                if arrival is not None and (bound is None or arrival > bound):
+                    bound = arrival
         for outcome in completeness.degraded_origins().values():
             outcome.gba_bound = bound
 

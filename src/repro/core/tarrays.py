@@ -42,9 +42,9 @@ discovers missing arcs in gate order while the batched pass discovers
 them level by level).
 
 :class:`CompiledTables` is the picklable by-product: the corner-pure
-derived tables (bound slews, worst arc delays, pruning bounds) the
-parallel driver computes once in the parent and ships to worker shards
-so every shard skips its own backward sweeps.
+derived tables (bound slews, worst arc delays, pruning bounds) a
+session exports once and ships to pooled worker shards, so every shard
+skips its own backward sweeps.
 """
 
 from __future__ import annotations

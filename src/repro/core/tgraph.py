@@ -87,8 +87,6 @@ class PruneBounds:
     Both are admissible; ``required[net] <= suffix[net]`` everywhere.
     The pathfinder prunes on ``required`` and uses ``suffix`` to count
     how many prunes the tighter bound won (``pathfinder.bound_prunes``).
-    The object is a plain pair of float tuples so the parallel driver
-    can compute it once in the parent and ship it to worker shards.
     """
 
     required: Tuple[float, ...]

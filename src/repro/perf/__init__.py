@@ -1,9 +1,8 @@
 """Hot-path performance layer for the single-pass search.
 
-:func:`supervised_find_paths` shards the search across primary inputs
-(origins never share state -- the paper's natural partition), runs the
-shards under :mod:`repro.resilience.supervisor`, and merges paths,
-stats and metrics back into the calling process.  The serial hot-path
+:func:`supervised_find_paths` runs one session's search sharded across
+primary inputs (the paper's natural partition) through
+:meth:`repro.core.sta.TruePathSTA.analyze`.  The serial hot-path
 pieces (arc-resolution memoization, justify-skip) live in
 :mod:`repro.core.delaycalc` and :mod:`repro.core.pathfinder`; see
 ``docs/PERFORMANCE.md`` and ``docs/ROBUSTNESS.md``.

@@ -1,144 +1,65 @@
-"""Supervised parallel driver for the path search.
+"""Supervised parallel search, as a one-call function.
 
-The single-pass search visits one primary input at a time and never
-shares state between origins, so the natural partition is one shard per
-origin.  Supervision (worker-crash retry, shard timeouts, serial
-fallback, checkpoint/resume, clean SIGINT unwinding) lives in
-:class:`repro.resilience.supervisor.ShardSupervisor`; this module is
-the thin public face that assembles the search configuration and ships
-the precomputed pruning bounds to the shards.
+The driver is :meth:`repro.core.sta.TruePathSTA.analyze`: one shard per
+origin under :class:`repro.resilience.supervisor.ShardSupervisor`.
+:func:`supervised_find_paths` builds a session and calls it.
 
 Merge semantics under the search limits:
 
-* ``max_paths``: each shard is capped at ``max_paths`` (a single origin
-  can never contribute more), and the merged stream is truncated after
-  concatenation -- byte-identical to the serial early stop.
-* ``n_worst``: each shard prunes against its *own* top-N heap, which is
-  at most as aggressive as the serial global heap, so the merged stream
-  is a superset of the serial one that provably contains the true top-N
-  set; callers keep the N worst of the merge exactly as they would keep
-  the N worst of a serial run.
+* ``jobs=1``: the shards run in-process and share one top-N heap and
+  one ``max_paths`` count, in origin order -- the same paths, order and
+  work counters as the plain serial stream.
+* ``max_paths`` (``jobs > 1``): each pooled shard is capped at
+  ``max_paths`` (a single origin can never contribute more), and the
+  merged stream is truncated after concatenation -- byte-identical to
+  the serial early stop.  The origin holding the last kept path and
+  every later origin are tagged ``capped``, which is not a degradation.
+* ``n_worst`` (``jobs > 1``): each pooled shard prunes against its
+  *own* top-N heap, which is at most as aggressive as the serial shared
+  heap, so the merged stream is a superset of the serial one that
+  provably contains the true top-N set; callers keep the N worst of the
+  merge exactly as they would keep the N worst of a serial run.  The
+  session's compiled tables (slew fixed point, worst-arc delays, both
+  pruning bounds) are shipped to the workers once.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.charlib.fanout import WireLoadModel
 from repro.charlib.store import CharacterizedLibrary
-from repro.core.delaycalc import DEFAULT_INPUT_SLEW, DelayCalculator
-from repro.core.engine import EngineCircuit
+from repro.core.delaycalc import DEFAULT_INPUT_SLEW
 from repro.netlist.circuit import Circuit
-from repro.obs import metrics as obs_metrics
-from repro.obs.logging import get_logger
-from repro.obs.tracing import span
-from repro.resilience.budgets import SearchBudgets
-from repro.resilience.errors import ConfigError
-from repro.resilience.supervisor import (
-    ShardSupervisor,
-    SupervisedResult,
-    SupervisorConfig,
-)
-
-_log = get_logger("repro.perf")
+from repro.resilience.supervisor import AnalysisResult
 
 
 def supervised_find_paths(
     circuit: Circuit,
     charlib: CharacterizedLibrary,
     jobs: int = 2,
-    inputs: Optional[Sequence[str]] = None,
     temp: float = 25.0,
     vdd: Optional[float] = None,
     input_slew: float = DEFAULT_INPUT_SLEW,
-    vector_blind: bool = False,
-    wire: Optional[WireLoadModel] = None,
-    max_paths: Optional[int] = None,
-    n_worst: Optional[int] = None,
-    justify_backtrack_limit: Optional[int] = None,
-    single_polarity: Optional[int] = None,
-    complete: bool = False,
-    budgets: Optional[SearchBudgets] = None,
     missing_arc_policy: str = "error",
-    shard_timeout: Optional[float] = None,
-    shard_retries: int = 2,
-    retry_backoff: float = 0.05,
-    serial_fallback: bool = True,
-    checkpoint: Optional[str] = None,
-    resume: Optional[str] = None,
-    fault_plan: object = None,
-    progress: bool = False,
-    heartbeat_timeout: Optional[float] = None,
-) -> SupervisedResult:
+    **search,
+) -> AnalysisResult:
     """Run the true-path search sharded across primary inputs, under
-    supervision, and return the full
-    :class:`~repro.resilience.supervisor.SupervisedResult` (paths,
-    merged stats, per-origin completeness, resume accounting).
+    supervision, on a fresh :class:`~repro.core.sta.TruePathSTA` session
+    at the given corner, and return its
+    :class:`~repro.resilience.supervisor.AnalysisResult` (paths, merged
+    stats, per-origin completeness, resume accounting).
 
+    ``search`` takes the options of
+    :meth:`~repro.core.sta.TruePathSTA.analyze` (``inputs``,
+    ``max_paths``, ``n_worst``, ``budgets``, ``shard_timeout``,
+    ``checkpoint``, ``fault_plan``, ...); no GBA bounds are attached.
     The merged stats and the ``delaycalc.*`` counter totals are
     published to this process's metrics registry, exactly like a serial
-    :meth:`PathFinder.find_paths` run.  ``jobs=1`` runs the same
-    shard/merge pipeline in-process (no pool), which is the reference
-    for the equivalence tests.  ``budgets`` apply *per shard*: each
-    origin's sub-search gets the full allowance, and exhausted shards
-    come back tagged ``partial`` in the completeness report.
+    :meth:`PathFinder.find_paths` run.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    origins = list(inputs) if inputs is not None else list(circuit.inputs)
-    calc_kwargs = dict(temp=temp, vdd=vdd, input_slew=input_slew,
-                       vector_blind=vector_blind, wire=wire,
-                       missing_arc_policy=missing_arc_policy)
-    finder_kwargs = dict(
-        max_paths=max_paths,
-        n_worst=n_worst,
-        justify_backtrack_limit=justify_backtrack_limit,
-        single_polarity=single_polarity,
-        complete=complete,
-        budgets=budgets,
-    )
-    jobs = min(jobs, max(len(origins), 1))
-    config = SupervisorConfig(
-        jobs=jobs,
-        shard_timeout=shard_timeout,
-        shard_retries=shard_retries,
-        retry_backoff=retry_backoff,
-        serial_fallback=serial_fallback,
-        checkpoint_path=checkpoint,
-        resume_path=resume,
-        progress=progress,
-        heartbeat_timeout=heartbeat_timeout,
-    )
-    supervisor = ShardSupervisor(
-        circuit, charlib, calc_kwargs, finder_kwargs, config,
-        fault_plan=fault_plan,
-    )
-    with span("perf.supervised_find_paths"):
-        if n_worst is not None:
-            # The backward required-time bounds depend only on the
-            # circuit and corner: compute them once here and ship the
-            # plain float tuples to every shard, instead of paying the
-            # backward pass (and its model sweeps) once per worker.
-            parent_ec = EngineCircuit(circuit)
-            parent_calc = DelayCalculator(parent_ec, charlib, **calc_kwargs)
-            supervisor.finder_kwargs["bounds"] = parent_calc.prune_bounds()
-            # Ship the full compiled tables (slew fixed point, worst-arc
-            # delays, both bounds) alongside: worker calculators seed
-            # them instead of re-deriving the sweeps per process.  Kept
-            # out of calc_kwargs -- the worst-arc table has tuple keys,
-            # which the JSON checkpoint fingerprint cannot encode (and
-            # the tables are derived state, not configuration).
-            supervisor.compiled_tables = parent_calc.export_tables()
-            obs_metrics.REGISTRY.counter("perf.compiled_tables_shipped").inc()
-            supervisor.attach_parent_context(parent_ec, parent_calc)
-        result = supervisor.run(origins)
+    from repro.core.sta import TruePathSTA
 
-    registry = obs_metrics.REGISTRY
-    registry.counter("perf.parallel_runs").inc()
-    registry.counter("perf.parallel_shards").inc(len(origins))
-    registry.gauge("perf.parallel_jobs").set(jobs)
-    _log.debug("parallel.done", circuit=circuit.name, jobs=jobs,
-               shards=len(origins), paths=len(result.paths),
-               degraded=result.degraded)
-    return result
-
+    sta = TruePathSTA(circuit, charlib, temp=temp, vdd=vdd,
+                      input_slew=input_slew,
+                      missing_arc_policy=missing_arc_policy)
+    return sta.analyze(jobs=jobs, attach_gba_bounds=False, **search)

@@ -13,8 +13,9 @@ Five cooperating pieces:
 * :mod:`repro.resilience.workers` -- the supervised worker pool under
   both ``--jobs N`` shards and the daemon's fleet: one task per forked
   worker, so each crash or hang is blamed on its own task;
-* :mod:`repro.resilience.supervisor` -- the supervised parallel driver
-  on that pool: retry budget, serial fallback, clean SIGINT unwinding.
+* :mod:`repro.resilience.supervisor` -- the supervised search driver,
+  in-process or on that pool: retry budget, serial fallback, clean
+  SIGINT unwinding.
 
 Only the leaf modules (errors, budgets) are re-exported here: the core
 search imports them, so pulling :mod:`~repro.resilience.supervisor`

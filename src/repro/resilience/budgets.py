@@ -14,6 +14,11 @@ The statuses:
 
 ``complete``
     The origin's sub-search ran to exhaustion; its path set is exact.
+``capped``
+    The run's ``max_paths`` cap was reached at or before this origin,
+    so the search stopped there (or never started it).  The cap is a
+    requested output size, not a lost answer: a capped origin is not a
+    degradation and gets no GBA bound.
 ``partial``
     The budget ran out mid-origin; the recorded paths are true paths
     but more may exist.  The report attaches the GBA forward-pass
@@ -33,7 +38,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 #: Recognized per-origin completeness statuses, strongest first.
-ORIGIN_STATUSES = ("complete", "partial", "skipped", "failed")
+ORIGIN_STATUSES = ("complete", "capped", "partial", "skipped", "failed")
+
+#: Statuses that are not a degradation: the origin's answer is exact, or
+#: the caller's own ``max_paths`` cap cut it.
+UNDEGRADED = ("complete", "capped")
 
 #: Wall-clock is polled once per this many extensions -- the search
 #: loop is too hot for a perf_counter call per extension.
@@ -65,9 +74,12 @@ class SearchBudgets:
 class BudgetLedger:
     """Mutable effort ledger charged by the search loop.
 
-    One ledger covers one whole run (all origins of a serial search, or
-    one shard of a parallel one): origins finished before exhaustion
-    stay ``complete``, the origin in flight when the ledger trips is
+    One ledger covers one whole run: all origins of a plain
+    :meth:`~repro.core.sta.TruePathSTA.iter_paths` stream, or one
+    origin shard of the supervised driver
+    (:meth:`~repro.core.sta.TruePathSTA.analyze`), which gives every
+    origin the full allowance.  Origins finished before exhaustion stay
+    ``complete``, the origin in flight when the ledger trips is
     ``partial``, later ones are ``skipped``.
     """
 
@@ -155,11 +167,11 @@ class CompletenessReport:
 
     @property
     def complete(self) -> bool:
-        return all(o.status == "complete" for o in self.origins.values())
+        return all(o.status in UNDEGRADED for o in self.origins.values())
 
     def degraded_origins(self) -> Dict[str, OriginOutcome]:
         return {name: o for name, o in self.origins.items()
-                if o.status != "complete"}
+                if o.status not in UNDEGRADED}
 
     def summary(self) -> str:
         counts: Dict[str, int] = {}

@@ -1,9 +1,14 @@
-"""Supervised parallel search: the driver that refuses to die.
+"""Supervised search: the driver that refuses to die.
 
-:class:`ShardSupervisor` runs one shard per origin on the supervised
-worker pool (:mod:`repro.resilience.workers`), one shard per worker at
-a time, so every failure is blamed on the shard that caused it and no
-other shard is re-run:
+:class:`ShardSupervisor` runs the search of one
+:class:`~repro.core.sta.TruePathSTA` session as one shard per origin.
+With ``jobs == 1`` the shards run in-process on the session's own
+circuit and calculator, in origin order, sharing one top-N heap and one
+``max_paths`` count: exactly the work of the plain serial search, with
+per-shard budgets, checkpoints and progress on top.  With ``jobs > 1``
+they run on the supervised worker pool (:mod:`repro.resilience.workers`),
+one shard per worker at a time, so every failure is blamed on the shard
+that caused it and no other shard is re-run:
 
 * **Worker crashes** are retried by the pool on a respawned worker,
   with exponential backoff (``resilience.worker_crashes``,
@@ -28,12 +33,13 @@ other shard is re-run:
   (:mod:`repro.resilience.checkpoint`); a resumed run adopts them and
   reproduces the exact path set of an uninterrupted run.
 
-The merge stays byte-identical to the serial search: results are
-concatenated in origin declaration order, whatever the completion,
-retry, or resume order.  This module is imported lazily
-(``repro.resilience.__init__`` does not pull it in) because it imports
-the core search, which itself uses :mod:`repro.resilience.budgets` and
-:mod:`repro.resilience.errors`.
+Results are concatenated in origin declaration order, whatever the
+completion, retry, or resume order.  Pooled shards prune against their
+own top-N heaps, so under ``n_worst`` their merge is a superset of the
+serial stream that holds the same top N (``docs/PERFORMANCE.md``).
+``repro.resilience.__init__`` does not import this module, because it
+imports the core search, which itself uses
+:mod:`repro.resilience.budgets` and :mod:`repro.resilience.errors`.
 """
 
 from __future__ import annotations
@@ -49,7 +55,12 @@ from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DelayCalculator
 from repro.core.engine import EngineCircuit
 from repro.core.path import TimedPath
-from repro.core.pathfinder import PathFinder, SearchStats
+from repro.core.pathfinder import (
+    DELTA_KEYS,
+    PathFinder,
+    SearchStats,
+    keep_worst,
+)
 from repro.netlist.circuit import Circuit
 from repro.obs import export as obs_export
 from repro.obs import metrics as obs_metrics
@@ -79,19 +90,15 @@ _log = get_logger("repro.resilience")
 #: checked while waiting on in-flight shards.
 _POLL_SECONDS = 0.05
 
+#: Base of the exponential backoff before a crashed pooled shard is
+#: resubmitted (``RETRY_BACKOFF * 2**attempt`` seconds).
+RETRY_BACKOFF = 0.05
+
 #: One shard's wire format: paths, SearchStats.as_dict(), delaycalc
 #: counter deltas, per-origin completeness outcome dicts.
 ShardResult = Tuple[
     List[TimedPath], Dict[str, float], Dict[str, int], Dict[str, Dict]
 ]
-
-#: The delaycalc counters folded across shards into the parent registry.
-DELTA_KEYS = (
-    "delaycalc.arc_evaluations",
-    "delaycalc.arc_cache_hits",
-    "delaycalc.arc_cache_misses",
-    "delaycalc.arc_substitutions",
-)
 
 
 def _shard_worker(circuit: Circuit, charlib: CharacterizedLibrary,
@@ -132,25 +139,19 @@ def _shard_worker(circuit: Circuit, charlib: CharacterizedLibrary,
 
 
 def run_shard(ec: EngineCircuit, calc: DelayCalculator, finder_kwargs: Dict,
-              origins: Sequence[str],
-              progress: object = None) -> ShardResult:
-    """One shard's search, in whatever process this runs in."""
-    before = (calc.arc_evaluations, calc.arc_cache_hits,
-              calc.arc_cache_misses, calc.arc_substitutions)
-    finder = PathFinder(ec, calc, progress=progress, **finder_kwargs)
+              origins: Sequence[str], progress: object = None,
+              best: Optional[List[float]] = None) -> ShardResult:
+    """One shard's search, in whatever process this runs in (``best``:
+    the shared top-N heap of in-process shards)."""
+    finder = PathFinder(ec, calc, progress=progress, best=best,
+                        **finder_kwargs)
     with finder.find_paths(inputs=origins) as stream:
         paths = list(stream)
-    deltas = {
-        "delaycalc.arc_evaluations": calc.arc_evaluations - before[0],
-        "delaycalc.arc_cache_hits": calc.arc_cache_hits - before[1],
-        "delaycalc.arc_cache_misses": calc.arc_cache_misses - before[2],
-        "delaycalc.arc_substitutions": calc.arc_substitutions - before[3],
-    }
     outcomes = {
         name: outcome.as_dict()
         for name, outcome in finder.completeness.origins.items()
     }
-    return paths, finder.stats.as_dict(), deltas, outcomes
+    return paths, finder.stats.as_dict(), finder.calc_deltas, outcomes
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,6 @@ class SupervisorConfig:
     shard_timeout: Optional[float] = None
     #: Re-queue attempts per shard beyond the first try.
     shard_retries: int = 2
-    #: Base of the exponential backoff before a retry is resubmitted
-    #: (``backoff * 2**attempt`` seconds; 0 disables sleeping).
-    retry_backoff: float = 0.05
     #: Run a shard in-process after its retries are exhausted.
     serial_fallback: bool = True
     checkpoint_path: Optional[str] = None
@@ -183,8 +181,15 @@ class SupervisorConfig:
 
 
 @dataclass
-class SupervisedResult:
-    """Merged outcome of one supervised run."""
+class AnalysisResult:
+    """Anytime analysis product: always a report, always bounded.
+
+    ``paths`` is exact for every ``complete`` origin in
+    ``completeness``; each degraded origin carries ``gba_bound`` (once
+    :meth:`~repro.core.sta.TruePathSTA.analyze` attached it) -- the GBA
+    forward-pass worst endpoint arrival, a sound upper bound on any
+    path the search did not reach.
+    """
 
     paths: List[TimedPath]
     stats: SearchStats
@@ -197,12 +202,24 @@ class SupervisedResult:
     def degraded(self) -> bool:
         return not self.completeness.complete
 
+    def describe_completeness(self) -> str:
+        lines = [f"origin completeness: {self.completeness.summary()}"]
+        for name, outcome in self.completeness.degraded_origins().items():
+            bound = (
+                f"GBA bound {outcome.gba_bound * 1e12:.1f} ps"
+                if outcome.gba_bound is not None else "no bound"
+            )
+            lines.append(
+                f"  {name}: {outcome.status} "
+                f"({outcome.paths_found} paths found, {bound})"
+            )
+        return "\n".join(lines)
+
 
 @dataclass
 class _Shard:
     """Supervisor-side bookkeeping for one origin."""
 
-    index: int
     origin: str
     attempts: int = 0
     result: Optional[ShardResult] = None
@@ -214,36 +231,35 @@ class _Shard:
 
 
 class ShardSupervisor:
-    """Runs the per-origin shards of one search under supervision.
+    """Runs the per-origin shards of one session's search under
+    supervision.
 
     One instance covers one search invocation; :meth:`run` is the only
-    entry point.  ``jobs == 1`` runs every shard in-process (no pool)
-    through the identical bookkeeping/merge/checkpoint code, which is
-    the reference for the equivalence tests.
+    entry point.  In-process shards (``jobs == 1``, and the serial
+    fallback of pooled ones) search on the session's ``ec``/``calc``;
+    pooled workers rebuild the same calculator from :attr:`calc_kwargs`
+    and seed it with the session's compiled tables.
     """
 
     def __init__(
         self,
-        circuit: Circuit,
-        charlib: CharacterizedLibrary,
-        calc_kwargs: Dict,
+        ec: EngineCircuit,
+        calc: DelayCalculator,
         finder_kwargs: Dict,
         config: SupervisorConfig,
         fault_plan: object = None,
     ):
-        self.circuit = circuit
-        self.charlib = charlib
-        self.calc_kwargs = dict(calc_kwargs)
+        self.ec = ec
+        self.calc = calc
+        self.circuit = ec.circuit
+        self.calc_kwargs = dict(
+            temp=calc.temp, vdd=calc.vdd, input_slew=calc.input_slew,
+            vector_blind=calc.vector_blind, wire=calc.wire,
+            missing_arc_policy=calc.missing_arc_policy,
+        )
         self.finder_kwargs = dict(finder_kwargs)
         self.config = config
         self.fault_plan = fault_plan
-        #: Parent-computed :class:`~repro.core.tarrays.CompiledTables`
-        #: shipped to every worker (and any in-process fallback
-        #: calculator).  Deliberately not part of ``calc_kwargs``: it is
-        #: derived state, excluded from the checkpoint fingerprint.
-        self.compiled_tables = None
-        self._ec: Optional[EngineCircuit] = None
-        self._calc: Optional[DelayCalculator] = None
         self._completed_count = 0
         self._writer: Optional[CheckpointWriter] = None
         self._board: Optional[ProgressBoard] = None
@@ -256,25 +272,8 @@ class ShardSupervisor:
         }
 
     # ------------------------------------------------------------------
-    def _in_process_context(self) -> Tuple[EngineCircuit, DelayCalculator]:
-        """Lazy parent-process search context (serial mode, fallbacks)."""
-        if self._ec is None:
-            self._ec = EngineCircuit(self.circuit)
-            self._calc = DelayCalculator(self._ec, self.charlib,
-                                         compiled=self.compiled_tables,
-                                         **self.calc_kwargs)
-        return self._ec, self._calc
-
-    def attach_parent_context(self, ec: EngineCircuit,
-                              calc: DelayCalculator) -> None:
-        """Reuse an already-built circuit/calculator (the parallel
-        driver builds one to precompute pruning bounds)."""
-        self._ec, self._calc = ec, calc
-
-    # ------------------------------------------------------------------
-    def run(self, origins: Sequence[str]) -> SupervisedResult:
-        shards = [_Shard(index, origin)
-                  for index, origin in enumerate(origins)]
+    def run(self, origins: Sequence[str]) -> AnalysisResult:
+        shards = [_Shard(origin) for origin in origins]
         if self.config.progress or self.config.heartbeat_timeout is not None:
             renderer = ProgressRenderer() if self.config.progress else None
             self._board = ProgressBoard(len(shards), renderer=renderer)
@@ -299,11 +298,10 @@ class ShardSupervisor:
         pending = [s for s in shards if s.result is None]
         interrupted = False
         try:
-            if pending:
-                if self.config.jobs > 1:
-                    self._run_pooled(pending)
-                else:
-                    self._run_serial(pending)
+            if self.config.jobs == 1:
+                self._run_serial(shards)
+            elif pending:
+                self._run_pooled(pending)
         except KeyboardInterrupt:
             interrupted = True
         finally:
@@ -372,8 +370,7 @@ class ShardSupervisor:
                 shard.origin, paths=len(result[0]),
                 extensions=int(result[1].get("extensions_tried", 0)),
             )
-        outcome = result[3].get(shard.origin)
-        shard.status = outcome["status"] if outcome else "complete"
+        shard.status = result[3][shard.origin]["status"]
         self._completed_count += 1
         self._record_checkpoint(shard)
         if (self.fault_plan is not None
@@ -399,17 +396,38 @@ class ShardSupervisor:
                    attempts=shard.attempts, reason=reason)
 
     # ------------------------------------------------------------------
-    def _run_serial(self, pending: List[_Shard]) -> None:
-        ec, calc = self._in_process_context()
-        for shard in pending:
-            if self.fault_plan is not None:
-                self.fault_plan.before_shard(shard.origin, shard.attempts,
-                                             in_worker=False)
-            shard.attempts += 1
-            self._finish_shard(
-                shard,
-                run_shard(ec, calc, self.finder_kwargs, [shard.origin],
-                          progress=self._local_progress(shard.origin)))
+    def _run_serial(self, shards: List[_Shard]) -> None:
+        """Search the pending shards in-process, in origin order.  They
+        share one top-N heap and one ``max_paths`` count, which adopted
+        resume shards feed too, so the work is exactly one plain serial
+        search's; once the cap is reached no shard is scheduled (the
+        merge tags the rest ``capped``)."""
+        n_worst = self.finder_kwargs.get("n_worst")
+        max_paths = self.finder_kwargs.get("max_paths")
+        best: List[float] = []
+        found = 0
+        for shard in shards:
+            if max_paths is not None and found >= max_paths:
+                return
+            if shard.result is None:
+                if self.fault_plan is not None:
+                    self.fault_plan.before_shard(shard.origin, shard.attempts,
+                                                 in_worker=False)
+                shard.attempts += 1
+                finder_kwargs = self.finder_kwargs
+                if max_paths is not None:
+                    finder_kwargs = dict(finder_kwargs,
+                                         max_paths=max_paths - found)
+                self._finish_shard(
+                    shard,
+                    run_shard(self.ec, self.calc, finder_kwargs,
+                              [shard.origin],
+                              progress=self._local_progress(shard.origin),
+                              best=best))
+            elif n_worst is not None:
+                for path in shard.result[0]:
+                    keep_worst(best, n_worst, path.worst_arrival)
+            found += len(shard.result[0])
 
     def _local_progress(self, origin: str) -> Optional[HeartbeatPublisher]:
         """In-process shards beat straight into the board, no queue."""
@@ -420,16 +438,23 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     def _run_pooled(self, pending: List[_Shard]) -> None:
         config = self.config
+        compiled = None
+        if self.finder_kwargs.get("n_worst") is not None:
+            # Ship the session's compiled tables (slew fixed point,
+            # worst-arc delays, both pruning bounds): worker calculators
+            # seed them instead of re-deriving the sweeps per process.
+            compiled = self.calc.export_tables()
+            obs_metrics.REGISTRY.counter("perf.compiled_tables_shipped").inc()
         # Pool events arrive on the slot threads; they are counted and
         # folded into the board on this thread, like everything else.
         events: "queue.SimpleQueue" = queue.SimpleQueue()
         pool = WorkerPool(
             config.jobs,
-            partial(_shard_worker, self.circuit, self.charlib,
+            partial(_shard_worker, self.circuit, self.calc.charlib,
                     self.calc_kwargs, self.finder_kwargs, self.fault_plan,
-                    self._board is not None, self.compiled_tables),
+                    self._board is not None, compiled),
             on_event=lambda *event: events.put(event),
-            retries=config.shard_retries, retry_backoff=config.retry_backoff,
+            retries=config.shard_retries, retry_backoff=RETRY_BACKOFF,
             name="shard",
         )
         in_flight: Dict[Future, Tuple[_Shard, Task]] = {}
@@ -530,11 +555,11 @@ class ShardSupervisor:
                                origin=shard.origin, attempts=shard.attempts)
             _log.warning("supervisor.serial_fallback", origin=shard.origin,
                          attempts=shard.attempts)
-            ec, calc = self._in_process_context()
             try:
                 self._finish_shard(
                     shard,
-                    run_shard(ec, calc, self.finder_kwargs, [shard.origin],
+                    run_shard(self.ec, self.calc, self.finder_kwargs,
+                              [shard.origin],
                               progress=self._local_progress(shard.origin)))
             except ResilienceError:
                 raise
@@ -545,9 +570,12 @@ class ShardSupervisor:
 
     # ------------------------------------------------------------------
     def _merge(self, shards: List[_Shard], resumed: int,
-               interrupted: bool) -> SupervisedResult:
+               interrupted: bool) -> AnalysisResult:
         """Fold shard results in origin declaration order and publish
-        the merged totals plus completeness and resilience accounting."""
+        the merged totals plus completeness and resilience accounting.
+        The stream is truncated at ``max_paths`` like the serial early
+        stop; the origin holding the last kept path and every origin
+        after it are ``capped``."""
         max_paths = self.finder_kwargs.get("max_paths")
         paths: List[TimedPath] = []
         merged = SearchStats()
@@ -558,22 +586,23 @@ class ShardSupervisor:
         unpublished = SearchStats()
         totals: Dict[str, int] = {key: 0 for key in DELTA_KEYS}
         completeness = CompletenessReport()
+        capped = False
         for shard in shards:
-            if shard.result is None:
-                completeness.origins[shard.origin] = OriginOutcome(
-                    shard.origin, "skipped"
-                )
-                continue
-            shard_paths, stats_dict, deltas, outcomes = shard.result
-            if max_paths is None or len(paths) < max_paths:
+            outcome = OriginOutcome(shard.origin, "skipped")
+            if shard.result is not None:
+                shard_paths, stats_dict, deltas, outcomes = shard.result
                 paths.extend(shard_paths)
-            merged.merge(stats_dict)
-            if not shard.published:
-                unpublished.merge(stats_dict)
-                for key, value in deltas.items():
-                    totals[key] = totals.get(key, 0) + value
-            for name, outcome in outcomes.items():
-                completeness.origins[name] = OriginOutcome.from_dict(outcome)
+                merged.merge(stats_dict)
+                if not shard.published:
+                    unpublished.merge(stats_dict)
+                    for key, value in deltas.items():
+                        totals[key] = totals.get(key, 0) + value
+                outcome = OriginOutcome.from_dict(outcomes[shard.origin])
+            capped = capped or (max_paths is not None
+                                and len(paths) >= max_paths)
+            if capped:
+                outcome.status = "capped"
+            completeness.origins[shard.origin] = outcome
         if max_paths is not None:
             del paths[max_paths:]
 
@@ -593,7 +622,7 @@ class ShardSupervisor:
         _log.debug("supervisor.done", circuit=name, shards=len(shards),
                    paths=len(paths), degraded=degraded, resumed=resumed,
                    interrupted=interrupted, **self.metrics)
-        return SupervisedResult(
+        return AnalysisResult(
             paths=paths,
             stats=merged,
             completeness=completeness,

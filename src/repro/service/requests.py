@@ -177,20 +177,6 @@ class AnalysisRequest:
         )
         return budgets if budgets.bounded() else None
 
-    def wants_supervision(self) -> bool:
-        """Whether any resilience feature was requested -- the plain
-        serial search stays on its historical in-process path
-        otherwise."""
-        return (self.budgets() is not None
-                or self.jobs > 1
-                or self.checkpoint is not None
-                or self.resume is not None
-                or self.shard_timeout is not None
-                or self.heartbeat_timeout is not None
-                or self.progress
-                or not self.serial_fallback
-                or self.missing_arc_policy != "error")
-
 
 # ---------------------------------------------------------------------------
 # Hot context
@@ -283,45 +269,32 @@ def execute_analysis(
             sta = TruePathSTA(circuit, charlib,
                               missing_arc_policy=request.missing_arc_policy)
             context.sta = sta
-        budgets = request.budgets()
-        if request.wants_supervision() or fault_plan is not None:
-            analysis = sta.analyze(
-                jobs=request.jobs,
-                budgets=budgets,
-                max_paths=request.max_paths,
-                n_worst=request.n_worst,
-                shard_timeout=request.shard_timeout,
-                shard_retries=request.shard_retries,
-                checkpoint=request.checkpoint,
-                resume=request.resume,
-                progress=request.progress,
-                heartbeat_timeout=request.heartbeat_timeout,
-                serial_fallback=request.serial_fallback,
-                fault_plan=fault_plan,
-            )
-            paths = analysis.paths
-            if request.n_worst is not None:
-                paths = sorted(paths, key=lambda p: p.worst_arrival,
-                               reverse=True)[:request.n_worst]
-            lines.append(sta.report(paths, limit=request.top))
-            if analysis.degraded:
-                lines.append("")
-                lines.append(analysis.describe_completeness())
-                lines.append("(GBA bound = sound upper limit on any arrival "
-                             "the budgeted search did not reach)")
-            outcome.degraded = analysis.degraded
-            outcome.completeness = analysis.completeness
-        elif request.n_worst is not None:
-            paths = sta.n_worst_paths(
-                request.n_worst, max_paths=request.max_paths,
-                jobs=request.jobs,
-            )
-            lines.append(sta.report(paths, limit=request.top))
-        else:
-            paths = sta.enumerate_paths(
-                max_paths=request.max_paths, jobs=request.jobs
-            )
-            lines.append(sta.report(paths, limit=request.top))
+        analysis = sta.analyze(
+            jobs=request.jobs,
+            budgets=request.budgets(),
+            max_paths=request.max_paths,
+            n_worst=request.n_worst,
+            shard_timeout=request.shard_timeout,
+            shard_retries=request.shard_retries,
+            checkpoint=request.checkpoint,
+            resume=request.resume,
+            progress=request.progress,
+            heartbeat_timeout=request.heartbeat_timeout,
+            serial_fallback=request.serial_fallback,
+            fault_plan=fault_plan,
+        )
+        paths = analysis.paths
+        if request.n_worst is not None:
+            paths = sorted(paths, key=lambda p: p.worst_arrival,
+                           reverse=True)[:request.n_worst]
+        lines.append(sta.report(paths, limit=request.top))
+        if analysis.degraded:
+            lines.append("")
+            lines.append(analysis.describe_completeness())
+            lines.append("(GBA bound = sound upper limit on any arrival "
+                         "the budgeted search did not reach)")
+        outcome.degraded = analysis.degraded
+        outcome.completeness = analysis.completeness
     elif request.tool == "gba":
         from repro.core.graphsta import GraphSTA, gba_pessimism
         from repro.core.sta import TruePathSTA

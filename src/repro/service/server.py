@@ -631,7 +631,11 @@ class AnalysisServer:
             elapsed = terminal.get("elapsed_s")
             if elapsed is not None:
                 obs.histogram("service.analyze_seconds").observe(elapsed)
-            if pending.memoizable and deadline_s is None:
+            # A failed origin is an infrastructure accident (a crash or
+            # a wall-clock timeout), not a function of the request.
+            failed = any(o.get("status") == "failed"
+                         for o in terminal.get("completeness", ()))
+            if pending.memoizable and deadline_s is None and not failed:
                 self.results.put(
                     pending.fingerprint,
                     {key: value for key, value in terminal.items()

@@ -55,6 +55,21 @@ class TestAnalyzeCommand:
         assert "True-path report" in out
         assert "ps" in out
 
+    def test_max_paths_report_identical_at_every_width(self, capsys,
+                                                       charlib_poly_90):
+        """A binding ``--max-paths`` is a requested output size, not a
+        degradation: serial, pooled and resilience-flagged runs print
+        the same report, with no completeness block."""
+        outputs = []
+        for extra in ([], ["--jobs", "2"], ["--shard-timeout", "1000"]):
+            assert main(["analyze", "iscas:c432", "--tech", "90nm",
+                         "--max-paths", "10", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert ", 10 sensitizations)" in outputs[0]
+        assert "origin completeness" not in outputs[0]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
     def test_baseline(self, bench_file, capsys, charlib_lut_90):
         assert main([
             "analyze", bench_file, "--no-map", "--tool", "baseline",

@@ -184,17 +184,30 @@ class TestNWorstEquivalence:
 
 class TestShardShipping:
     def test_jobs2_matches_serial(self, charlib_poly_90, clean_obs):
-        """Shipping CompiledTables to shards changes nothing observable."""
+        """Shipping CompiledTables to shards changes nothing observable.
+
+        The contract of ``repro.perf.parallel``: pooled shards prune
+        against their own top-N heaps, so the ``jobs=2`` stream is a
+        superset of the serial (shared-heap) one, with the same top N.
+        """
         circuit = build_circuit("c432", scale=0.3)
         serial = supervised_find_paths(
             circuit, charlib_poly_90, jobs=1, n_worst=5)
         sharded = supervised_find_paths(
             circuit, charlib_poly_90, jobs=2, n_worst=5)
 
-        def key(paths):
-            return sorted((p.worst_arrival, tuple(p.nets)) for p in paths)
+        def key(path):
+            return (path.worst_arrival, tuple(path.nets),
+                    path.vector_signature)
 
-        assert key(serial.paths) == key(sharded.paths)
+        def top(paths):
+            ordered = sorted(paths, key=lambda p: p.worst_arrival,
+                             reverse=True)
+            return [key(p) for p in ordered[:5]]
+
+        assert {key(p) for p in serial.paths} <= {
+            key(p) for p in sharded.paths}
+        assert top(serial.paths) == top(sharded.paths)
         shipped = obs_metrics.REGISTRY.counter("perf.compiled_tables_shipped")
         assert shipped.value >= 1
 

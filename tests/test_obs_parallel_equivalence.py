@@ -10,6 +10,8 @@ misses.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
@@ -29,9 +31,21 @@ EXACT_KEYS = (
 )
 
 
-def exact_counters(snapshot):
+#: Every deterministic work counter of one search -- what the
+#: in-process (``jobs=1``) supervised driver must reproduce exactly,
+#: pruning included.
+WORK_KEYS = EXACT_KEYS + (
+    "pathfinder.justification_cubes",
+    "pathfinder.justify_skipped",
+    "pathfinder.states_saved",
+    "pathfinder.pruned",
+    "pathfinder.bound_prunes",
+)
+
+
+def exact_counters(snapshot, keys=EXACT_KEYS):
     return {key: value for key, value in snapshot.items()
-            if key.split("{")[0] in EXACT_KEYS}
+            if key.split("{")[0] in keys}
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +73,42 @@ class TestSerialParallelEquivalence:
             self, c432, charlib_poly_90, serial_baseline):
         """Regression: the supervised in-process path used to publish
         shard stats twice (at stream close and again in the merge),
-        doubling every counter of a ``--wall-budget``-style serial run."""
+        doubling every counter of a ``--wall-budget``-style serial run.
+
+        Under ``n_worst`` and a binding ``max_paths`` too: in-process
+        shards share the serial search's top-N heap and path count, so
+        the paths, their order, the per-origin statuses and every work
+        counter equal the plain stream's."""
         supervised_find_paths(c432, charlib_poly_90, jobs=1)
         assert exact_counters(obs.snapshot()) == serial_baseline
+
+        everything = TruePathSTA(c432, charlib_poly_90).enumerate_paths()
+        cap = len(everything) // 2
+        # The cap binds past the first productive origin, so shards share
+        # the count; a top-2 heap fills, so plain pruning fires.
+        assert cap > max(sum(p.nets[0] == origin for p in everything)
+                         for origin in c432.inputs)
+        for limits in ({"n_worst": 2}, {"max_paths": cap}):
+            obs.reset()
+            plain_sta = TruePathSTA(c432, charlib_poly_90)
+            plain = plain_sta.enumerate_paths(**limits)
+            want = exact_counters(obs.snapshot(), WORK_KEYS)
+            obs.reset()
+            result = supervised_find_paths(c432, charlib_poly_90, jobs=1,
+                                           **limits)
+            assert [p.key for p in result.paths] == \
+                [p.key for p in plain], limits
+            assert exact_counters(obs.snapshot(), WORK_KEYS) == want, limits
+            if "n_worst" in limits:
+                assert want["pathfinder.pruned"] > 0
+            statuses = {n: o.status
+                        for n, o in result.completeness.origins.items()}
+            assert statuses == {
+                n: o.status
+                for n, o in plain_sta.last_completeness.origins.items()}
+        assert not result.degraded
+        assert "capped" in {o.status for o
+                            in result.completeness.origins.values()}
 
     def test_worker_retry_path_ships_each_shard_once(
             self, c432, charlib_poly_90, serial_baseline):
@@ -117,6 +164,36 @@ class TestSerialParallelEquivalence:
                         if "pathfinder" in name or "search" in name}
         assert search_spans, f"no search spans shipped: {aggregates.keys()}"
         assert all(entry["count"] > 0 for entry in search_spans.values())
+
+
+class TestWarmSession:
+    def test_never_binding_budget_stays_on_the_hot_session(
+            self, charlib_poly_90, clean_obs):
+        """A budgeted request searches the context's own warm session:
+        with a budget that never binds it does exactly the plain
+        request's work -- same report, same work counters, and not one
+        arc-cache miss."""
+        from repro.service.requests import (
+            AnalysisRequest,
+            build_context,
+            execute_analysis,
+        )
+
+        plain = AnalysisRequest("iscas:c432@0.2", n_worst=5)
+        context = build_context(plain)
+        execute_analysis(plain, context=context)  # warm the session
+        obs.reset()
+        want = execute_analysis(plain, context=context)
+        want_counters = exact_counters(obs.snapshot(), WORK_KEYS)
+        assert want_counters["pathfinder.pruned"] > 0
+        obs.reset()
+        got = execute_analysis(replace(plain, extension_budget=10 ** 9),
+                               context=context)
+        snap = obs.snapshot()
+        assert got.report == want.report
+        assert not got.degraded
+        assert exact_counters(snap, WORK_KEYS) == want_counters
+        assert snap["delaycalc.arc_cache_misses"] == 0
 
 
 class TestPerShardGauges:

@@ -82,6 +82,15 @@ class TestCompletenessReport:
         assert not report.complete
         assert set(report.degraded_origins()) == {"b", "c"}
 
+    def test_capped_is_not_a_degradation(self):
+        report = CompletenessReport()
+        report.origins["a"] = OriginOutcome("a", "complete")
+        report.origins["b"] = OriginOutcome("b", "capped")
+        report.origins["c"] = OriginOutcome("c", "capped")
+        assert report.complete
+        assert report.degraded_origins() == {}
+        assert report.summary() == "1 complete, 2 capped"
+
     def test_empty_report_is_complete(self):
         report = CompletenessReport()
         assert report.complete
@@ -165,6 +174,31 @@ class TestAnalyzeDegraded:
         text = analysis.describe_completeness()
         assert "origin completeness" in text
         assert "GBA bound" in text
+
+    def test_gba_bound_comes_from_the_hot_session(self, charlib_poly_90,
+                                                  clean_obs):
+        """The bound is the session's own forward pass -- the same float
+        as a fresh GraphSTA's worst endpoint arrival -- and computing it
+        leaves the session's later searches unchanged."""
+        from repro.core.graphsta import GraphSTA
+
+        circuit = _circuit(seed=9, gates=35)
+        sta = TruePathSTA(circuit, charlib_poly_90)
+        analysis = sta.analyze(budgets=SearchBudgets(max_extensions=10))
+        gba = GraphSTA(circuit, charlib_poly_90).run()
+        want = max(gba.worst_arrival(output) for output in circuit.outputs)
+        bounds = {outcome.gba_bound for outcome
+                  in analysis.completeness.degraded_origins().values()}
+        assert bounds == {want}
+
+        def work(session):
+            clean_obs.reset()
+            session.analyze(n_worst=3)
+            return {key: value for key, value in clean_obs.snapshot().items()
+                    if key.startswith("pathfinder.") and "cpu" not in key
+                    or key.startswith("delaycalc.arc_evaluations")}
+
+        assert work(sta) == work(TruePathSTA(circuit, charlib_poly_90))
 
     def test_degraded_origins_metric_published(self, charlib_poly_90,
                                                clean_obs):

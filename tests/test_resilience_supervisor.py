@@ -74,7 +74,7 @@ class TestCrashRecovery:
         # Crash on every pooled attempt: 1 initial + 2 retries, then
         # the in-process fallback (which the fault cannot reach).
         result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, retry_backoff=0.0,
+            circuit, charlib_poly_90, jobs=2,
             fault_plan=FaultPlan(crash_origins=(victim,),
                                  crash_attempts=(0, 1, 2)),
         )
@@ -89,7 +89,7 @@ class TestCrashRecovery:
         serial = _reference(circuit, charlib_poly_90)
         victim = circuit.inputs[1]
         result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, retry_backoff=0.0,
+            circuit, charlib_poly_90, jobs=2,
             serial_fallback=False,
             fault_plan=FaultPlan(crash_origins=(victim,),
                                  crash_attempts=(0, 1, 2)),
@@ -114,7 +114,7 @@ class TestBlame:
         serial = _reference(circuit, charlib_poly_90)
         victims = tuple(circuit.inputs[:2])
         result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, retry_backoff=0.0,
+            circuit, charlib_poly_90, jobs=2,
             fault_plan=FaultPlan(crash_origins=victims),
         )
         assert ([_path_identity(p) for p in result.paths]
@@ -148,7 +148,6 @@ class TestBlame:
         monkeypatch.setattr(supervisor, "run_shard", run_shard)
         result = supervised_find_paths(
             circuit, charlib_poly_90, jobs=2, shard_timeout=3.0,
-            retry_backoff=0.0,
             fault_plan=FaultPlan(hang_origins=(victim,),
                                  hang_seconds=60.0),
         )
@@ -195,7 +194,6 @@ class TestTimeoutRecovery:
         victim = circuit.inputs[2]
         result = supervised_find_paths(
             circuit, charlib_poly_90, jobs=2, shard_timeout=3.0,
-            retry_backoff=0.0,
             fault_plan=FaultPlan(hang_origins=(victim,),
                                  hang_seconds=60.0),
         )
@@ -240,7 +238,7 @@ class TestMergedMetrics:
         sta.enumerate_paths()
         want = sta.last_stats.as_dict()
         result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, retry_backoff=0.0,
+            circuit, charlib_poly_90, jobs=2,
             fault_plan=FaultPlan(crash_origins=(circuit.inputs[0],)),
         )
         got = result.stats.as_dict()

@@ -240,6 +240,21 @@ def test_result_memo_counters(server):
     assert hits_after - hits_before == 1
 
 
+def test_result_with_failed_origins_is_not_memoized(server):
+    """A failed origin is a wall-clock accident (here: shard timeouts
+    with no retry or fallback), so its result must not be replayed to
+    an identical request as if it were the deterministic answer."""
+    params = {"netlist": "iscas:c499@0.1", "jobs": 2, "shard_timeout": 0.05,
+              "shard_retries": 0, "serial_fallback": False, "n_worst": 5,
+              "top": 3}
+    with ServiceClient(server.host, server.port, timeout=300.0) as c:
+        first = c.call("analyze", params)
+        second = c.call("analyze", params)
+    assert first["degraded"]
+    assert any(o["status"] == "failed" for o in first["completeness"])
+    assert second["cached"] is False
+
+
 def test_lru_eviction_under_capacity_one():
     handle = start_in_thread(ServiceConfig(cache_size=1,
                                            heartbeat_interval=0.2))
