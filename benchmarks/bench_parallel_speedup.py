@@ -18,7 +18,6 @@ import pytest
 from repro.core.sta import TruePathSTA
 from repro.netlist.generate import random_dag
 from repro.netlist.techmap import techmap
-from repro.perf import supervised_find_paths
 
 JOBS = 2
 
@@ -38,7 +37,7 @@ def test_parallel_matches_serial_effort(benchmark, poly90, circuit,
         serial_stats = sta.last_stats.as_dict()
 
         start = time.perf_counter()
-        result = supervised_find_paths(circuit, poly90, jobs=JOBS)
+        result = TruePathSTA(circuit, poly90).analyze(jobs=JOBS)
         parallel_paths, merged = result.paths, result.stats
         parallel_seconds = time.perf_counter() - start
         return (

@@ -100,25 +100,3 @@ def test_vectorized_passes_byte_identical_and_faster(
 
     benchmark.extra_info["rows"] = sweep
     bench_snapshot("vectorized", {"rows": sweep})
-
-
-def test_compiled_tables_ship_once(benchmark, poly90, bench_snapshot):
-    """Exporting the compiled tables costs one sweep; seeding a second
-    calculator from them costs effectively nothing."""
-    circuit = build_circuit("c1355")
-
-    def export_and_seed():
-        parent = DelayCalculator(EngineCircuit(circuit), poly90)
-        tables = parent.export_tables()
-        start = time.perf_counter()
-        child = DelayCalculator(
-            EngineCircuit(circuit), poly90, compiled=tables)
-        bounds = child.prune_bounds()
-        seed_seconds = time.perf_counter() - start
-        assert bounds.required == tables.required
-        return seed_seconds
-
-    seed_seconds = benchmark.pedantic(
-        export_and_seed, rounds=1, iterations=1)
-    benchmark.extra_info["seed_seconds"] = seed_seconds
-    bench_snapshot("vectorized_seed", {"seed_seconds": seed_seconds})

@@ -303,7 +303,6 @@ def _serve(args) -> int:
         heartbeat_interval=args.heartbeat_interval,
         allow_fault_injection=args.allow_fault_injection,
         fleet=args.fleet,
-        max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         request_retries=args.request_retries,
         preempt_after_s=args.preempt_after,
@@ -446,15 +445,18 @@ def _add_analyze_flags(parser) -> None:
     parser.add_argument("--wall-budget", type=float, default=None,
                         metavar="SECONDS",
                         help="anytime mode: stop searching after this "
-                             "much wall-clock time and report partial "
-                             "paths with per-origin completeness + GBA "
-                             "bounds")
+                             "much wall-clock time (one deadline for "
+                             "all origins and workers) and report "
+                             "partial paths with per-origin "
+                             "completeness + GBA bounds")
     parser.add_argument("--extension-budget", type=int, default=None,
                         metavar="N",
-                        help="anytime mode: cap search extensions")
+                        help="anytime mode: cap search extensions "
+                             "per origin")
     parser.add_argument("--backtrack-budget", type=int, default=None,
                         metavar="N",
-                        help="anytime mode: cap justification backtracks")
+                        help="anytime mode: cap justification "
+                             "backtracks per origin")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
                         help="stream completed origins to this JSON "
                              "snapshot (atomic writes; survives crashes "
@@ -635,11 +637,9 @@ def main(argv: Optional[list] = None) -> int:
     serve.add_argument("--fleet", type=int, default=1, metavar="N",
                        help="compute in N >= 1 supervised worker "
                             "processes, each with its own context cache "
-                            "(a worker crash kills one request, not the "
-                            "daemon; default 1)")
-    serve.add_argument("--max-inflight", type=int, default=None,
-                       metavar="N",
-                       help="admission slots (default: fleet size)")
+                            "and one admission slot (a worker crash "
+                            "kills one request, not the daemon; "
+                            "default 1)")
     serve.add_argument("--max-queue", type=int, default=32, metavar="N",
                        help="waiting requests beyond which new arrivals "
                             "are shed with 'overloaded' + retry_after_s "

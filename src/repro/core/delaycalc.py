@@ -34,7 +34,7 @@ from repro.obs.tracing import span
 from repro.resilience.errors import ConfigError, MissingArcFailure
 
 if TYPE_CHECKING:  # tarrays imports from this module; keep the cycle lazy
-    from repro.core.tarrays import CompiledTables, TimingArrays
+    from repro.core.tarrays import TimingArrays
 
 _log = get_logger("repro.delaycalc")
 
@@ -92,7 +92,6 @@ class DelayCalculator:
         vector_blind: bool = False,
         wire: Optional[WireLoadModel] = None,
         missing_arc_policy: str = "error",
-        compiled: Optional["CompiledTables"] = None,
     ):
         if missing_arc_policy not in MISSING_ARC_POLICIES:
             # ConfigError (EX_CONFIG) rather than a raw ValueError: a bad
@@ -148,8 +147,6 @@ class DelayCalculator:
         ] = {}
         self._tarrays: Optional["TimingArrays"] = None
         self._worst_table_complete = False
-        if compiled is not None:
-            self.seed_tables(compiled)
 
     def _nominal_vdd(self) -> float:
         from repro.tech.presets import TECHNOLOGIES
@@ -491,8 +488,7 @@ class DelayCalculator:
 
     def prune_bounds(self) -> PruneBounds:
         """Both pruning bounds (tight backward required-time + legacy
-        suffix sum) -- what the pathfinder prunes with.  Pooled shards
-        receive them inside :meth:`export_tables`."""
+        suffix sum) -- what the pathfinder prunes with."""
         if self._prune_bounds is None:
             self._prune_bounds = PruneBounds(
                 required=tuple(self.required_bounds()),
@@ -514,49 +510,14 @@ class DelayCalculator:
     def ensure_worst_arc_table(self) -> None:
         """Batch-fill the whole (gate, pin) worst-arc-delay cache now.
 
-        The pathfinder calls this when it receives shipped pruning
-        bounds but no worst-arc table: its hot loop reads
-        :meth:`worst_arc_delay` per traversal, and without the prefill
-        each first read would fall back to a per-arc model sweep.  A
-        no-op after :meth:`seed_tables`.
+        The ``n_worst`` search reads :meth:`worst_arc_delay` per
+        traversal; without the prefill each first read would fall back
+        to a per-arc model sweep.  The supervisor calls it before its
+        worker pool forks, so pooled shards inherit the complete table.
         """
         if not self._worst_table_complete:
             self.tarrays.prefill_worst_arcs()
             self._worst_table_complete = True
-
-    def export_tables(self) -> "CompiledTables":
-        """Corner-pure derived tables for worker shards
-        (:class:`~repro.core.tarrays.CompiledTables`): the slew fixed
-        point, the complete worst-arc-delay table and both pruning
-        bounds.  Forces the backward pass, so the worst-arc table is
-        complete."""
-        from repro.core.tarrays import CompiledTables
-
-        bounds = self.prune_bounds()
-        return CompiledTables(
-            bound_slews=tuple(self.bound_slews()),
-            worst_arc=dict(self._worst_arc_cache),
-            required=bounds.required,
-            suffix=bounds.suffix,
-        )
-
-    def seed_tables(self, tables: "CompiledTables") -> None:
-        """Adopt a parent calculator's :meth:`export_tables` output.
-
-        Worker shards seed these instead of re-deriving them: the
-        values are byte-identical to what this calculator would have
-        computed (the sweeps are deterministic per circuit + corner),
-        so seeded and self-computed runs are indistinguishable apart
-        from the skipped work.
-        """
-        self._bound_slews = tuple(tables.bound_slews)
-        self._worst_arc_cache.update(tables.worst_arc)
-        self._required_bounds = list(tables.required)
-        self._remaining_bounds = list(tables.suffix)
-        self._prune_bounds = PruneBounds(
-            required=tuple(tables.required), suffix=tuple(tables.suffix)
-        )
-        self._worst_table_complete = True
 
     # ------------------------------------------------------------------
     # incremental-edit plumbing (repro.core.incremental)

@@ -239,10 +239,6 @@ class PathFinder:
         required-time bound (per-arc worst delays; provably tighter
         than, and dominated-tested against, the legacy per-gate suffix
         sum).
-    bounds:
-        Precomputed :class:`~repro.core.tgraph.PruneBounds` for the
-        ``n_worst`` pruning.  Defaults to ``calc.prune_bounds()``, which
-        pooled shard workers seed from the session's shipped tables.
     best:
         The top-N heap (see :func:`keep_worst`) to prune against and
         record into.  The supervised driver hands one list to every
@@ -290,7 +286,6 @@ class PathFinder:
         single_polarity: Optional[int] = None,
         complete: bool = False,
         justify_skip: bool = True,
-        bounds: Optional[PruneBounds] = None,
         best: Optional[List[float]] = None,
         budgets: Optional[SearchBudgets] = None,
         progress: Optional[Callable[["PathFinder"], None]] = None,
@@ -320,12 +315,10 @@ class PathFinder:
         #: ``delaycalc.*`` counter deltas of the last closed run.
         self.calc_deltas: Dict[str, int] = {}
         if n_worst is not None:
-            self._bounds = bounds if bounds is not None else calc.prune_bounds()
+            self._bounds = calc.prune_bounds()
             # The pruning hot loop reads calc.worst_arc_delay per
-            # traversal; with shipped bounds the calculator may not have
-            # swept yet, so batch-fill the whole worst-arc table now
-            # instead of one lazy per-arc sweep per first read (no-op
-            # when the table was seeded or self-built).
+            # traversal: batch-fill the whole worst-arc table now
+            # instead of one lazy per-arc sweep per first read.
             calc.ensure_worst_arc_table()
 
     # ------------------------------------------------------------------
@@ -387,7 +380,11 @@ class PathFinder:
         try:
             for index, origin in enumerate(origin_ids):
                 name = names[origin]
-                if self._ledger is not None and self._ledger.exhausted:
+                if self._ledger is not None \
+                        and not self._ledger.admits_origin():
+                    if not tripped:  # the shared deadline passed first
+                        tripped = True
+                        self.stats.budget_trips += 1
                     outcomes[name] = OriginOutcome(name, "skipped")
                     continue
                 before = self.stats.paths_found

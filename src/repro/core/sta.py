@@ -30,11 +30,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.resilience.budgets import CompletenessReport, SearchBudgets
 from repro.resilience.errors import ConfigError
-from repro.resilience.supervisor import (
-    AnalysisResult,
-    ShardSupervisor,
-    SupervisorConfig,
-)
+# A module import, not a from-import: a spawn-start pool worker imports
+# repro.resilience.supervisor first (to unpickle its shard handler),
+# and that module imports this one back while half-initialized.
+from repro.resilience import supervisor
 
 
 class TruePathSTA:
@@ -123,8 +122,7 @@ class TruePathSTA:
         per-origin streams in declaration order.
         """
         if jobs is not None and jobs > 1:
-            return self.analyze(jobs=jobs, attach_gba_bounds=False,
-                                **kwargs).paths
+            return self.analyze(jobs=jobs, **kwargs).paths
         with span("pathfinder.search"):
             with self.iter_paths(**kwargs) as stream:
                 return list(stream)
@@ -147,8 +145,7 @@ class TruePathSTA:
         fault_plan: object = None,
         progress: bool = False,
         heartbeat_timeout: Optional[float] = None,
-        attach_gba_bounds: bool = True,
-    ) -> AnalysisResult:
+    ) -> supervisor.AnalysisResult:
         """The search driver: supervised anytime analysis that always
         returns a report.
 
@@ -158,10 +155,11 @@ class TruePathSTA:
         ``ec``/``calc``, sharing one top-N heap and one ``max_paths``
         count, so the paths, their order and every work counter equal
         the plain :meth:`iter_paths` stream's; ``jobs > 1`` runs them on
-        worker processes (merge semantics in :mod:`repro.perf.parallel`).
-        ``budgets`` apply per shard: every origin gets the full
-        allowance.  When ``attach_gba_bounds`` is set and an origin came
-        back degraded, the GBA worst endpoint arrival of this session's
+        worker processes that search this same session (merge semantics
+        in :mod:`repro.resilience.supervisor`).  ``budgets`` give every
+        origin the full extension and backtrack allowances, and the
+        whole call one wall-clock deadline.  When an origin came back
+        degraded, the GBA worst endpoint arrival of this session's
         forward pass -- a sound upper bound on every arrival the search
         did not reach -- lands on each degraded origin's
         :attr:`~repro.resilience.budgets.OriginOutcome.gba_bound`.
@@ -170,7 +168,7 @@ class TruePathSTA:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         origins = list(inputs if inputs is not None else self.circuit.inputs)
         jobs = min(jobs, max(len(origins), 1))
-        supervisor = ShardSupervisor(
+        driver = supervisor.ShardSupervisor(
             self.ec,
             self.calc,
             dict(
@@ -181,7 +179,7 @@ class TruePathSTA:
                 complete=complete,
                 budgets=budgets,
             ),
-            SupervisorConfig(
+            supervisor.SupervisorConfig(
                 jobs=jobs,
                 shard_timeout=shard_timeout,
                 shard_retries=shard_retries,
@@ -194,31 +192,25 @@ class TruePathSTA:
             fault_plan=fault_plan,
         )
         with span("pathfinder.search"):
-            result = supervisor.run(origins)
+            result = driver.run(origins)
         self.last_stats = result.stats
         self.last_completeness = result.completeness
         registry = obs_metrics.REGISTRY
         registry.counter("perf.parallel_runs").inc()
         registry.counter("perf.parallel_shards").inc(len(origins))
         registry.gauge("perf.parallel_jobs").set(jobs)
-        if attach_gba_bounds and result.degraded:
-            self._attach_gba_bounds(result.completeness)
+        if result.degraded:
+            # The GBA worst endpoint arrival is a sound upper bound on any
+            # true path arrival: GBA takes the worst arc at every gate
+            # without asking whether the required sensitization vectors
+            # coexist.  One forward pass on this session's calculator.
+            arrivals = self.ec.tgraph.forward_arrivals(self.calc).arrivals
+            bound = max((arrival for output in self.circuit.outputs
+                         for arrival in arrivals[self.ec.net_id[output]]
+                         if arrival is not None), default=None)
+            for outcome in result.completeness.degraded_origins().values():
+                outcome.gba_bound = bound
         return result
-
-    def _attach_gba_bounds(self, completeness: CompletenessReport) -> None:
-        """Stamp every degraded origin with the GBA worst endpoint
-        arrival -- a sound upper bound on any true path arrival, since
-        GBA takes the worst arc at every gate without asking whether the
-        required sensitization vectors coexist.  The forward pass runs
-        on this session's calculator (no second circuit/calculator)."""
-        arrivals = self.ec.tgraph.forward_arrivals(self.calc).arrivals
-        bound: Optional[float] = None
-        for output in self.circuit.outputs:
-            for arrival in arrivals[self.ec.net_id[output]]:
-                if arrival is not None and (bound is None or arrival > bound):
-                    bound = arrival
-        for outcome in completeness.degraded_origins().values():
-            outcome.gba_bound = bound
 
     def n_worst_paths(self, n: int, prune: bool = True, **kwargs) -> List[TimedPath]:
         """The N slowest true paths, worst first.

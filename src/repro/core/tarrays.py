@@ -40,16 +40,10 @@ missing arcs raises first under the ``error`` policy (both paths raise
 :class:`~repro.core.delaycalc.MissingArcsError`, but the reference pass
 discovers missing arcs in gate order while the batched pass discovers
 them level by level).
-
-:class:`CompiledTables` is the picklable by-product: the corner-pure
-derived tables (bound slews, worst arc delays, pruning bounds) a
-session exports once and ships to pooled worker shards, so every shard
-skips its own backward sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,27 +56,6 @@ from repro.core.tgraph import ForwardTiming
 if TYPE_CHECKING:  # import cycle: delaycalc owns the lazy TimingArrays
     from repro.charlib.model import DelayModel
     from repro.core.delaycalc import DelayCalculator
-
-
-@dataclass(frozen=True)
-class CompiledTables:
-    """Derived timing tables of one (circuit, corner), picklable.
-
-    Computed once by the parent process (``export_tables``) and seeded
-    into worker-shard calculators (``seed_tables``) so shards reuse the
-    parent's slew fixed point, worst-arc sweeps and pruning bounds
-    instead of redoing them per process.  Values are plain floats --
-    byte-identical to what each shard would have computed itself.
-    """
-
-    #: Achievable-slew sample grid (``DelayCalculator.bound_slews``).
-    bound_slews: Tuple[float, ...]
-    #: (gate index, pin) -> worst arc delay over the slew domain.
-    worst_arc: Dict[Tuple[int, str], float] = field(repr=False)
-    #: Per-net backward required-time bound (``PruneBounds.required``).
-    required: Tuple[float, ...] = field(repr=False)
-    #: Per-net legacy suffix bound (``PruneBounds.suffix``).
-    suffix: Tuple[float, ...] = field(repr=False)
 
 
 class _GenericGroup:
@@ -619,8 +592,8 @@ class TimingArrays:
         maximum of each pin arc's fitted delay over the bound-slew
         grid, floored at 0.0 -- so the cached floats are bitwise-equal
         and later scalar reads (the search hot loop, the suffix bound)
-        see identical values.  Entries already cached (e.g. seeded from
-        a parent's :class:`CompiledTables`) are left untouched.
+        see identical values.  Entries already cached are left
+        untouched.
         """
         calc = self.calc
         slews = np.asarray(calc.bound_slews(), dtype=float)

@@ -24,8 +24,9 @@ The statuses:
     but more may exist.  The report attaches the GBA forward-pass
     arrival as a sound upper bound on anything that was missed.
 ``skipped``
-    The budget was already exhausted when the origin's turn came (or a
-    checkpoint resume marked it pending); no paths were searched.
+    The budget was already exhausted, or the wall deadline had passed,
+    when the origin's turn came (or a checkpoint resume marked it
+    pending); no extension was tried.
 ``failed``
     A parallel shard for this origin kept crashing after retries and
     the serial fallback; only the GBA bound is available.
@@ -57,6 +58,24 @@ class SearchBudgets:
     wall_seconds: Optional[float] = None
     max_extensions: Optional[int] = None
     max_backtracks: Optional[int] = None
+    #: Absolute ``time.monotonic()`` end of the wall axis, shared by
+    #: every ledger built from these budgets; pinned by :meth:`started`
+    #: (None: each ledger starts its own clock).
+    deadline: Optional[float] = field(default=None, init=False,
+                                      compare=False, repr=False)
+
+    def started(self) -> "SearchBudgets":
+        """These budgets with the wall clock started now: every ledger
+        built from the copy, in this process or in a worker (the
+        monotonic clock is system-wide), shares its one deadline.  A
+        no-op without a wall axis or once started."""
+        if self.wall_seconds is None or self.deadline is not None:
+            return self
+        pinned = SearchBudgets(self.wall_seconds, self.max_extensions,
+                               self.max_backtracks)
+        object.__setattr__(pinned, "deadline",
+                           time.monotonic() + self.wall_seconds)
+        return pinned
 
     def bounded(self) -> bool:
         return (self.wall_seconds is not None
@@ -78,19 +97,20 @@ class BudgetLedger:
     :meth:`~repro.core.sta.TruePathSTA.iter_paths` stream, or one
     origin shard of the supervised driver
     (:meth:`~repro.core.sta.TruePathSTA.analyze`), which gives every
-    origin the full allowance.  Origins finished before exhaustion stay
-    ``complete``, the origin in flight when the ledger trips is
-    ``partial``, later ones are ``skipped``.
+    origin the full extension and backtrack allowances but one shared
+    wall deadline (:meth:`SearchBudgets.started`).  Origins finished
+    before exhaustion stay ``complete``, the origin in flight when the
+    ledger trips is ``partial``, later ones are ``skipped``.
     """
 
-    __slots__ = ("budgets", "extensions", "backtracks", "started",
+    __slots__ = ("budgets", "extensions", "backtracks", "deadline",
                  "exhausted", "exhausted_axis", "_poll")
 
     def __init__(self, budgets: SearchBudgets):
         self.budgets = budgets
         self.extensions = 0
         self.backtracks = 0
-        self.started = time.perf_counter()
+        self.deadline = budgets.started().deadline
         self.exhausted = False
         self.exhausted_axis: Optional[str] = None
         self._poll = 0
@@ -104,13 +124,25 @@ class BudgetLedger:
         if (b.max_extensions is not None
                 and self.extensions > b.max_extensions):
             return self._trip("extensions")
-        if b.wall_seconds is not None:
+        if self.deadline is not None:
             self._poll += 1
             if self._poll >= WALL_POLL_INTERVAL:
                 self._poll = 0
-                if time.perf_counter() - self.started > b.wall_seconds:
+                if time.monotonic() > self.deadline:
                     return self._trip("wall_seconds")
         return True
+
+    def admits_origin(self) -> bool:
+        """True while an origin may start.  Under a shared deadline an
+        origin can come up long after it was pinned (queued behind other
+        shards, or retried), so this reads the clock now and an origin
+        whose turn comes after the deadline is skipped before its first
+        extension.  A ledger's own clock starts with its run's first
+        origin and is only polled."""
+        if (not self.exhausted and self.budgets.deadline is not None
+                and time.monotonic() > self.budgets.deadline):
+            self._trip("wall_seconds")
+        return not self.exhausted
 
     def charge_backtracks(self, count: int) -> bool:
         """Charge justification backtracks; True while budget remains."""

@@ -1,14 +1,14 @@
 """Supervised search: the driver that refuses to die.
 
 :class:`ShardSupervisor` runs the search of one
-:class:`~repro.core.sta.TruePathSTA` session as one shard per origin.
-With ``jobs == 1`` the shards run in-process on the session's own
-circuit and calculator, in origin order, sharing one top-N heap and one
+:class:`~repro.core.sta.TruePathSTA` session as one shard per origin,
+always on that session's circuit and calculator.  With ``jobs == 1`` the
+shards run in-process, in origin order, sharing one top-N heap and one
 ``max_paths`` count: exactly the work of the plain serial search, with
-per-shard budgets, checkpoints and progress on top.  With ``jobs > 1``
-they run on the supervised worker pool (:mod:`repro.resilience.workers`),
-one shard per worker at a time, so every failure is blamed on the shard
-that caused it and no other shard is re-run:
+budgets, checkpoints and progress on top.  With ``jobs > 1`` they run on
+the supervised worker pool (:mod:`repro.resilience.workers`), one shard
+per worker at a time, so every failure is blamed on the shard that
+caused it and no other shard is re-run:
 
 * **Worker crashes** are retried by the pool on a respawned worker,
   with exponential backoff (``resilience.worker_crashes``,
@@ -33,10 +33,40 @@ that caused it and no other shard is re-run:
   (:mod:`repro.resilience.checkpoint`); a resumed run adopts them and
   reproduces the exact path set of an uninterrupted run.
 
+Pooled workers search the session itself: the pool's init closes over
+its ``ec``/``calc``, so forked workers inherit them copy-on-write (a
+``spawn`` pool pickles them).  Under ``n_worst`` the pruning bounds and
+the worst-arc table are built before the pool starts, so no worker
+redoes a sweep.  What a worker can observe of the session beyond that
+is memo state (resolved arcs, per-gate arc tuples) whose values are
+deterministic per circuit and corner, so a worker forked at any moment
+-- the lazy first spawn, or a respawn while the serial fallback fills
+memos on this thread -- returns the same answers; only cache hit/miss
+counters depend on the moment.
+
 Results are concatenated in origin declaration order, whatever the
-completion, retry, or resume order.  Pooled shards prune against their
-own top-N heaps, so under ``n_worst`` their merge is a superset of the
-serial stream that holds the same top N (``docs/PERFORMANCE.md``).
+completion, retry, or resume order.  Merge semantics under the search
+limits:
+
+* ``jobs=1``: the shards share one top-N heap and one ``max_paths``
+  count, so the paths, their order and every work counter equal the
+  plain serial stream's.
+* ``max_paths`` (``jobs > 1``): each pooled shard is capped at
+  ``max_paths`` (a single origin can never contribute more), and the
+  merged stream is truncated after concatenation -- byte-identical to
+  the serial early stop.  The origin holding the last kept path and
+  every later origin are tagged ``capped``, which is not a degradation.
+* ``n_worst`` (``jobs > 1``): each pooled shard prunes against its
+  *own* top-N heap, which is at most as aggressive as the serial shared
+  heap, so the merged stream is a superset of the serial one that
+  provably contains the true top-N set; callers keep the N worst of the
+  merge exactly as they would keep the N worst of a serial run.
+* ``budgets``: the wall axis is one deadline per run
+  (:meth:`~repro.resilience.budgets.SearchBudgets.started`), shared by
+  in-process shards, pooled shards and the serial fallback; a shard
+  whose turn comes after it is ``skipped`` without a single extension.
+  The extension and backtrack axes apply per shard.
+
 ``repro.resilience.__init__`` does not import this module, because it
 imports the core search, which itself uses
 :mod:`repro.resilience.budgets` and :mod:`repro.resilience.errors`.
@@ -51,7 +81,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DelayCalculator
 from repro.core.engine import EngineCircuit
 from repro.core.path import TimedPath
@@ -61,7 +90,6 @@ from repro.core.pathfinder import (
     SearchStats,
     keep_worst,
 )
-from repro.netlist.circuit import Circuit
 from repro.obs import export as obs_export
 from repro.obs import metrics as obs_metrics
 from repro.obs.aggregate import (
@@ -101,25 +129,18 @@ ShardResult = Tuple[
 ]
 
 
-def _shard_worker(circuit: Circuit, charlib: CharacterizedLibrary,
-                  calc_kwargs: Dict, finder_kwargs: Dict,
-                  fault_plan: object, beats: bool,
-                  compiled_tables: object = None) -> Callable:
-    """Pool worker init: build this worker's search context once and
-    return the per-shard handler.  The forked worker inherits the
-    parent's tracing switches; the pool's shipper absorbs everything
-    recorded before the first shard."""
-    ec = EngineCircuit(circuit)
-    # The parent's compiled timing tables (slew fixed point, worst-arc
-    # delays, pruning bounds) are derived purely from circuit + corner:
-    # seeding them gives byte-identical values without redoing the
-    # sweeps once per worker process.
-    calc = DelayCalculator(ec, charlib, compiled=compiled_tables,
-                           **calc_kwargs)
+def _shard_worker(ec: EngineCircuit, calc: DelayCalculator,
+                  finder_kwargs: Dict, fault_plan: object,
+                  beats: bool) -> Callable:
+    """Pool worker init: return the per-shard handler, which searches
+    the parent's session (inherited on fork, unpickled on spawn).  The
+    forked worker inherits the parent's tracing switches; the pool's
+    shipper absorbs everything recorded before the first shard.  Faults
+    fire only here, in workers."""
 
     def search(origin: str, attempt: int, beat: Callable) -> ShardResult:
         if fault_plan is not None:
-            fault_plan.before_shard(origin, attempt, in_worker=True)
+            fault_plan.before_shard(origin, attempt)
         publisher = HeartbeatPublisher(beat, origin) if beats else None
         if publisher is not None:
             publisher.started()
@@ -235,10 +256,8 @@ class ShardSupervisor:
     supervision.
 
     One instance covers one search invocation; :meth:`run` is the only
-    entry point.  In-process shards (``jobs == 1``, and the serial
-    fallback of pooled ones) search on the session's ``ec``/``calc``;
-    pooled workers rebuild the same calculator from :attr:`calc_kwargs`
-    and seed it with the session's compiled tables.
+    entry point.  Every shard -- in-process (``jobs == 1``, the serial
+    fallback) or pooled -- searches on the session's ``ec``/``calc``.
     """
 
     def __init__(
@@ -252,12 +271,17 @@ class ShardSupervisor:
         self.ec = ec
         self.calc = calc
         self.circuit = ec.circuit
+        #: The corner, as the checkpoint fingerprint hashes it.
         self.calc_kwargs = dict(
             temp=calc.temp, vdd=calc.vdd, input_slew=calc.input_slew,
             vector_blind=calc.vector_blind, wire=calc.wire,
             missing_arc_policy=calc.missing_arc_policy,
         )
         self.finder_kwargs = dict(finder_kwargs)
+        if self.finder_kwargs.get("budgets") is not None:
+            # One wall deadline for the whole run, every shard included.
+            self.finder_kwargs["budgets"] = \
+                self.finder_kwargs["budgets"].started()
         self.config = config
         self.fault_plan = fault_plan
         self._completed_count = 0
@@ -410,9 +434,6 @@ class ShardSupervisor:
             if max_paths is not None and found >= max_paths:
                 return
             if shard.result is None:
-                if self.fault_plan is not None:
-                    self.fault_plan.before_shard(shard.origin, shard.attempts,
-                                                 in_worker=False)
                 shard.attempts += 1
                 finder_kwargs = self.finder_kwargs
                 if max_paths is not None:
@@ -438,21 +459,17 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     def _run_pooled(self, pending: List[_Shard]) -> None:
         config = self.config
-        compiled = None
         if self.finder_kwargs.get("n_worst") is not None:
-            # Ship the session's compiled tables (slew fixed point,
-            # worst-arc delays, both pruning bounds): worker calculators
-            # seed them instead of re-deriving the sweeps per process.
-            compiled = self.calc.export_tables()
-            obs_metrics.REGISTRY.counter("perf.compiled_tables_shipped").inc()
+            # Sweep once, here, before any worker forks from this state.
+            self.calc.prune_bounds()
+            self.calc.ensure_worst_arc_table()
         # Pool events arrive on the slot threads; they are counted and
         # folded into the board on this thread, like everything else.
         events: "queue.SimpleQueue" = queue.SimpleQueue()
         pool = WorkerPool(
             config.jobs,
-            partial(_shard_worker, self.circuit, self.calc.charlib,
-                    self.calc_kwargs, self.finder_kwargs, self.fault_plan,
-                    self._board is not None, compiled),
+            partial(_shard_worker, self.ec, self.calc, self.finder_kwargs,
+                    self.fault_plan, self._board is not None),
             on_event=lambda *event: events.put(event),
             retries=config.shard_retries, retry_backoff=RETRY_BACKOFF,
             name="shard",

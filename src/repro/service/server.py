@@ -89,12 +89,11 @@ class ServiceConfig:
     heartbeat_interval: float = 5.0
     #: Honor the ``fault`` request param (test/CI harnesses only).
     allow_fault_injection: bool = False
-    #: Worker processes (>= 1).  One worker keeps one context cache:
-    #: the pool hands sequential tasks to its workers in turn, so at
-    #: N workers one client's same-config requests pay up to N builds.
+    #: Worker processes (>= 1), and the admission slots.  One worker
+    #: keeps one context cache: the pool hands sequential tasks to its
+    #: workers in turn, so at N workers one client's same-config
+    #: requests pay up to N builds.
     fleet: int = 1
-    #: Admission slots; default = fleet width.
-    max_inflight: Optional[int] = None
     #: Waiting tickets beyond which new arrivals are shed.
     max_queue: int = 32
     #: Crash retries per request before giving up.
@@ -195,17 +194,18 @@ class AnalysisServer:
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_async = asyncio.Event()
+        # One admission slot per worker: more would only move the wait
+        # from the EDF queue into the pool's FIFO, fewer would idle one.
         width = self.fleet.width
-        max_inflight = self.config.max_inflight or width
         self._admission = AdmissionController(
-            max_inflight=max_inflight, max_queue=self.config.max_queue)
+            max_inflight=width, max_queue=self.config.max_queue)
         self._restore_warm_state()
         server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port)
         self.port = server.sockets[0].getsockname()[1]
         _log.info("service.listening", host=self.config.host,
                   port=self.port, fleet=self.config.fleet,
-                  max_inflight=max_inflight,
+                  max_inflight=width,
                   max_queue=self.config.max_queue)
         self._ready.set()
         snapshotter = None

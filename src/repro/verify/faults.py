@@ -19,9 +19,10 @@ machine is never.  This module makes them run deterministically:
   asserts the recovered output is *identical* to a fault-free run (or,
   for corruption, that the run degrades per policy instead of dying).
 
-Faults are injected only into worker processes (``in_worker=True``);
-the serial fallback and ``jobs=1`` runs see the same plan but no
-faults, which is precisely the recovery guarantee being tested.
+Faults are injected only into worker processes: only the pooled shard
+handler calls :meth:`FaultPlan.before_shard`, so the serial fallback and
+``jobs=1`` runs see the same plan but no faults, which is precisely the
+recovery guarantee being tested.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.charlib.store import CharacterizedLibrary
 from repro.core.path import TimedPath
+from repro.core.sta import TruePathSTA
 from repro.netlist.circuit import Circuit
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
@@ -77,14 +79,11 @@ class FaultPlan:
     #: shards have completed (None = never) -- a deterministic SIGINT.
     interrupt_after: Optional[int] = None
 
-    def before_shard(self, origin: str, attempt: int,
-                     in_worker: bool) -> None:
-        """Supervisor/worker hook: called immediately before a shard's
-        search starts.  Faults fire only inside pool workers; the
-        in-process paths (serial mode, serial fallback) are fault-free
-        by construction."""
-        if not in_worker:
-            return
+    def before_shard(self, origin: str, attempt: int) -> None:
+        """Worker hook: called immediately before a pooled shard's
+        search starts.  The in-process paths (serial mode, serial
+        fallback) never call it, so they are fault-free by
+        construction."""
         if origin in self.crash_origins and attempt in self.crash_attempts:
             # Hard death: skips every finally/atexit, like a kill -9.
             os._exit(self.crash_exit_code)
@@ -233,8 +232,6 @@ def run_faults(
     recovery that silently dropped or re-ordered work fails the
     scenario even though no exception escaped.
     """
-    from repro.perf import supervised_find_paths
-
     selected = list(scenarios) if scenarios is not None \
         else list(FAULT_SCENARIOS)
     unknown = [name for name in selected if name not in FAULT_SCENARIOS]
@@ -247,8 +244,8 @@ def run_faults(
     rng = random.Random(seed)
 
     started = time.perf_counter()
-    reference = supervised_find_paths(
-        circuit, charlib, jobs=jobs, max_paths=max_paths)
+    reference = TruePathSTA(circuit, charlib).analyze(
+        jobs=jobs, max_paths=max_paths)
     baseline_elapsed = time.perf_counter() - started
     reference_ids = [_path_identity(p) for p in reference.paths]
     if shard_timeout is None:
@@ -277,8 +274,8 @@ def run_faults(
             if name == "worker_crash":
                 victims = tuple(rng.sample(origins,
                                            min(2, len(origins))))
-                result = supervised_find_paths(
-                    circuit, charlib, jobs=jobs, max_paths=max_paths,
+                result = TruePathSTA(circuit, charlib).analyze(
+                    jobs=jobs, max_paths=max_paths,
                     fault_plan=FaultPlan(crash_origins=victims),
                 )
                 outcome = compare(name, result, _delta(before), {
@@ -287,8 +284,8 @@ def run_faults(
                 })
             elif name == "shard_timeout":
                 victim = (rng.choice(origins),)
-                result = supervised_find_paths(
-                    circuit, charlib, jobs=jobs, max_paths=max_paths,
+                result = TruePathSTA(circuit, charlib).analyze(
+                    jobs=jobs, max_paths=max_paths,
                     shard_timeout=shard_timeout,
                     fault_plan=FaultPlan(
                         hang_origins=victim,
@@ -483,13 +480,10 @@ def _server_worker_crash(client, base_params, reference, rng, origins,
 
 def _server_degraded_bounds(client, base_params, context, rng, origins,
                             before) -> FaultScenarioResult:
-    from repro.perf import supervised_find_paths
-
     # Reference run first, so the victim can be drawn from origins that
     # actually produce paths -- otherwise the bound-dominance check
     # below would be vacuous (max over an empty set).
-    fault_free = supervised_find_paths(
-        context.circuit, context.charlib, jobs=1,
+    fault_free = TruePathSTA(context.circuit, context.charlib).analyze(
         max_paths=base_params.get("max_paths"))
     productive = sorted({p.nets[0] for p in fault_free.paths})
     victim = rng.choice(productive or origins)
@@ -754,7 +748,7 @@ def _server_queue_overflow(base_params, reference, origins, seed,
 
     handle = start_in_thread(ServiceConfig(
         allow_fault_injection=True, heartbeat_interval=0.25,
-        max_inflight=1, max_queue=1))
+        max_queue=1))
     slow_box, queued_box = {}, {}
     threads = []
 
@@ -857,15 +851,12 @@ def _run_corrupt_charlib(circuit, charlib, seed, jobs, max_paths,
     error; under ``warn-substitute`` it must complete with the
     substitution counter raised, identically in serial and parallel."""
     from repro.core.delaycalc import MissingArcsError
-    from repro.perf import supervised_find_paths
-
     corrupted, dropped = corrupt_charlib(charlib, circuit, seed=seed)
     if not dropped:
         return FaultScenarioResult(
             "corrupt_charlib", True, "no droppable arcs; skipped")
     try:
-        supervised_find_paths(circuit, corrupted, jobs=1,
-                              max_paths=max_paths)
+        TruePathSTA(circuit, corrupted).analyze(max_paths=max_paths)
     except MissingArcsError:
         pass  # the policy decision the `error` default promises
     else:
@@ -873,12 +864,12 @@ def _run_corrupt_charlib(circuit, charlib, seed, jobs, max_paths,
             "corrupt_charlib", False,
             f"{len(dropped)} arcs dropped but policy `error` "
             "did not raise", _delta(before))
-    serial = supervised_find_paths(
-        circuit, corrupted, jobs=1, max_paths=max_paths,
-        missing_arc_policy="warn-substitute")
-    parallel = supervised_find_paths(
-        circuit, corrupted, jobs=jobs, max_paths=max_paths,
-        missing_arc_policy="warn-substitute")
+    serial = TruePathSTA(
+        circuit, corrupted, missing_arc_policy="warn-substitute",
+    ).analyze(max_paths=max_paths)
+    parallel = TruePathSTA(
+        circuit, corrupted, missing_arc_policy="warn-substitute",
+    ).analyze(jobs=jobs, max_paths=max_paths)
     recovery = _delta(before)
     serial_ids = [_path_identity(p) for p in serial.paths]
     parallel_ids = [_path_identity(p) for p in parallel.paths]
@@ -901,15 +892,12 @@ def _run_interrupt_resume(circuit, charlib, jobs, max_paths,
     """Interrupt a checkpointed run mid-flight, then resume from the
     snapshot: the union must be the exact fault-free path set and the
     resumed run must adopt at least one shard without re-searching."""
-    from repro.perf import supervised_find_paths
-
     interrupt_after = max(1, len(circuit.inputs) // 2)
     with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
         checkpoint = os.path.join(tmp, "search.ckpt.json")
         try:
-            supervised_find_paths(
-                circuit, charlib, jobs=jobs, max_paths=max_paths,
-                checkpoint=checkpoint,
+            TruePathSTA(circuit, charlib).analyze(
+                jobs=jobs, max_paths=max_paths, checkpoint=checkpoint,
                 fault_plan=FaultPlan(interrupt_after=interrupt_after),
             )
         except SearchInterrupted as exc:
@@ -922,9 +910,8 @@ def _run_interrupt_resume(circuit, charlib, jobs, max_paths,
             return FaultScenarioResult(
                 "interrupt_resume", False,
                 "no checkpoint written before interrupt", _delta(before))
-        resumed = supervised_find_paths(
-            circuit, charlib, jobs=jobs, max_paths=max_paths,
-            resume=checkpoint,
+        resumed = TruePathSTA(circuit, charlib).analyze(
+            jobs=jobs, max_paths=max_paths, resume=checkpoint,
         )
     recovery = _delta(before)
     got = [_path_identity(p) for p in resumed.paths]

@@ -255,13 +255,11 @@ def check_parallel_identical(
     max_paths: Optional[int] = 2000,
     n_worst: Optional[int] = None,
 ) -> InvariantResult:
-    from repro.perf import supervised_find_paths
-
     serial = TruePathSTA(circuit, charlib).enumerate_paths(
         max_paths=max_paths, n_worst=n_worst
     )
-    parallel = supervised_find_paths(
-        circuit, charlib, jobs=jobs, max_paths=max_paths, n_worst=n_worst
+    parallel = TruePathSTA(circuit, charlib).analyze(
+        jobs=jobs, max_paths=max_paths, n_worst=n_worst
     ).paths
     if n_worst is None:
         serial_ids = [_path_identity(p) for p in serial]

@@ -135,7 +135,7 @@ class TestWarnSubstituteEquivalence:
         serial and parallel runs pick identical substitute arcs."""
         from repro.netlist.generate import random_dag
         from repro.netlist.techmap import techmap
-        from repro.perf import supervised_find_paths
+        from repro.core.sta import TruePathSTA
         from repro.verify.faults import corrupt_charlib
         from repro.verify.metamorphic import _path_identity
 
@@ -143,11 +143,11 @@ class TestWarnSubstituteEquivalence:
         corrupted, dropped = corrupt_charlib(charlib_poly_90, circuit,
                                              seed=2)
         assert dropped
-        serial = supervised_find_paths(
-            circuit, corrupted, jobs=1,
-            missing_arc_policy="warn-substitute")
-        parallel = supervised_find_paths(
-            circuit, corrupted, jobs=2,
-            missing_arc_policy="warn-substitute")
+        serial = TruePathSTA(
+            circuit, corrupted, missing_arc_policy="warn-substitute",
+        ).analyze(jobs=1)
+        parallel = TruePathSTA(
+            circuit, corrupted, missing_arc_policy="warn-substitute",
+        ).analyze(jobs=2)
         assert ([_path_identity(p) for p in serial.paths]
                 == [_path_identity(p) for p in parallel.paths])

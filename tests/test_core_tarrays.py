@@ -10,8 +10,6 @@ models that the whole scheme rests on (``evaluate_many(batch)[i]``
 bitwise-equal to ``evaluate(batch[i])``).
 """
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -19,11 +17,9 @@ from repro.core.delaycalc import DelayCalculator
 from repro.core.engine import EngineCircuit
 from repro.core.pathfinder import PathFinder
 from repro.core.sta import TruePathSTA
-from repro.core.tarrays import CompiledTables, TimingArrays
+from repro.core.tarrays import TimingArrays
 from repro.core.tgraph import PruneBounds
 from repro.eval.iscas import build_circuit
-from repro.obs import metrics as obs_metrics
-from repro.perf.parallel import supervised_find_paths
 from repro.verify.fuzz import generate_case
 from repro.verify.metamorphic import (
     reference_bound_slews,
@@ -170,11 +166,11 @@ class TestNWorstEquivalence:
         circuit = build_circuit("c432", scale=0.3)
         default = TruePathSTA(circuit, charlib_poly_90)
         reference, calc = _calcs(circuit, charlib_poly_90)
-        bounds = PruneBounds(
+        calc._prune_bounds = PruneBounds(
             required=tuple(reference_required_bounds(reference)),
             suffix=tuple(reference.remaining_bounds()),
         )
-        finder = PathFinder(calc.ec, calc, n_worst=5, bounds=bounds)
+        finder = PathFinder(calc.ec, calc, n_worst=5)
         with finder.find_paths() as stream:
             paths_ref = list(stream)
         paths = default.enumerate_paths(n_worst=5)
@@ -184,17 +180,18 @@ class TestNWorstEquivalence:
 
 class TestShardShipping:
     def test_jobs2_matches_serial(self, charlib_poly_90, clean_obs):
-        """Shipping CompiledTables to shards changes nothing observable.
+        """Pooled shards search the session's own tables.
 
-        The contract of ``repro.perf.parallel``: pooled shards prune
-        against their own top-N heaps, so the ``jobs=2`` stream is a
-        superset of the serial (shared-heap) one, with the same top N.
+        The merge contract of ``repro.resilience.supervisor``: pooled
+        shards prune against their own top-N heaps, so the ``jobs=2``
+        stream is a superset of the serial (shared-heap) one, with the
+        same top N.
         """
         circuit = build_circuit("c432", scale=0.3)
-        serial = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=1, n_worst=5)
-        sharded = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, n_worst=5)
+        serial = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=1, n_worst=5)
+        sharded = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, n_worst=5)
 
         def key(path):
             return (path.worst_arrival, tuple(path.nets),
@@ -208,39 +205,6 @@ class TestShardShipping:
         assert {key(p) for p in serial.paths} <= {
             key(p) for p in sharded.paths}
         assert top(serial.paths) == top(sharded.paths)
-        shipped = obs_metrics.REGISTRY.counter("perf.compiled_tables_shipped")
-        assert shipped.value >= 1
-
-
-class TestCompiledTables:
-    def test_pickle_roundtrip_and_seed(self, charlib_poly_90):
-        circuit = build_circuit("c432", scale=0.3)
-        _, vectorized = _calcs(circuit, charlib_poly_90)
-        tables = vectorized.export_tables()
-
-        thawed = pickle.loads(pickle.dumps(tables))
-        assert isinstance(thawed, CompiledTables)
-        assert thawed.bound_slews == tables.bound_slews
-        assert thawed.required == tables.required
-        assert thawed.suffix == tables.suffix
-        assert thawed.worst_arc == tables.worst_arc
-
-        seeded = DelayCalculator(
-            EngineCircuit(circuit), charlib_poly_90, compiled=thawed)
-        assert seeded.bound_slews() == vectorized.bound_slews()
-        pb = seeded.prune_bounds()
-        assert pb.required == tables.required
-        assert pb.suffix == tables.suffix
-
-    def test_seeded_calc_skips_recompute(self, charlib_poly_90):
-        circuit = build_circuit("c17")
-        _, vectorized = _calcs(circuit, charlib_poly_90)
-        tables = vectorized.export_tables()
-        seeded = DelayCalculator(
-            EngineCircuit(circuit), charlib_poly_90, compiled=tables)
-        # Seeding installs the finished tables directly; no sweep runs.
-        assert seeded._prune_bounds is not None
-        assert seeded._worst_table_complete
 
 
 class TestLazyMissingArcs:

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.delaycalc import DelayCalculator
 from repro.core.engine import EngineCircuit
 from repro.core.sta import TruePathSTA
 from repro.core.tgraph import PruneBounds, net_levels
@@ -134,7 +133,7 @@ class TestBoundProperties:
         assert isinstance(bounds, PruneBounds)
         assert bounds.required == tuple(calc.required_bounds())
         assert bounds.suffix == tuple(calc.remaining_bounds())
-        # Shipped to pool workers by value: must round-trip pickle.
+        # Pickled with the session into spawn-start pool workers.
         assert pickle.loads(pickle.dumps(bounds)) == bounds
 
 
@@ -158,25 +157,3 @@ class TestBoundPruningRegression:
             (p.worst_arrival for p in sta.enumerate_paths()), reverse=True
         )[:3]
         assert [p.worst_arrival for p in pruned] == pytest.approx(exhaustive)
-
-    def test_explicit_bounds_reproduce_default_search(self, charlib_poly_90):
-        """Passing precomputed PruneBounds (the parallel driver's path)
-        gives the same paths and the same prune counters."""
-        from repro.core.pathfinder import PathFinder
-
-        circuit = techmap(random_dag(f"nw{self.SEED}", 10, 45, seed=self.SEED))
-        ec = EngineCircuit(circuit)
-        calc = DelayCalculator(ec, charlib_poly_90)
-
-        def run(**kwargs):
-            finder = PathFinder(ec, calc, n_worst=3, **kwargs)
-            with finder.find_paths() as stream:
-                paths = list(stream)
-            return paths, finder.stats
-
-        default_paths, default_stats = run()
-        shipped = pickle.loads(pickle.dumps(calc.prune_bounds()))
-        explicit_paths, explicit_stats = run(bounds=shipped)
-        assert [p.key for p in explicit_paths] == [p.key for p in default_paths]
-        assert explicit_stats.pruned == default_stats.pruned
-        assert explicit_stats.bound_prunes == default_stats.bound_prunes

@@ -105,15 +105,15 @@ class TestSupervisedTrace:
         """The acceptance trace: a --jobs run under fault injection
         exports worker lanes plus crash/retry instants."""
         from repro.cli import load_circuit
-        from repro.perf.parallel import supervised_find_paths
+        from repro.core.sta import TruePathSTA
         from repro.verify.faults import FaultPlan
 
         circuit = load_circuit("iscas:c432@0.1")
         origins = list(circuit.inputs)
         export.enable()
         plan = FaultPlan(crash_origins=(origins[1],))
-        supervised_find_paths(circuit, charlib_poly_90, jobs=2,
-                              shard_retries=2, fault_plan=plan)
+        TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, shard_retries=2, fault_plan=plan)
         events = validate_trace(export.collector().as_dict())
 
         lanes = {e["args"]["name"] for e in events if e["ph"] == "M"}
@@ -133,16 +133,15 @@ class TestSupervisedTrace:
 
     def test_shard_timeout_instant(self, clean_obs, charlib_poly_90):
         from repro.cli import load_circuit
-        from repro.perf.parallel import supervised_find_paths
+        from repro.core.sta import TruePathSTA
         from repro.verify.faults import FaultPlan
 
         circuit = load_circuit("iscas:c432@0.1")
         origins = list(circuit.inputs)
         export.enable()
         plan = FaultPlan(hang_origins=(origins[0],))
-        supervised_find_paths(circuit, charlib_poly_90, jobs=2,
-                              shard_timeout=2.0, shard_retries=1,
-                              fault_plan=plan)
+        TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, shard_timeout=2.0, shard_retries=1, fault_plan=plan)
         events = validate_trace(export.collector().as_dict())
         instants = {e["name"] for e in events if e["ph"] == "i"}
         assert "resilience.shard_timeout" in instants

@@ -17,7 +17,6 @@ import pytest
 from repro import obs
 from repro.cli import load_circuit
 from repro.core.sta import TruePathSTA
-from repro.perf.parallel import supervised_find_paths
 from repro.verify.faults import FaultPlan
 
 #: Counters that must match a serial run byte-for-byte (both the bare
@@ -66,7 +65,7 @@ def serial_baseline(c432, charlib_poly_90, clean_obs):
 class TestSerialParallelEquivalence:
     def test_jobs4_counters_byte_identical_to_serial(
             self, c432, charlib_poly_90, serial_baseline):
-        supervised_find_paths(c432, charlib_poly_90, jobs=4)
+        TruePathSTA(c432, charlib_poly_90).analyze(jobs=4)
         assert exact_counters(obs.snapshot()) == serial_baseline
 
     def test_supervised_jobs1_matches_plain_serial(
@@ -79,7 +78,7 @@ class TestSerialParallelEquivalence:
         shards share the serial search's top-N heap and path count, so
         the paths, their order, the per-origin statuses and every work
         counter equal the plain stream's."""
-        supervised_find_paths(c432, charlib_poly_90, jobs=1)
+        TruePathSTA(c432, charlib_poly_90).analyze(jobs=1)
         assert exact_counters(obs.snapshot()) == serial_baseline
 
         everything = TruePathSTA(c432, charlib_poly_90).enumerate_paths()
@@ -94,8 +93,8 @@ class TestSerialParallelEquivalence:
             plain = plain_sta.enumerate_paths(**limits)
             want = exact_counters(obs.snapshot(), WORK_KEYS)
             obs.reset()
-            result = supervised_find_paths(c432, charlib_poly_90, jobs=1,
-                                           **limits)
+            result = TruePathSTA(c432, charlib_poly_90).analyze(jobs=1,
+                                                                **limits)
             assert [p.key for p in result.paths] == \
                 [p.key for p in plain], limits
             assert exact_counters(obs.snapshot(), WORK_KEYS) == want, limits
@@ -115,10 +114,9 @@ class TestSerialParallelEquivalence:
         """A crashed worker's partial work is absorbed, and only the
         successful retry's telemetry lands in the parent registry."""
         victims = tuple(c432.inputs)[1:3]
-        supervised_find_paths(
-            c432, charlib_poly_90, jobs=2, shard_retries=2,
-            fault_plan=FaultPlan(crash_origins=victims),
-        )
+        TruePathSTA(c432, charlib_poly_90).analyze(
+            jobs=2, shard_retries=2,
+            fault_plan=FaultPlan(crash_origins=victims))
         snap = obs.snapshot()
         assert exact_counters(snap) == serial_baseline
         assert snap["resilience.worker_crashes"] >= 1
@@ -130,12 +128,10 @@ class TestSerialParallelEquivalence:
         stats must be published exactly once (in-process publication,
         not the merge's checkpoint path)."""
         victim = tuple(c432.inputs)[0]
-        supervised_find_paths(
-            c432, charlib_poly_90, jobs=2, shard_retries=1,
-            serial_fallback=True,
+        TruePathSTA(c432, charlib_poly_90).analyze(
+            jobs=2, shard_retries=1, serial_fallback=True,
             fault_plan=FaultPlan(crash_origins=(victim,),
-                                 crash_attempts=(0, 1)),
-        )
+                                 crash_attempts=(0, 1)))
         snap = obs.snapshot()
         assert exact_counters(snap) == serial_baseline
         assert snap["resilience.serial_fallbacks"] == 1
@@ -145,10 +141,9 @@ class TestSerialParallelEquivalence:
         """A silently hung shard is detected by heartbeat gap, killed,
         retried -- and the merged counters still equal serial."""
         victim = tuple(c432.inputs)[2]
-        supervised_find_paths(
-            c432, charlib_poly_90, jobs=2, heartbeat_timeout=1.5,
-            shard_retries=2, fault_plan=FaultPlan(hang_origins=(victim,)),
-        )
+        TruePathSTA(c432, charlib_poly_90).analyze(
+            jobs=2, heartbeat_timeout=1.5, shard_retries=2,
+            fault_plan=FaultPlan(hang_origins=(victim,)))
         snap = obs.snapshot()
         assert exact_counters(snap) == serial_baseline
         assert snap["resilience.heartbeat_stalls"] >= 1
@@ -158,7 +153,7 @@ class TestSerialParallelEquivalence:
         """Worker span trees merge into the parent's aggregates: the
         search spans report one count per shard, not zero."""
         obs.tracing.enable()
-        supervised_find_paths(c432, charlib_poly_90, jobs=2)
+        TruePathSTA(c432, charlib_poly_90).analyze(jobs=2)
         aggregates = obs.tracing.aggregates()
         search_spans = {name: entry for name, entry in aggregates.items()
                         if "pathfinder" in name or "search" in name}
@@ -196,10 +191,26 @@ class TestWarmSession:
         assert snap["delaycalc.arc_cache_misses"] == 0
 
 
+    def test_pooled_workers_search_the_warm_session(
+            self, charlib_poly_90, clean_obs):
+        """Pooled workers search the caller's session itself: after a
+        serial search warmed it, an exhaustive ``jobs=2`` search
+        resolves every arc from the inherited memo and finds the same
+        paths."""
+        sta = TruePathSTA(load_circuit("iscas:c432@0.3"), charlib_poly_90)
+        serial = sta.analyze(jobs=1)
+        obs.reset()
+        pooled = sta.analyze(jobs=2)
+        snap = obs.snapshot()
+        assert [p.key for p in pooled.paths] == [p.key for p in serial.paths]
+        assert snap["delaycalc.arc_evaluations"] > 0
+        assert snap["delaycalc.arc_cache_misses"] == 0
+
+
 class TestPerShardGauges:
     def test_resource_gauges_labeled_per_shard(
             self, c432, charlib_poly_90, clean_obs):
-        supervised_find_paths(c432, charlib_poly_90, jobs=2)
+        TruePathSTA(c432, charlib_poly_90).analyze(jobs=2)
         snap = obs.snapshot()
         rss = {key for key in snap
                if key.startswith("run.peak_rss_bytes{shard=")}

@@ -1,6 +1,6 @@
 """Equivalence of the supervised parallel driver with the serial search.
 
-Property-style: on generated circuits, ``supervised_find_paths`` must
+Property-style: on generated circuits, ``TruePathSTA.analyze`` must
 yield exactly the same path stream (nets, vectors, arrivals) and the
 same merged search-effort totals as the serial single-pass search --
 the shards are per-origin and origins never share state, so any
@@ -15,7 +15,6 @@ from repro import obs
 from repro.core.sta import TruePathSTA
 from repro.netlist.generate import random_dag
 from repro.netlist.techmap import techmap
-from repro.perf import supervised_find_paths
 
 #: Counters that must merge to exactly the serial totals on an
 #: unrestricted search (cpu_seconds is wall-clock, pruned depends on
@@ -56,7 +55,7 @@ class TestParallelEqualsSerial:
         serial = sta.enumerate_paths()
         serial_stats = sta.last_stats.as_dict()
 
-        result = supervised_find_paths(circuit, charlib_poly_90, jobs=jobs)
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(jobs=jobs)
         paths, merged = result.paths, result.stats
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
         assert _arrivals(serial) == [p.worst_arrival for p in paths]
@@ -71,9 +70,8 @@ class TestParallelEqualsSerial:
         circuit = _circuit(seed)
         sta = TruePathSTA(circuit, charlib_poly_90)
         serial = sta.enumerate_paths(max_paths=5)
-        paths = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, max_paths=5
-        ).paths
+        paths = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, max_paths=5).paths
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
 
     @pytest.mark.parametrize("seed,n", [(3, 2), (11, 4)])
@@ -85,9 +83,8 @@ class TestParallelEqualsSerial:
         exhaustive = sorted(
             (p.worst_arrival for p in sta.enumerate_paths()), reverse=True
         )[:n]
-        paths = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, n_worst=n
-        ).paths
+        paths = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, n_worst=n).paths
         top = sorted((p.worst_arrival for p in paths), reverse=True)[:n]
         assert top == pytest.approx(exhaustive)
 
@@ -95,9 +92,9 @@ class TestParallelEqualsSerial:
         """The in-process shard/merge pipeline (jobs=1) is the reference
         the pooled path must match."""
         circuit = _circuit(5)
-        lone_result = supervised_find_paths(circuit, charlib_poly_90, jobs=1)
+        lone_result = TruePathSTA(circuit, charlib_poly_90).analyze(jobs=1)
         lone, lone_stats = lone_result.paths, lone_result.stats
-        pooled_result = supervised_find_paths(circuit, charlib_poly_90, jobs=2)
+        pooled_result = TruePathSTA(circuit, charlib_poly_90).analyze(jobs=2)
         pooled, pooled_stats = pooled_result.paths, pooled_result.stats
         assert [_key(p) for p in pooled] == [_key(p) for p in lone]
         for counter in EXACT_COUNTERS:
@@ -105,7 +102,7 @@ class TestParallelEqualsSerial:
 
     def test_rejects_bad_jobs(self, charlib_poly_90):
         with pytest.raises(ValueError):
-            supervised_find_paths(_circuit(5), charlib_poly_90, jobs=0)
+            TruePathSTA(_circuit(5), charlib_poly_90).analyze(jobs=0)
 
 
 class TestParallelMetrics:
@@ -113,7 +110,7 @@ class TestParallelMetrics:
         self, charlib_poly_90, clean_obs
     ):
         circuit = _circuit(9)
-        result = supervised_find_paths(circuit, charlib_poly_90, jobs=2)
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(jobs=2)
         paths, merged = result.paths, result.stats
         snap = obs.metrics.snapshot()
         assert snap["pathfinder.paths_found"] == len(paths)

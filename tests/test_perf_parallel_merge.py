@@ -1,4 +1,4 @@
-"""Merge edge cases of the parallel driver (repro.perf.parallel).
+"""Merge edge cases of the parallel driver (repro.resilience.supervisor).
 
 test_perf_parallel.py covers bulk serial/parallel equivalence on
 generated circuits; this module pins the merge corners: shards that
@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.sta import TruePathSTA
 from repro.netlist.circuit import Circuit
-from repro.perf import supervised_find_paths
 
 
 def _key(path):
@@ -42,7 +41,7 @@ class TestEmptyShard:
         serial = TruePathSTA(circuit, charlib_small_90).enumerate_paths()
         assert serial, "sanity: the live origin must yield paths"
         assert all(p.nets[0] == "a" for p in serial)
-        result = supervised_find_paths(circuit, charlib_small_90, jobs=2)
+        result = TruePathSTA(circuit, charlib_small_90).analyze(jobs=2)
         paths, stats = result.paths, result.stats
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
         assert stats.paths_found == len(serial)
@@ -55,8 +54,7 @@ class TestEmptyShard:
         sta = TruePathSTA(circuit, charlib_small_90)
         sta.enumerate_paths()
         serial_stats = sta.last_stats
-        merged = supervised_find_paths(circuit, charlib_small_90,
-                                       jobs=2).stats
+        merged = TruePathSTA(circuit, charlib_small_90).analyze(jobs=2).stats
         assert merged.extensions_tried == serial_stats.extensions_tried
         assert merged.conflicts == serial_stats.conflicts
 
@@ -68,7 +66,7 @@ class TestEmptyShard:
         c.add_gate("NAND2", "out", {"A": "m", "B": "mn"})
         c.add_output("out")
         c.check()
-        result = supervised_find_paths(c, charlib_small_90, jobs=2)
+        result = TruePathSTA(c, charlib_small_90).analyze(jobs=2)
         paths, stats = result.paths, result.stats
         assert paths == []
         assert stats.paths_found == 0
@@ -90,15 +88,14 @@ class TestSingleOrigin:
         serial = TruePathSTA(circuit, charlib_small_90).enumerate_paths()
         # jobs=8 on a one-input circuit must clamp, not spawn idle
         # workers or duplicate the shard.
-        result = supervised_find_paths(circuit, charlib_small_90, jobs=8)
+        result = TruePathSTA(circuit, charlib_small_90).analyze(jobs=8)
         paths, stats = result.paths, result.stats
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
         assert stats.paths_found == len(serial)
 
     def test_jobs_zero_rejected(self, charlib_small_90, library):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            supervised_find_paths(self._chain(library), charlib_small_90,
-                                  jobs=0)
+            TruePathSTA(self._chain(library), charlib_small_90).analyze(jobs=0)
 
 
 class TestOrderAndTruncation:
@@ -106,7 +103,7 @@ class TestOrderAndTruncation:
         from repro.netlist.generate import c17
 
         serial = TruePathSTA(c17(), charlib_poly_90).enumerate_paths()
-        paths = supervised_find_paths(c17(), charlib_poly_90, jobs=3).paths
+        paths = TruePathSTA(c17(), charlib_poly_90).analyze(jobs=3).paths
         assert [_key(p) for p in paths] == [_key(p) for p in serial]
 
     def test_max_paths_truncates_merged_stream(self, charlib_poly_90):
@@ -114,9 +111,8 @@ class TestOrderAndTruncation:
 
         serial = TruePathSTA(c17(), charlib_poly_90).enumerate_paths()
         limit = max(1, len(serial) // 2)
-        paths = supervised_find_paths(
-            c17(), charlib_poly_90, jobs=2, max_paths=limit
-        ).paths
+        paths = TruePathSTA(c17(), charlib_poly_90).analyze(
+            jobs=2, max_paths=limit).paths
         assert len(paths) == limit
         # The kept prefix is origin-ordered like an early-stopped
         # serial run (per-shard streams are serial-identical).

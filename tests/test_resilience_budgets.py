@@ -209,6 +209,25 @@ class TestAnalyzeDegraded:
         registry = clean_obs.metrics.REGISTRY
         assert registry.counter("resilience.degraded_origins").value > 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_expired_wall_deadline_skips_every_origin(
+            self, charlib_poly_90, clean_obs, jobs):
+        """The wall axis is one deadline per analyze() call, shared by
+        every shard: once it has passed, an origin is skipped before its
+        first extension, in-process or on a pooled worker."""
+        circuit = _circuit(seed=9, gates=35)
+        sta = TruePathSTA(circuit, charlib_poly_90)
+        analysis = sta.analyze(jobs=jobs,
+                               budgets=SearchBudgets(wall_seconds=1e-9))
+        assert analysis.stats.extensions_tried == 0
+        assert clean_obs.snapshot()["pathfinder.extensions_tried"] == 0
+        assert analysis.paths == []
+        origins = analysis.completeness.origins
+        assert list(origins) == list(circuit.inputs)
+        for outcome in origins.values():
+            assert outcome.status == "skipped"
+            assert outcome.gba_bound is not None
+
     def test_per_shard_budgets_beat_serial_ledger(self, charlib_poly_90):
         """analyze() gives each origin the full allowance (per-shard
         ledger), so it finds at least as many paths as a serial run

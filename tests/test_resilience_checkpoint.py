@@ -13,7 +13,6 @@ from repro.core.report import path_from_dict, path_to_dict
 from repro.core.sta import TruePathSTA
 from repro.netlist.generate import random_dag
 from repro.netlist.techmap import techmap
-from repro.perf import supervised_find_paths
 from repro.resilience.checkpoint import (
     CheckpointWriter,
     config_fingerprint,
@@ -113,19 +112,16 @@ class TestResumeEquivalence:
     def test_killed_run_resumes_to_exact_path_set(
             self, tmp_path, charlib_poly_90):
         circuit = _circuit(seed=33)
-        reference = supervised_find_paths(circuit, charlib_poly_90, jobs=2)
+        reference = TruePathSTA(circuit, charlib_poly_90).analyze(jobs=2)
         reference_ids = [_path_identity(p) for p in reference.paths]
 
         checkpoint = tmp_path / "killed.json"
         with pytest.raises(SearchInterrupted):
-            supervised_find_paths(
-                circuit, charlib_poly_90, jobs=2,
-                checkpoint=str(checkpoint),
-                fault_plan=FaultPlan(interrupt_after=2),
-            )
-        resumed = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, resume=str(checkpoint),
-        )
+            TruePathSTA(circuit, charlib_poly_90).analyze(
+                jobs=2, checkpoint=str(checkpoint),
+                fault_plan=FaultPlan(interrupt_after=2))
+        resumed = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, resume=str(checkpoint))
         assert [_path_identity(p) for p in resumed.paths] == reference_ids
         assert resumed.resumed_shards >= 2
         assert resumed.completeness.complete
@@ -134,11 +130,11 @@ class TestResumeEquivalence:
             self, tmp_path, charlib_poly_90):
         circuit = _circuit(seed=33)
         checkpoint = tmp_path / "cfg.json"
-        supervised_find_paths(circuit, charlib_poly_90, jobs=1,
-                              checkpoint=str(checkpoint))
+        TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=1, checkpoint=str(checkpoint))
         with pytest.raises(CheckpointError):
-            supervised_find_paths(circuit, charlib_poly_90, jobs=1,
-                                  max_paths=3, resume=str(checkpoint))
+            TruePathSTA(circuit, charlib_poly_90).analyze(
+                jobs=1, max_paths=3, resume=str(checkpoint))
 
     def test_resume_then_checkpoint_carries_adopted_shards(
             self, tmp_path, charlib_poly_90):
@@ -148,18 +144,14 @@ class TestResumeEquivalence:
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
         with pytest.raises(SearchInterrupted):
-            supervised_find_paths(
-                circuit, charlib_poly_90, jobs=2, checkpoint=str(first),
-                fault_plan=FaultPlan(interrupt_after=2),
-            )
-        supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2,
-            resume=str(first), checkpoint=str(second),
-        )
-        reference = supervised_find_paths(circuit, charlib_poly_90, jobs=2)
-        final = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, resume=str(second),
-        )
+            TruePathSTA(circuit, charlib_poly_90).analyze(
+                jobs=2, checkpoint=str(first),
+                fault_plan=FaultPlan(interrupt_after=2))
+        TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, resume=str(first), checkpoint=str(second))
+        reference = TruePathSTA(circuit, charlib_poly_90).analyze(jobs=2)
+        final = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, resume=str(second))
         assert final.resumed_shards == len(circuit.inputs)
         assert ([_path_identity(p) for p in final.paths]
                 == [_path_identity(p) for p in reference.paths])

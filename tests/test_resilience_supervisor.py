@@ -13,7 +13,6 @@ from repro.core.sta import TruePathSTA
 from repro.netlist.generate import random_dag
 from repro.netlist.techmap import techmap
 from repro.obs.progress import ProgressBoard
-from repro.perf import supervised_find_paths
 from repro.resilience.errors import SearchInterrupted
 from repro.verify.faults import FaultPlan
 from repro.verify.metamorphic import _path_identity
@@ -36,7 +35,7 @@ def _reference(circuit, charlib):
 class TestSupervisedEqualsSerial:
     def test_jobs1_pipeline_matches_serial(self, circuit, charlib_poly_90):
         serial = _reference(circuit, charlib_poly_90)
-        result = supervised_find_paths(circuit, charlib_poly_90, jobs=1)
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(jobs=1)
         assert ([_path_identity(p) for p in result.paths]
                 == [_path_identity(p) for p in serial])
         assert result.completeness.complete
@@ -45,7 +44,7 @@ class TestSupervisedEqualsSerial:
 
     def test_completeness_covers_every_origin(self, circuit,
                                               charlib_poly_90):
-        result = supervised_find_paths(circuit, charlib_poly_90, jobs=1)
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(jobs=1)
         assert list(result.completeness.origins) == list(circuit.inputs)
         assert all(o.status == "complete"
                    for o in result.completeness.origins.values())
@@ -56,10 +55,8 @@ class TestCrashRecovery:
             self, circuit, charlib_poly_90, clean_obs):
         serial = _reference(circuit, charlib_poly_90)
         victim = circuit.inputs[0]
-        result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2,
-            fault_plan=FaultPlan(crash_origins=(victim,)),
-        )
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, fault_plan=FaultPlan(crash_origins=(victim,)))
         assert ([_path_identity(p) for p in result.paths]
                 == [_path_identity(p) for p in serial])
         assert result.completeness.complete
@@ -73,11 +70,10 @@ class TestCrashRecovery:
         victim = circuit.inputs[1]
         # Crash on every pooled attempt: 1 initial + 2 retries, then
         # the in-process fallback (which the fault cannot reach).
-        result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2,
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2,
             fault_plan=FaultPlan(crash_origins=(victim,),
-                                 crash_attempts=(0, 1, 2)),
-        )
+                                 crash_attempts=(0, 1, 2)))
         assert ([_path_identity(p) for p in result.paths]
                 == [_path_identity(p) for p in serial])
         assert result.completeness.complete
@@ -88,12 +84,10 @@ class TestCrashRecovery:
             self, circuit, charlib_poly_90, clean_obs):
         serial = _reference(circuit, charlib_poly_90)
         victim = circuit.inputs[1]
-        result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2,
-            serial_fallback=False,
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, serial_fallback=False,
             fault_plan=FaultPlan(crash_origins=(victim,),
-                                 crash_attempts=(0, 1, 2)),
-        )
+                                 crash_attempts=(0, 1, 2)))
         outcome = result.completeness.origins[victim]
         assert outcome.status == "failed"
         assert outcome.paths_found == 0
@@ -113,10 +107,8 @@ class TestBlame:
             self, circuit, charlib_poly_90, clean_obs):
         serial = _reference(circuit, charlib_poly_90)
         victims = tuple(circuit.inputs[:2])
-        result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2,
-            fault_plan=FaultPlan(crash_origins=victims),
-        )
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, fault_plan=FaultPlan(crash_origins=victims))
         assert ([_path_identity(p) for p in result.paths]
                 == [_path_identity(p) for p in serial])
         registry = clean_obs.metrics.REGISTRY
@@ -146,11 +138,9 @@ class TestBlame:
                                   progress=progress)
 
         monkeypatch.setattr(supervisor, "run_shard", run_shard)
-        result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, shard_timeout=3.0,
-            fault_plan=FaultPlan(hang_origins=(victim,),
-                                 hang_seconds=60.0),
-        )
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, shard_timeout=3.0,
+            fault_plan=FaultPlan(hang_origins=(victim,), hang_seconds=60.0))
         assert ([_path_identity(p) for p in result.paths]
                 == [_path_identity(p) for p in serial])
         # The victim hangs before its search starts, so every origin,
@@ -176,8 +166,8 @@ class TestWorkerBeats:
             real_update(board, beat)
 
         monkeypatch.setattr(ProgressBoard, "update", update)
-        result = supervised_find_paths(circuit, charlib_poly_90, jobs=2,
-                                       progress=True)
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, progress=True)
         assert result.completeness.complete
         worker_beats = [b for b in beats if "ts" in b]
         for phase in ("started", "done"):
@@ -192,11 +182,9 @@ class TestTimeoutRecovery:
                                               charlib_poly_90, clean_obs):
         serial = _reference(circuit, charlib_poly_90)
         victim = circuit.inputs[2]
-        result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2, shard_timeout=3.0,
-            fault_plan=FaultPlan(hang_origins=(victim,),
-                                 hang_seconds=60.0),
-        )
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, shard_timeout=3.0,
+            fault_plan=FaultPlan(hang_origins=(victim,), hang_seconds=60.0))
         assert ([_path_identity(p) for p in result.paths]
                 == [_path_identity(p) for p in serial])
         registry = clean_obs.metrics.REGISTRY
@@ -208,11 +196,9 @@ class TestInterrupt:
             self, circuit, charlib_poly_90, clean_obs, tmp_path):
         checkpoint = tmp_path / "interrupted.json"
         with pytest.raises(SearchInterrupted) as excinfo:
-            supervised_find_paths(
-                circuit, charlib_poly_90, jobs=2,
-                checkpoint=str(checkpoint),
-                fault_plan=FaultPlan(interrupt_after=2),
-            )
+            TruePathSTA(circuit, charlib_poly_90).analyze(
+                jobs=2, checkpoint=str(checkpoint),
+                fault_plan=FaultPlan(interrupt_after=2))
         partial = excinfo.value.partial
         assert partial.interrupted
         complete = [o for o in partial.completeness.origins.values()
@@ -229,6 +215,38 @@ class TestInterrupt:
         assert SearchInterrupted("x").exit_code == 130
 
 
+class TestSpawnStart:
+    def test_spawn_pool_pickles_the_session(self, charlib_poly_90,
+                                            monkeypatch):
+        """Where ``fork`` is missing the pool starts workers with
+        ``spawn``, which pickles the session into each of them; the
+        merge still holds the serial top N."""
+        import multiprocessing
+
+        from repro.eval.iscas import build_circuit
+        from repro.resilience import workers
+
+        monkeypatch.setattr(workers, "_fork_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        circuit = build_circuit("c432", scale=0.3)
+        serial = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=1, n_worst=5)
+        spawned = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, n_worst=5)
+
+        def key(path):
+            return (path.worst_arrival, tuple(path.nets),
+                    path.vector_signature)
+
+        def top(paths):
+            return [key(p) for p in sorted(
+                paths, key=lambda p: p.worst_arrival, reverse=True)[:5]]
+
+        assert {key(p) for p in serial.paths} <= {
+            key(p) for p in spawned.paths}
+        assert top(serial.paths) == top(spawned.paths)
+
+
 class TestMergedMetrics:
     def test_pooled_run_publishes_exact_serial_totals(
             self, circuit, charlib_poly_90, clean_obs):
@@ -237,10 +255,8 @@ class TestMergedMetrics:
         sta = TruePathSTA(circuit, charlib_poly_90)
         sta.enumerate_paths()
         want = sta.last_stats.as_dict()
-        result = supervised_find_paths(
-            circuit, charlib_poly_90, jobs=2,
-            fault_plan=FaultPlan(crash_origins=(circuit.inputs[0],)),
-        )
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(
+            jobs=2, fault_plan=FaultPlan(crash_origins=(circuit.inputs[0],)))
         got = result.stats.as_dict()
         for key in ("paths_found", "extensions_tried", "conflicts",
                     "justification_backtracks", "justify_skipped"):

@@ -184,7 +184,7 @@ def test_queued_heartbeats_carry_state_and_position():
         build_context(AnalysisRequest(netlist="iscas:c17"))
         .circuit.inputs)[0]
     handle = start_in_thread(ServiceConfig(
-        heartbeat_interval=0.05, max_inflight=1,
+        heartbeat_interval=0.05,
         max_queue=4, allow_fault_injection=True))
     slow_box = {}
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.sta import TruePathSTA
 from repro.verify.faults import (
     FAULT_SCENARIOS,
     FaultPlan,
@@ -25,19 +26,28 @@ class TestFaultPlan:
                          interrupt_after=3)
         assert pickle.loads(pickle.dumps(plan)) == plan
 
-    def test_faults_never_fire_in_process(self):
-        # The in-process paths (serial mode, serial fallback) must be
-        # fault-free by construction -- a crash here would kill pytest.
-        plan = FaultPlan(crash_origins=("I0",), hang_origins=("I0",),
+    def test_faults_never_fire_in_process(self, charlib_poly_90,
+                                          monkeypatch):
+        # The in-process paths (serial mode, serial fallback) never call
+        # the hook, so they are fault-free by construction.
+        calls = []
+        monkeypatch.setattr(FaultPlan, "before_shard",
+                            lambda plan, *args: calls.append(args))
+        circuit = _circuit()
+        plan = FaultPlan(crash_origins=tuple(circuit.inputs),
+                         hang_origins=tuple(circuit.inputs),
                          hang_seconds=60.0)
-        plan.before_shard("I0", 0, in_worker=False)
+        result = TruePathSTA(circuit, charlib_poly_90).analyze(
+            fault_plan=plan)
+        assert result.completeness.complete
+        assert calls == []
 
     def test_off_schedule_attempts_pass_through(self):
         plan = FaultPlan(hang_origins=("I0",), hang_attempts=(0,),
                          hang_seconds=60.0)
         # Attempt 1 (the retry) is not scheduled: returns immediately.
-        plan.before_shard("I0", 1, in_worker=True)
-        plan.before_shard("I9", 0, in_worker=True)
+        plan.before_shard("I0", 1)
+        plan.before_shard("I9", 0)
 
 
 class TestCorruptCharlib:
