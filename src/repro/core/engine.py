@@ -13,6 +13,11 @@ in the same step").  All mutations go through an undo trail so the
 search can checkpoint and roll back in O(changes); a merge conflict
 kills only the offending component, and the search continues as long as
 one component is alive.
+
+Implication is table-driven (:class:`ImplicationKernel`): every gate
+keeps one integer base-9 code of its input values per component, which
+``assign`` and ``rollback`` update, so evaluating a gate is one lookup
+into its cell function's shared nine-valued table.
 """
 
 from __future__ import annotations
@@ -99,6 +104,7 @@ class EngineCircuit:
         self.input_ids = [self.net_id[n] for n in circuit.inputs]
         self.output_ids = [self.net_id[n] for n in circuit.outputs]
         self._tgraph = None
+        self._kernel: Optional[ImplicationKernel] = None
 
     @property
     def num_nets(self) -> int:
@@ -120,6 +126,43 @@ class EngineCircuit:
         timing graph's fanout arcs (the graph owns the adjacency)."""
         return self.tgraph.sinks
 
+    @property
+    def kernel(self) -> "ImplicationKernel":
+        """The circuit's :class:`ImplicationKernel` (built by the first
+        :class:`EngineState`, so sweep-only flows never build it)."""
+        if self._kernel is None:
+            self._kernel = ImplicationKernel(self)
+        return self._kernel
+
+    def retable(self, gate: EngineGate) -> None:
+        """Point the kernel at ``gate``'s current cell after an in-place
+        cell swap (pin-compatible, so codes and weights stay valid)."""
+        if self._kernel is not None:
+            self._kernel.tables[gate.index] = gate.evaluator.table
+
+
+class ImplicationKernel:
+    """Per-circuit data of the table-driven forward implication.
+
+    ``tables[g]`` is gate ``g``'s nine-valued table
+    (:func:`~repro.core.logic_values.nine_valued_table`, shared per cell
+    function), indexed by the base-9 code ``sum(value[k] * 9**k)`` of the
+    gate's input values.  ``weights[net]`` lists ``(g, 9**pin)`` for
+    every sink pin of the net, in ``ec.sinks`` order: a value change
+    ``old -> new`` on the net moves each sink gate's code by
+    ``(new - old) * 9**pin``.  ``xx_codes[g]`` is the code of gate
+    ``g``'s all-XX inputs, the state every search starts from.
+    """
+
+    def __init__(self, ec: EngineCircuit):
+        gates = ec.gates
+        self.tables: List[Tuple[int, ...]] = [g.evaluator.table for g in gates]
+        self.weights: List[List[Tuple[int, int]]] = [
+            [(g, 9 ** gates[g].cell.pin_index(pin)) for g, pin in sinks]
+            for sinks in ec.sinks
+        ]
+        self.xx_codes: List[int] = [9 ** len(g.input_nets) - 1 for g in gates]
+
 
 # Trail entry tags.
 _T_VALUE = 0
@@ -135,6 +178,13 @@ class EngineState:
         n = ec.num_nets
         self.values: List[List[int]] = [
             [Value9.XX] * n for _ in COMPONENTS
+        ]
+        kernel = ec.kernel
+        self._tables = kernel.tables
+        self._weights = kernel.weights
+        #: Per component, gate index -> base-9 code of its input values.
+        self.codes: List[List[int]] = [
+            list(kernel.xx_codes) for _ in COMPONENTS
         ]
         self.alive: List[bool] = [True, True]
         self._trail: List[Tuple] = []
@@ -153,10 +203,16 @@ class EngineState:
 
     def rollback(self, mark: int) -> None:
         trail = self._trail
+        weights = self._weights
         while len(trail) > mark:
             tag, a, b, c = trail.pop()
             if tag == _T_VALUE:
-                self.values[a][b] = c
+                values = self.values[a]
+                delta = c - values[b]
+                values[b] = c
+                codes = self.codes[a]
+                for gate_index, weight in weights[b]:
+                    codes[gate_index] += delta * weight
             elif tag == _T_ALIVE:
                 self.alive[a] = True
             else:  # _T_OBLIGATION
@@ -189,6 +245,10 @@ class EngineState:
         if merged != current:
             self._trail.append((_T_VALUE, comp, net, current))
             self.values[comp][net] = merged
+            codes = self.codes[comp]
+            delta = merged - current
+            for gate_index, weight in self._weights[net]:
+                codes[gate_index] += delta * weight
             self._queue.append(net)
         return True
 
@@ -215,10 +275,8 @@ class EngineState:
         return True
 
     def implied_value(self, gate: EngineGate, comp: int) -> int:
-        vals = self.values[comp]
-        return gate.evaluator.evaluate(
-            tuple(vals[n] for n in gate.input_nets)
-        )
+        index = gate.index
+        return self._tables[index][self.codes[comp][index]]
 
     def propagate(self) -> bool:
         """Event-driven forward implication until fixpoint.
@@ -231,46 +289,53 @@ class EngineState:
         queue = self._queue
         values = self.values
         values0, values1 = values
+        codes = self.codes
+        codes0, codes1 = codes
         alive = self.alive
-        all_sinks = self.ec.sinks
+        weights = self._weights
+        tables = self._tables
         gates = self.ec.gates
+        assign = self.assign
+        xx = Value9.XX
         while queue:
             net = queue.pop()
-            for gate_index, _pin in all_sinks[net]:
-                gate = gates[gate_index]
+            for gate_index, _weight in weights[net]:
+                table = tables[gate_index]
                 if alive[0] and alive[1]:
                     # Dual fast path: away from the transition cone both
-                    # components carry identical values, so one gate
-                    # evaluation serves both.
-                    nets = gate.input_nets
-                    ins0 = tuple(values0[n] for n in nets)
-                    ins1 = tuple(values1[n] for n in nets)
-                    implied0 = gate.evaluator.evaluate(ins0)
-                    implied1 = (
-                        implied0 if ins0 == ins1
-                        else gate.evaluator.evaluate(ins1)
-                    )
-                    if implied0 != Value9.XX and not self.assign(
-                        gate.output_net, implied0, 0
+                    # components carry identical inputs, so one lookup
+                    # serves both.  An implied value equal to the
+                    # output's current one would merge to a no-op, so it
+                    # is skipped.
+                    code0 = codes0[gate_index]
+                    code1 = codes1[gate_index]
+                    implied0 = table[code0]
+                    implied1 = implied0 if code0 == code1 else table[code1]
+                    out = gates[gate_index].output_net
+                    if (
+                        implied0 != xx and implied0 != values0[out]
+                        and not assign(out, implied0, 0)
                     ):
                         queue.clear()
                         return False
-                    if implied1 != Value9.XX and not self.assign(
-                        gate.output_net, implied1, 1
+                    if (
+                        implied1 != xx and implied1 != values1[out]
+                        and not assign(out, implied1, 1)
                     ):
                         queue.clear()
                         return False
                     continue
+                out = gates[gate_index].output_net
                 for comp in COMPONENTS:
-                    if not self.alive[comp]:
+                    if not alive[comp]:
                         continue
-                    implied = self.implied_value(gate, comp)
-                    if implied == Value9.XX:
+                    implied = table[codes[comp][gate_index]]
+                    if implied == xx or implied == values[comp][out]:
                         continue
-                    if not self.assign(gate.output_net, implied, comp):
+                    if not assign(out, implied, comp):
                         queue.clear()
                         return False
-        return any(self.alive)
+        return any(alive)
 
     # ------------------------------------------------------------------
     # Justification support

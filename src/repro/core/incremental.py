@@ -124,7 +124,7 @@ class IncrementalSTA:
         self.tg = self.ec.tgraph
         #: Scratch mode: every edit re-derives all state (CI reference).
         self.full_rebuild = bool(full_rebuild)
-        #: Bumped per edit; keys the N-worst memo.
+        #: Bumped per edit; keys the N-worst cache.
         self.version = 0
         self._timing: Optional[ForwardTiming] = None
         self._gate_index: Dict[str, int] = {
@@ -141,7 +141,7 @@ class IncrementalSTA:
         #: replay never touched); entries recompute lazily on read.
         self._peaks_stale: Dict[Tuple[float, ...], Set[int]] = {}
         #: (n, max_paths) -> (version, paths).
-        self._nworst_memo: Dict[
+        self._nworst_cache: Dict[
             Tuple[int, Optional[int]], Tuple[int, List[TimedPath]]
         ] = {}
         self._distinct_levels = len(set(self.tg.levels))
@@ -212,9 +212,9 @@ class IncrementalSTA:
         return self.replace_cell(inst_name, variant)
 
     def _patch_engine_gate(self, gate: EngineGate, new_cell: Cell) -> None:
-        """Mutate the indexed gate in place (cell, evaluator, vector
-        options) so every live reference -- SoA record lookups, the
-        pathfinder's gate table -- sees the new cell without
+        """Mutate the indexed gate in place (cell, evaluator, implication
+        table, vector options) so every live reference -- SoA record
+        lookups, the pathfinder's gate table -- sees the new cell without
         re-indexing.  ``input_nets`` survives: pin compatibility means
         the cells' input tuples are equal."""
         inst = gate.inst
@@ -226,6 +226,7 @@ class IncrementalSTA:
             evaluator = CellEvaluator(new_cell)
             self._evaluators[new_cell.name] = evaluator
         gate.evaluator = evaluator
+        self.ec.retable(gate)
         options: Dict[str, List[VectorOption]] = {}
         for pin in new_cell.inputs:
             opts = []
@@ -486,7 +487,7 @@ class IncrementalSTA:
         self.refresh()
         key = (n, max_paths)
         if budgets is None:
-            cached = self._nworst_memo.get(key)
+            cached = self._nworst_cache.get(key)
             if cached is not None and cached[0] == self.version:
                 obs_metrics.REGISTRY.counter(
                     "incremental.nworst_cache_hits"
@@ -501,7 +502,7 @@ class IncrementalSTA:
         paths.sort(key=lambda p: p.worst_arrival, reverse=True)
         paths = paths[:n]
         if budgets is None:
-            self._nworst_memo[key] = (self.version, list(paths))
+            self._nworst_cache[key] = (self.version, list(paths))
         return paths
 
     def worst_path(

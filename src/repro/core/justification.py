@@ -55,11 +55,6 @@ class Justifier:
     backtrack_limit:
         Abort after this many chronological backtracks (None = complete
         search).
-    easiest_first:
-        Try small cubes first.  This matches both the commercial
-        baseline's behaviour and the natural smallest-first order; the
-        developed tool's correctness does not depend on the order (it
-        only needs *one* witness per sensitization-vector combination).
     dynamic:
         Use nine-valued justification cubes, whose literals may be
         transitions -- required to justify steady values *inside* the
@@ -77,11 +72,10 @@ class Justifier:
     """
 
     def __init__(self, state: EngineState, backtrack_limit: Optional[int] = None,
-                 easiest_first: bool = True, dynamic: bool = False,
-                 origin: Optional[int] = None, scan_from: int = 0):
+                 dynamic: bool = False, origin: Optional[int] = None,
+                 scan_from: int = 0):
         self.state = state
         self.backtrack_limit = backtrack_limit
-        self.easiest_first = easiest_first
         self.dynamic = dynamic
         self.origin = origin
         self.scan_from = scan_from
@@ -119,13 +113,10 @@ class Justifier:
         if not Value9.is_steady(required):
             return []  # static justification cannot produce transitions
         bit = Value9.final_of(required)
-        cubes = gate.cell.justification_cubes(bit)
-        if not self.easiest_first:
-            cubes = list(reversed(cubes))
         return [
             [(gate.input_nets[gate.cell.pin_index(pin)], Value9.steady(value))
              for pin, value in cube.items()]
-            for cube in cubes
+            for cube in gate.cell.justification_cubes(bit)
         ]
 
     def _cube_compatible(self, cube) -> bool:

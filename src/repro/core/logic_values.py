@@ -30,10 +30,11 @@ and kills components independently (see :mod:`repro.core.engine`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+import itertools
+from typing import Dict, List, Sequence, Tuple
 
 from repro.gates.cell import Cell
-from repro.gates.logic import TriValue, X
+from repro.gates.logic import BoolFunc, TriValue, X
 
 #: Three-valued encoding used inside the packed value.
 _X3 = 2
@@ -155,33 +156,66 @@ def covers(general: int, specific: int) -> bool:
     return merge9(general, specific) == specific
 
 
+#: BoolFunc -> its nine-valued table.  Cells computing one function
+#: (drive variants, aliases) share a single table per process.
+_TABLES: Dict[BoolFunc, Tuple[int, ...]] = {}
+
+
+def input_code(values: Sequence[int]) -> int:
+    """Base-9 code ``sum(values[k] * 9**k)`` of a cell's input values."""
+    code = 0
+    for value in reversed(values):
+        code = code * 9 + value
+    return code
+
+
+def nine_valued_table(func: BoolFunc) -> Tuple[int, ...]:
+    """``func``'s nine-valued table, indexed by :func:`input_code`.
+
+    Entry ``code`` is ``pack(eval3(inits), eval3(finals))``.  A packed
+    value is ``init * 3 + final``, so each base-9 digit of the code
+    splits into a base-3 init digit and a base-3 final digit; the table
+    is two lookups into the 3**n three-valued table per code.  Built
+    once per function per process.
+    """
+    table = _TABLES.get(func)
+    if table is None:
+        n = func.num_inputs
+        table3 = []
+        for levels in itertools.product((0, 1, X), repeat=n):
+            # product varies its last position fastest, so reversed the
+            # tuple is in pin order and sits at sum(level[k] * 3**k).
+            out = func.eval3(levels[::-1])
+            table3.append(_X3 if out is X else out)
+        inits, finals = [0], [0]
+        for k in range(n):
+            weight = 3 ** k
+            inits = [i + (d // 3) * weight for d in range(9) for i in inits]
+            finals = [f + (d % 3) * weight for d in range(9) for f in finals]
+        table = tuple(table3[i] * 3 + table3[f] for i, f in zip(inits, finals))
+        _TABLES[func] = table
+    return table
+
+
 class CellEvaluator:
-    """Memoized 9-valued evaluation of one cell.
+    """Nine-valued evaluation of one cell.
 
     Evaluates the initial and final three-valued components separately,
     which is exact for single-transition two-pattern analysis and yields
-    the semi-undetermined values automatically.
+    the semi-undetermined values automatically.  The results come from
+    the cell function's shared :func:`nine_valued_table`.
     """
 
     def __init__(self, cell: Cell):
         self.cell = cell
-        self._memo: Dict[Tuple[int, ...], int] = {}
         self._dynamic_cubes: Dict[int, List[Dict[str, int]]] = {}
 
+    @property
+    def table(self) -> Tuple[int, ...]:
+        return nine_valued_table(self.cell.func)
+
     def evaluate(self, values: Sequence[int]) -> int:
-        key = values if type(values) is tuple else tuple(values)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        inits: List[TriValue] = []
-        finals: List[TriValue] = []
-        for v in values:
-            i, f = Value9.unpack(v)
-            inits.append(i)
-            finals.append(f)
-        out = Value9.pack(self.cell.func.eval3(inits), self.cell.func.eval3(finals))
-        self._memo[key] = out
-        return out
+        return self.table[input_code(values)]
 
     def dynamic_cubes(self, target: int) -> List[Dict[str, int]]:
         """Minimal 9-valued input cubes forcing the output to ``target``.
@@ -197,8 +231,6 @@ class CellEvaluator:
         cached = self._dynamic_cubes.get(target)
         if cached is not None:
             return cached
-        import itertools
-
         pins = self.cell.inputs
         n = len(pins)
         domain = (Value9.S0, Value9.S1, Value9.RISE, Value9.FALL)

@@ -5,7 +5,9 @@ on: after any interleaving of assignments, propagations, requirement
 pushes and rollbacks, rolling back to a checkpoint must restore the
 exact values, aliveness and obligation list captured at that
 checkpoint.  Hypothesis drives random operation sequences against a
-reference snapshot model.
+reference snapshot model.  The implication kernel's per-gate input codes
+ride on the same trail, so every step also checks them against the
+values they encode.
 """
 
 import copy
@@ -23,9 +25,25 @@ from repro.netlist.techmap import techmap
 def snapshot(state: EngineState):
     return (
         [list(state.values[0]), list(state.values[1])],
+        [list(state.codes[0]), list(state.codes[1])],
         list(state.alive),
         list(state.obligations),
     )
+
+
+def code_violations(state: EngineState):
+    """(component, gate) pairs whose kept input code differs from
+    ``sum(values[comp][input_net_k] * 9**k)``."""
+    bad = []
+    for comp in (RISING, FALLING):
+        values = state.values[comp]
+        for gate in state.ec.gates:
+            expected = sum(
+                values[net] * 9 ** k for k, net in enumerate(gate.input_nets)
+            )
+            if state.codes[comp][gate.index] != expected:
+                bad.append((comp, gate.index))
+    return bad
 
 
 @st.composite
@@ -77,11 +95,25 @@ class TestTrailIntegrity:
                 state.rollback(mark)
                 assert snapshot(state) == snap
                 del marks[index:]
+            assert code_violations(state) == []
         # Finally, unwind everything: state must be pristine.
         state.rollback(0)
         assert all(v == Value9.XX for comp in state.values for v in comp)
         assert state.alive == [True, True]
         assert state.obligations == []
+        assert state.codes == [ec.kernel.xx_codes] * 2
+
+    def test_sabotaged_sink_weight_is_caught(self):
+        """A sink weight off by one must trip the code invariant the
+        trail test checks after every operation."""
+        ec = EngineCircuit(techmap(random_dag("sabotage", 6, 18, seed=3)))
+        net = next(n for n in ec.input_ids if ec.kernel.weights[n])
+        gate_index, weight = ec.kernel.weights[net][0]
+        ec.kernel.weights[net][0] = (gate_index, weight + 1)
+        state = EngineState(ec)
+        assert code_violations(state) == []
+        state.assign(net, Value9.S1, RISING)
+        assert code_violations(state) == [(RISING, gate_index)]
 
     @given(st.integers(0, 300))
     @settings(max_examples=25, deadline=None)

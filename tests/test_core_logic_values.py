@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.logic_values import CellEvaluator, Value9, covers, merge9
-from repro.gates.library import default_library
+from repro.core.logic_values import (
+    CellEvaluator,
+    Value9,
+    covers,
+    input_code,
+    merge9,
+)
+from repro.gates.library import default_library, sized_library
 from repro.gates.logic import X
 
 V = Value9
@@ -125,10 +131,14 @@ class TestCellEvaluator:
         assert or2.evaluate([V.RISE, V.XX]) == V.X1
 
     def test_memoization(self):
-        and2 = CellEvaluator(self.lib["AND2"])
-        first = and2.evaluate([V.RISE, V.S1])
-        assert and2.evaluate([V.RISE, V.S1]) == first
-        assert (V.RISE, V.S1) in and2._memo
+        """Tables are built once per cell function: a drive variant
+        shares its base cell's table object, across libraries too."""
+        sized = sized_library()
+        and2 = CellEvaluator(sized["AND2"])
+        assert CellEvaluator(sized["AND2_X2"]).table is and2.table
+        assert CellEvaluator(self.lib["AND2"]).table is and2.table
+        assert and2.table[V.RISE + 9 * V.S1] == V.RISE
+        assert and2.evaluate([V.RISE, V.S1]) == V.RISE
 
     def test_consistency_with_truth_table(self):
         """Pair evaluation agrees with evaluating init/final separately
@@ -144,3 +154,26 @@ class TestCellEvaluator:
             assert V.unpack(result) == (
                 ao22.func.eval3(inits), ao22.func.eval3(finals)
             )
+
+
+class TestNineValuedTables:
+    def test_input_code_is_base9(self):
+        assert input_code([]) == 0
+        assert input_code([V.RISE]) == V.RISE
+        assert input_code([V.RISE, V.S1, V.XX]) == (
+            V.RISE + 9 * V.S1 + 81 * V.XX
+        )
+
+    def test_every_sized_cell_matches_eval3_pairs(self):
+        """Every entry of every sized-library table equals the pair of
+        three-valued evaluations of the code's init and final digits."""
+        for cell in sized_library():
+            table = CellEvaluator(cell).table
+            n = cell.num_inputs
+            assert len(table) == 9 ** n, cell.name
+            for code in range(9 ** n):
+                values = [(code // 9 ** k) % 9 for k in range(n)]
+                inits = [V.init_of(v) for v in values]
+                finals = [V.final_of(v) for v in values]
+                expected = V.pack(cell.func.eval3(inits), cell.func.eval3(finals))
+                assert table[code] == expected, (cell.name, values)
