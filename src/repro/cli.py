@@ -164,10 +164,8 @@ def _size(args) -> int:
         strategy=args.strategy,
         seed=args.seed,
         max_moves=args.max_moves,
-        variant_suffix=args.variant_suffix,
         max_paths=args.max_paths,
         no_map=args.no_map,
-        scratch=args.scratch,
         wall_budget=args.wall_budget,
         extension_budget=args.extension_budget,
         backtrack_budget=args.backtrack_budget,
@@ -527,16 +525,10 @@ def main(argv: Optional[list] = None) -> int:
     size.add_argument("--max-moves", type=int, default=20,
                       help="greedy: sizing rounds; anneal: attempted "
                            "moves (default 20)")
-    size.add_argument("--variant-suffix", default="_X2", metavar="SUFFIX",
-                      help="drive-variant cell-name suffix (default _X2)")
     size.add_argument("--max-paths", type=int, default=5000,
                       help="cap per worst-path query (default 5000)")
     size.add_argument("--no-map", action="store_true",
                       help="skip technology mapping of .bench input")
-    size.add_argument("--scratch", action="store_true",
-                      help="rebuild all analysis state from scratch per "
-                           "move instead of dirty-cone repair (A/B "
-                           "reference; results are identical)")
     size.add_argument("--wall-budget", type=float, default=None,
                       metavar="SECONDS",
                       help="stop the sizing loop after this much "

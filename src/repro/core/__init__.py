@@ -15,7 +15,8 @@
   pessimism comparisons;
 * :mod:`repro.core.report` -- slack/hold reports and JSON export;
 * :mod:`repro.core.variation` -- Monte-Carlo statistical timing;
-* :mod:`repro.core.sizing` -- the gate-sizing ECO loop.
+* :mod:`repro.core.incremental` -- the dirty-cone STA session behind
+  the gate-sizing ECO loop (:mod:`repro.opt.sizer`).
 """
 
 from repro.core.graphsta import GraphSTA

@@ -73,30 +73,19 @@ class EngineCircuit:
         for name in circuit.outputs:
             self.is_output[self.net_id[name]] = True
 
-        evaluators: Dict[str, CellEvaluator] = {}
+        #: cell name -> evaluator, shared by every gate of that cell.
+        self._evaluators: Dict[str, CellEvaluator] = {}
         self.gates: List[EngineGate] = []
         self.driver: List[int] = [-1] * n_nets  # gate index or -1
 
         for inst in circuit.topological():
             cell = inst.cell
-            if cell.name not in evaluators:
-                evaluators[cell.name] = CellEvaluator(cell)
             gate_index = len(self.gates)
             input_nets = tuple(self.net_id[inst.pins[p]] for p in cell.inputs)
             output_net = self.net_id[inst.output_net]
-            options: Dict[str, List[VectorOption]] = {}
-            for pin in cell.inputs:
-                opts = []
-                for vec in cell.sensitization_vectors(pin):
-                    side = tuple(
-                        (self.net_id[inst.pins[side_pin]], bit)
-                        for side_pin, bit in sorted(vec.side_values.items())
-                    )
-                    opts.append(VectorOption(vec, side, vec.inverting))
-                options[pin] = opts
             gate = EngineGate(
-                gate_index, inst, cell, evaluators[cell.name], input_nets,
-                output_net, options,
+                gate_index, inst, cell, self._evaluator(cell), input_nets,
+                output_net, self._vector_options(inst),
             )
             self.gates.append(gate)
             self.driver[output_net] = gate_index
@@ -134,9 +123,40 @@ class EngineCircuit:
             self._kernel = ImplicationKernel(self)
         return self._kernel
 
-    def retable(self, gate: EngineGate) -> None:
-        """Point the kernel at ``gate``'s current cell after an in-place
-        cell swap (pin-compatible, so codes and weights stay valid)."""
+    def _evaluator(self, cell: Cell) -> CellEvaluator:
+        evaluator = self._evaluators.get(cell.name)
+        if evaluator is None:
+            evaluator = self._evaluators[cell.name] = CellEvaluator(cell)
+        return evaluator
+
+    def _vector_options(self, inst: Instance) -> Dict[str, List[VectorOption]]:
+        """``inst``'s sensitization vectors per input pin, side nets
+        resolved to ids."""
+        options: Dict[str, List[VectorOption]] = {}
+        for pin in inst.cell.inputs:
+            opts = []
+            for vec in inst.cell.sensitization_vectors(pin):
+                side = tuple(
+                    (self.net_id[inst.pins[side_pin]], bit)
+                    for side_pin, bit in sorted(vec.side_values.items())
+                )
+                opts.append(VectorOption(vec, side, vec.inverting))
+            options[pin] = opts
+        return options
+
+    def swap_cell(self, gate: EngineGate, cell: Cell) -> None:
+        """Rebind ``gate`` (and its circuit instance) to the
+        pin-compatible ``cell`` in place, so every live reference -- SoA
+        record lookups, the pathfinder's gate table, the implication
+        kernel -- sees the new cell without re-indexing.  Pin
+        compatibility keeps ``input_nets`` and the kernel's codes and
+        weights valid; the caller checks it."""
+        inst = gate.inst
+        inst.cell = cell
+        self.circuit._topo_cache = None
+        gate.cell = cell
+        gate.evaluator = self._evaluator(cell)
+        gate.options = self._vector_options(inst)
         if self._kernel is not None:
             self._kernel.tables[gate.index] = gate.evaluator.table
 

@@ -46,11 +46,6 @@ keeps all of that state alive across edits and, after a pin-compatible
 N-worst path reports are memoized per session version (edits bump the
 version); a cached report whose cone was touched is simply dropped --
 paths entering or leaving the top-N cannot be patched locally.
-
-``full_rebuild=True`` turns the session into its own A/B reference:
-every edit tears down all derived state and re-analyzes from scratch
-through the identical code paths, which is what the CI smoke job diffs
-against at 0% drift.
 """
 
 from __future__ import annotations
@@ -62,11 +57,12 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DEFAULT_INPUT_SLEW, DelayCalculator
-from repro.core.engine import CellEvaluator, EngineCircuit, EngineGate, VectorOption
+from repro.core.engine import EngineCircuit, EngineGate
 from repro.core.path import TimedPath
 from repro.core.pathfinder import PathFinder
 from repro.core.tgraph import ForwardTiming
 from repro.gates.cell import Cell
+from repro.gates.library import DRIVE_SUFFIX
 from repro.netlist.circuit import Circuit
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
@@ -111,7 +107,6 @@ class IncrementalSTA:
         vdd: Optional[float] = None,
         input_slew: float = DEFAULT_INPUT_SLEW,
         missing_arc_policy: str = "error",
-        full_rebuild: bool = False,
     ):
         circuit.check()
         self.circuit = circuit
@@ -122,16 +117,11 @@ class IncrementalSTA:
             missing_arc_policy=missing_arc_policy,
         )
         self.tg = self.ec.tgraph
-        #: Scratch mode: every edit re-derives all state (CI reference).
-        self.full_rebuild = bool(full_rebuild)
         #: Bumped per edit; keys the N-worst cache.
         self.version = 0
         self._timing: Optional[ForwardTiming] = None
         self._gate_index: Dict[str, int] = {
             g.inst.name: g.index for g in self.ec.gates
-        }
-        self._evaluators: Dict[str, CellEvaluator] = {
-            g.cell.name: g.evaluator for g in self.ec.gates
         }
         #: sample grid -> per-gate worst output slew over that grid.
         self._slew_peaks: Dict[Tuple[float, ...], List[float]] = {}
@@ -160,9 +150,7 @@ class IncrementalSTA:
         if self._timing is not None:
             return
         with span("incremental.initial_analysis"):
-            if self.full_rebuild:
-                self.calc.bound_slews()
-            elif self.calc._bound_slews is None:
+            if self.calc._bound_slews is None:
                 # Same rounds over the same multiset as the stock fixed
                 # point, but retains the per-gate peak tables so later
                 # edits re-evaluate only dirty gates.
@@ -180,9 +168,8 @@ class IncrementalSTA:
     ) -> EditReport:
         """Swap one instance's cell for a pin-compatible variant and
         repair the analysis state.  The underlying ``Circuit`` is
-        mutated in place (same contract as
-        :func:`repro.core.sizing.replace_cell`), so a fresh analysis of
-        the circuit object sees the edit too."""
+        mutated in place (:meth:`EngineCircuit.swap_cell`), so a fresh
+        analysis of the circuit object sees the edit too."""
         index = self._gate_index.get(inst_name)
         if index is None:
             raise KeyError(f"unknown instance {inst_name!r}")
@@ -195,49 +182,22 @@ class IncrementalSTA:
             )
         self.refresh()  # baseline must reflect the pre-edit circuit
         from_cell = gate.cell.name
-        self._patch_engine_gate(gate, new_cell)
+        self.ec.swap_cell(gate, new_cell)
         return self._after_edit(gate, from_cell)
 
-    def resize(self, inst_name: str, variant_suffix: str = "_X2") -> EditReport:
-        """Drive-strength resize: swap to ``<cell><suffix>`` from the
-        circuit's library."""
+    def resize(self, inst_name: str) -> EditReport:
+        """Drive-strength resize: swap to ``<cell>`` +
+        :data:`~repro.gates.library.DRIVE_SUFFIX` from the circuit's
+        library."""
         index = self._gate_index.get(inst_name)
         if index is None:
             raise KeyError(f"unknown instance {inst_name!r}")
-        variant = f"{self.ec.gates[index].cell.name}{variant_suffix}"
+        variant = f"{self.ec.gates[index].cell.name}{DRIVE_SUFFIX}"
         if variant not in self.circuit.library:
             raise ValueError(
                 f"library has no drive variant {variant!r} for {inst_name}"
             )
         return self.replace_cell(inst_name, variant)
-
-    def _patch_engine_gate(self, gate: EngineGate, new_cell: Cell) -> None:
-        """Mutate the indexed gate in place (cell, evaluator, implication
-        table, vector options) so every live reference -- SoA record
-        lookups, the pathfinder's gate table -- sees the new cell without
-        re-indexing.  ``input_nets`` survives: pin compatibility means
-        the cells' input tuples are equal."""
-        inst = gate.inst
-        inst.cell = new_cell
-        self.circuit._topo_cache = None
-        gate.cell = new_cell
-        evaluator = self._evaluators.get(new_cell.name)
-        if evaluator is None:
-            evaluator = CellEvaluator(new_cell)
-            self._evaluators[new_cell.name] = evaluator
-        gate.evaluator = evaluator
-        self.ec.retable(gate)
-        options: Dict[str, List[VectorOption]] = {}
-        for pin in new_cell.inputs:
-            opts = []
-            for vec in new_cell.sensitization_vectors(pin):
-                side = tuple(
-                    (self.ec.net_id[inst.pins[side_pin]], bit)
-                    for side_pin, bit in sorted(vec.side_values.items())
-                )
-                opts.append(VectorOption(vec, side, vec.inverting))
-            options[pin] = opts
-        gate.options = options
 
     # ------------------------------------------------------------------
     def _dirty_gates(self, gate: EngineGate) -> List[int]:
@@ -259,25 +219,20 @@ class IncrementalSTA:
         calc.invalidate_gates(dirty, keep_bounds=True)
         calc.refresh_fanout(dirty)
         with span("incremental.refresh"):
-            if self.full_rebuild:
-                report = self._refresh_full(gate, from_cell, scratch=True)
+            for stale in self._peaks_stale.values():
+                stale.update(dirty)
+            if (calc._tarrays is not None
+                    and not calc._tarrays.patch_gate(gate.index)):
+                registry.counter("incremental.soa_recompiles").inc()
+            new_slews = self._slew_fixed_point()
+            if new_slews != calc._bound_slews:
+                # The achievable-slew domain moved: every fitted
+                # worst-delay sweep in the circuit is stale, which is
+                # exactly the case incremental repair cannot bound.
+                # Count it and rebuild.
+                report = self._refresh_full(gate, from_cell, new_slews)
             else:
-                for stale in self._peaks_stale.values():
-                    stale.update(dirty)
-                if (calc._tarrays is not None
-                        and not calc._tarrays.patch_gate(gate.index)):
-                    registry.counter("incremental.soa_recompiles").inc()
-                new_slews = self._slew_fixed_point()
-                if new_slews != calc._bound_slews:
-                    # The achievable-slew domain moved: every fitted
-                    # worst-delay sweep in the circuit is stale, which
-                    # is exactly the case incremental repair cannot
-                    # bound.  Count it and rebuild.
-                    report = self._refresh_full(
-                        gate, from_cell, new_slews=new_slews
-                    )
-                else:
-                    report = self._refresh_cone(gate, from_cell, dirty)
+                report = self._refresh_cone(gate, from_cell, dirty)
         registry.histogram("incremental.refresh_ms").observe(
             (time.perf_counter() - started) * 1e3
         )
@@ -382,8 +337,7 @@ class IncrementalSTA:
         self,
         gate: EngineGate,
         from_cell: str,
-        new_slews: Optional[Tuple[float, ...]] = None,
-        scratch: bool = False,
+        new_slews: Tuple[float, ...],
     ) -> EditReport:
         calc = self.calc
         registry = obs_metrics.REGISTRY
@@ -394,16 +348,7 @@ class IncrementalSTA:
         calc._required_bounds = None
         calc._remaining_bounds = None
         calc._prune_bounds = None
-        if scratch:
-            calc._gate_arcs_cache.clear()
-            calc._pin_arcs_cache.clear()
-            calc._tarrays = None
-            calc._bound_slews = None
-            self._slew_peaks.clear()
-            self._peaks_stale.clear()
-            calc.bound_slews()
-        else:
-            calc._bound_slews = new_slews
+        calc._bound_slews = new_slews
         self._timing = self.tg.forward_arrivals(calc)
         calc.ensure_worst_arc_table()
         calc.required_bounds()

@@ -167,6 +167,9 @@ def drive_variant(cell: Cell, drive: float, suffix: str) -> Cell:
                 output_inverter=cell.output_inverter, drive=drive)
 
 
+#: Cell-name suffix of the drive variants in :func:`sized_library`.
+DRIVE_SUFFIX = "_X2"
+
 #: Cells that get X2 variants in :func:`sized_library`.
 SIZABLE_CELLS = ("INV", "BUF", "NAND2", "NOR2", "AND2", "OR2", "XOR2",
                  "AO22", "OA12", "AOI22", "OAI12", "MUX2")
@@ -185,7 +188,8 @@ def sized_library() -> Library:
         cells = list(_build_cells())
         base = {c.name: c for c in cells}
         cells.extend(
-            drive_variant(base[name], 2.0, "_X2") for name in SIZABLE_CELLS
+            drive_variant(base[name], 2.0, DRIVE_SUFFIX)
+            for name in SIZABLE_CELLS
         )
         _SIZED = Library("repro-sized", cells)
     return _SIZED

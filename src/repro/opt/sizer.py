@@ -26,9 +26,7 @@ Two strategies:
 Both honor :class:`~repro.resilience.budgets.SearchBudgets`: the wall
 cap bounds the whole loop (checked before every move, and the remaining
 wall is forwarded to each per-move path search), the extension /
-backtrack caps bound each per-move search.  ``scratch=True`` runs the
-identical loop on a full-rebuild session -- the CI smoke job diffs the
-two reports at 0% drift.
+backtrack caps bound each per-move search.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import List, Optional, Union
 from repro.charlib.store import CharacterizedLibrary
 from repro.core.incremental import IncrementalSTA
 from repro.core.path import TimedPath
-from repro.core.sizing import SizingChange, SizingResult
+from repro.gates.library import DRIVE_SUFFIX
 from repro.netlist.circuit import Circuit
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
@@ -81,30 +79,23 @@ class SizerResult:
     def accepted_moves(self) -> List[SizerMove]:
         return [m for m in self.moves if m.accepted]
 
-    def to_sizing_result(self) -> SizingResult:
-        """:class:`SizingResult` view (accepted moves only)."""
-        result = SizingResult(
-            met=self.met,
-            required_time=self.required_time,
-            initial_arrival=self.initial_arrival,
-            final_arrival=self.final_arrival,
-        )
-        for move in self.moves:
-            if move.accepted:
-                result.changes.append(SizingChange(
-                    gate_name=move.gate_name,
-                    from_cell=move.from_cell,
-                    to_cell=move.to_cell,
-                    arrival_before=move.arrival_before,
-                    arrival_after=move.arrival_after,
-                ))
-        return result
-
     def describe(self) -> str:
-        lines = [self.to_sizing_result().describe()]
+        accepted = self.accepted_moves
+        lines = [
+            f"sizing: {self.initial_arrival * 1e12:.1f} ps -> "
+            f"{self.final_arrival * 1e12:.1f} ps "
+            f"(required {self.required_time * 1e12:.1f} ps, "
+            f"{'MET' if self.met else 'NOT MET'})"
+        ]
+        for m in accepted:
+            lines.append(
+                f"  {m.gate_name}: {m.from_cell} -> {m.to_cell} "
+                f"({m.arrival_before * 1e12:.1f} -> "
+                f"{m.arrival_after * 1e12:.1f} ps)"
+            )
         lines.append(
             f"  strategy {self.strategy}, stop: {self.stop_reason}, "
-            f"{len(self.accepted_moves)}/{len(self.moves)} moves accepted"
+            f"{len(accepted)}/{len(self.moves)} moves accepted"
         )
         return "\n".join(lines)
 
@@ -113,8 +104,9 @@ class TimingDrivenSizer:
     """Critical-path gate sizing against a live incremental session.
 
     The circuit is modified in place; its ``library`` must contain the
-    drive variants (``sized_library()``) and ``charlib`` must cover
-    them.
+    drive variants (``sized_library()``, suffix
+    :data:`~repro.gates.library.DRIVE_SUFFIX`) and ``charlib`` must
+    cover them.
     """
 
     def __init__(
@@ -125,12 +117,10 @@ class TimingDrivenSizer:
         strategy: str = "greedy",
         seed: int = 0,
         max_moves: int = 20,
-        variant_suffix: str = "_X2",
         max_paths: Optional[int] = 5000,
         temp: float = 25.0,
         vdd: Optional[float] = None,
         budgets: Optional[SearchBudgets] = None,
-        scratch: bool = False,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -142,12 +132,9 @@ class TimingDrivenSizer:
         self.strategy = strategy
         self.seed = seed
         self.max_moves = max_moves
-        self.variant_suffix = variant_suffix
         self.max_paths = max_paths
         self.budgets = budgets
-        self.sta = IncrementalSTA(
-            circuit, charlib, temp=temp, vdd=vdd, full_rebuild=scratch,
-        )
+        self.sta = IncrementalSTA(circuit, charlib, temp=temp, vdd=vdd)
         self._deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -220,7 +207,7 @@ class TimingDrivenSizer:
         _log.warning(
             "sizer.no_candidate",
             circuit=self.circuit.name,
-            suffix=self.variant_suffix,
+            suffix=DRIVE_SUFFIX,
             path_gates=[s.gate_name for s in path.steps],
             cells=[s.cell_name for s in path.steps],
         )
@@ -242,7 +229,7 @@ class TimingDrivenSizer:
             swapped = False
             had_variant = False
             for step, _delay in candidates:
-                variant_name = f"{step.cell_name}{self.variant_suffix}"
+                variant_name = f"{step.cell_name}{DRIVE_SUFFIX}"
                 if variant_name not in self.circuit.library:
                     continue
                 had_variant = True
@@ -292,7 +279,6 @@ class TimingDrivenSizer:
         # are scale-free in the circuit's time unit.
         t0 = max(result.initial_arrival * 0.02, 1e-12)
         alpha = 0.85
-        suffix = self.variant_suffix
         for move_index in range(self.max_moves):
             if result.final_arrival <= self.required_time:
                 result.stop_reason = "met"
@@ -310,11 +296,11 @@ class TimingDrivenSizer:
                 if step.gate_name in seen:
                     continue
                 seen.add(step.gate_name)
-                upsized = f"{step.cell_name}{suffix}"
+                upsized = f"{step.cell_name}{DRIVE_SUFFIX}"
                 if upsized in self.circuit.library:
                     moves.append((step.gate_name, step.cell_name, upsized))
-                if step.cell_name.endswith(suffix):
-                    base = step.cell_name[: -len(suffix)]
+                if step.cell_name.endswith(DRIVE_SUFFIX):
+                    base = step.cell_name[: -len(DRIVE_SUFFIX)]
                     if base in self.circuit.library:
                         moves.append((step.gate_name, step.cell_name, base))
             if not moves:
@@ -349,13 +335,3 @@ class TimingDrivenSizer:
             "met" if result.final_arrival <= self.required_time
             else "max_moves"
         )
-
-
-def size_circuit(
-    circuit: Circuit,
-    charlib: CharacterizedLibrary,
-    required_time: float,
-    **kwargs,
-) -> SizerResult:
-    """One-call convenience wrapper around :class:`TimingDrivenSizer`."""
-    return TimingDrivenSizer(circuit, charlib, required_time, **kwargs).run()

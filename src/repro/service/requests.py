@@ -301,7 +301,10 @@ def execute_analysis(
 
         gba = context.gba_result
         if gba is None:
-            gba = GraphSTA(circuit, charlib).run()
+            gba = GraphSTA(
+                circuit, charlib,
+                missing_arc_policy=request.missing_arc_policy,
+            ).run()
             context.gba_result = gba
         lines.append(f"GBA endpoint arrivals for {circuit.name} "
                      f"({charlib.tech_name}, one topological pass)")
@@ -315,7 +318,8 @@ def execute_analysis(
             lines.append(f"  {endpoint:<12s} {cells}")
         paths = []
         if request.compare:
-            sta = TruePathSTA(circuit, charlib)
+            sta = TruePathSTA(circuit, charlib,
+                              missing_arc_policy=request.missing_arc_policy)
             paths = sta.enumerate_paths(max_paths=request.max_paths,
                                         jobs=request.jobs)
             comparison = gba_pessimism(gba, paths)
@@ -409,10 +413,8 @@ def execute_size(
     strategy: str = "greedy",
     seed: int = 0,
     max_moves: int = 20,
-    variant_suffix: str = "_X2",
     max_paths: int = 5000,
     no_map: bool = False,
-    scratch: bool = False,
     wall_budget: Optional[float] = None,
     extension_budget: Optional[int] = None,
     backtrack_budget: Optional[int] = None,
@@ -420,7 +422,7 @@ def execute_size(
     """One ``repro size`` run.  Sizing *mutates* its circuit, so this
     always builds fresh state -- the hot cache only amortizes the
     characterized sized library (via the charlib disk cache/memo)."""
-    from repro.gates.library import sized_library
+    from repro.gates.library import DRIVE_SUFFIX, sized_library
     from repro.opt.sizer import TimingDrivenSizer
 
     circuit = load_circuit(netlist, map_to_complex=not no_map)
@@ -430,11 +432,11 @@ def execute_size(
     used = sorted({inst.cell.name for inst in circuit.instances.values()})
     cells = set(used)
     for name in used:
-        variant = f"{name}{variant_suffix}"
+        variant = f"{name}{DRIVE_SUFFIX}"
         if variant in library:
             cells.add(variant)
-        if name.endswith(variant_suffix):
-            base = name[: -len(variant_suffix)]
+        if name.endswith(DRIVE_SUFFIX):
+            base = name[: -len(DRIVE_SUFFIX)]
             if base in library:
                 cells.add(base)
     charlib = characterize_library(
@@ -450,10 +452,8 @@ def execute_size(
         strategy=strategy,
         seed=seed,
         max_moves=max_moves,
-        variant_suffix=variant_suffix,
         max_paths=max_paths,
         budgets=budgets if budgets.bounded() else None,
-        scratch=scratch,
     )
     result = sizer.run()
     payload = {

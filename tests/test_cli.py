@@ -177,16 +177,3 @@ class TestSizeCommand:
         assert data["sizer.moves_tried"] >= data["sizer.moves_accepted"]
         if payload["moves"]:
             assert data["incremental.edits"] >= 1
-
-    def test_size_scratch_matches_incremental(self, bench_file, capsys,
-                                              tech90):
-        assert main([
-            "size", bench_file, "--no-map", "--tech", "90nm",
-            "--required", "80", "--max-moves", "2",
-        ]) == 0
-        incremental = capsys.readouterr().out
-        assert main([
-            "size", bench_file, "--no-map", "--tech", "90nm",
-            "--required", "80", "--max-moves", "2", "--scratch",
-        ]) == 0
-        assert capsys.readouterr().out == incremental

@@ -119,20 +119,36 @@ class TestEditIdentity:
         session.replace_cell(name, "NAND2")
         assert _session_state(session) == want
 
-    def test_scratch_mode_identical_and_counted(self, charlib_poly_90,
-                                                clean_obs):
-        circuit_a = build_circuit("c17")
-        circuit_b = build_circuit("c17")
-        inc = IncrementalSTA(circuit_a, charlib_poly_90)
-        scratch = IncrementalSTA(circuit_b, charlib_poly_90,
-                                 full_rebuild=True)
-        name = _pi_fanout_gate(circuit_a)
-        inc.replace_cell(name, "AND2")
-        report = scratch.replace_cell(name, "AND2")
+    def test_slew_domain_move_rebuilds_and_counts(self, tech90, clean_obs):
+        """An edit that moves the achievable-slew ceiling falls back to
+        the counted full rebuild, and still lands on the from-scratch
+        state.  A NAND2 driving 16 INVs sits at the 240 ps ceiling; one
+        INV_X2 sink's doubled pin cap raises it to ~255 ps (at fanout 15
+        it stays at 240 ps, at 20 the fixed point stops converging)."""
+        from repro.charlib.characterize import (
+            FAST_GRID, characterize_library,
+        )
+        from repro.gates.library import sized_library
+        from repro.netlist.circuit import Circuit
+
+        library = sized_library()
+        charlib = characterize_library(
+            library, tech90, grid=FAST_GRID,
+            cells=["INV", "INV_X2", "NAND2", "NAND2_X2", "AO22", "AO22_X2"],
+        )
+        circuit = Circuit("fanout16", library)
+        circuit.add_input("a")
+        circuit.add_input("b")
+        circuit.add_gate("NAND2", "n", {"A": "a", "B": "b"}, name="U0")
+        for k in range(16):
+            circuit.add_gate("INV", f"z{k}", {"A": "n"}, name=f"UL{k}")
+            circuit.add_output(f"z{k}")
+        session = IncrementalSTA(circuit, charlib)
+        session.refresh()
+        report = session.replace_cell("UL0", "INV_X2")
         assert report.full_rebuild
-        assert _session_state(inc) == _session_state(scratch)
-        snapshot = clean_obs.snapshot()
-        assert snapshot["incremental.full_rebuilds"] == 1
+        assert clean_obs.snapshot()["incremental.full_rebuilds"] == 1
+        assert _session_state(session) == _scratch_state(circuit, charlib)
 
 
 class TestResize:

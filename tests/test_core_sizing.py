@@ -3,7 +3,7 @@
 import pytest
 
 from repro.charlib.characterize import FAST_GRID, characterize_library
-from repro.core.sizing import replace_cell
+from repro.core.incremental import IncrementalSTA
 from repro.core.sta import TruePathSTA
 from repro.gates.library import sized_library
 from repro.netlist.circuit import Circuit
@@ -71,23 +71,23 @@ class TestDriveVariants:
 
 
 class TestReplaceCell:
-    def test_swap(self, sized_lib):
+    def test_swap(self, sized_lib, charlib_sized):
         c = chain_circuit(sized_lib)
-        replace_cell(c, "U2", "INV_X2")
+        IncrementalSTA(c, charlib_sized).replace_cell("U2", "INV_X2")
         assert c.instances["U2"].cell.name == "INV_X2"
         c.check()
 
-    def test_incompatible_rejected(self, sized_lib):
+    def test_incompatible_rejected(self, sized_lib, charlib_sized):
         c = chain_circuit(sized_lib)
         with pytest.raises(ValueError, match="pin-compatible"):
-            replace_cell(c, "U2", "NAND2")
+            IncrementalSTA(c, charlib_sized).replace_cell("U2", "NAND2")
 
 
 def _greedy(circuit, charlib, required_time, max_moves=20):
     return TimingDrivenSizer(
         circuit, charlib, required_time,
         strategy="greedy", max_moves=max_moves,
-    ).run().to_sizing_result()
+    ).run()
 
 
 class TestSizingLoop:
@@ -100,14 +100,14 @@ class TestSizingLoop:
         )
         assert result.initial_arrival == pytest.approx(before, rel=1e-9)
         assert result.final_arrival < before
-        assert result.changes
+        assert result.accepted_moves
 
     def test_met_flag(self, sized_lib, charlib_sized):
         circuit = chain_circuit(sized_lib)
         result = _greedy(
             circuit, charlib_sized, required_time=1.0,  # trivially met
         )
-        assert result.met and not result.changes
+        assert result.met and not result.accepted_moves
 
     def test_describe(self, sized_lib, charlib_sized):
         circuit = chain_circuit(sized_lib)

@@ -1,14 +1,16 @@
 """Timing-driven sizer: strategies, budgets, no-candidate reporting,
-and incremental-vs-scratch agreement."""
+and agreement with a from-scratch reference session."""
 
 import pytest
 
 from repro.charlib.characterize import FAST_GRID, characterize_library
+from repro.core.sta import TruePathSTA
 from repro.eval.iscas import build_circuit
 from repro.gates.library import sized_library
 from repro.netlist.circuit import Circuit
-from repro.opt.sizer import TimingDrivenSizer, size_circuit
+from repro.opt.sizer import TimingDrivenSizer
 from repro.resilience.budgets import SearchBudgets
+from repro.service.requests import execute_size
 
 SIZING_CELLS = ["INV", "INV_X2", "NAND2", "NAND2_X2", "AO22", "AO22_X2"]
 
@@ -56,26 +58,12 @@ class TestGreedy:
 
     def test_met_without_moves(self, sized_lib, charlib_sized):
         circuit = chain_circuit(sized_lib)
-        result = size_circuit(circuit, charlib_sized, required_time=1.0)
+        result = TimingDrivenSizer(
+            circuit, charlib_sized, required_time=1.0,
+        ).run()
         assert result.met
         assert result.stop_reason == "met"
         assert not result.moves
-
-    def test_scratch_mode_identical(self, sized_lib, charlib_sized):
-        circuit_a = chain_circuit(sized_lib)
-        circuit_b = chain_circuit(sized_lib)
-        inc = TimingDrivenSizer(
-            circuit_a, charlib_sized, required_time=1e-12, max_moves=4,
-        ).run()
-        scratch = TimingDrivenSizer(
-            circuit_b, charlib_sized, required_time=1e-12, max_moves=4,
-            scratch=True,
-        ).run()
-        assert inc.describe() == scratch.describe()
-        assert (
-            [(m.gate_name, m.to_cell, m.accepted) for m in inc.moves]
-            == [(m.gate_name, m.to_cell, m.accepted) for m in scratch.moves]
-        )
 
 
 class TestNoCandidate:
@@ -83,9 +71,9 @@ class TestNoCandidate:
         """Satellite fix: a critical path with no drive variants must
         surface a structured warning + counter, not a silent no-op."""
         circuit = build_circuit("c17")  # default library: no _X2 cells
-        result = size_circuit(
+        result = TimingDrivenSizer(
             circuit, charlib_poly_90, required_time=1e-12, max_moves=3,
-        )
+        ).run()
         assert result.stop_reason == "no_candidate"
         assert not result.moves
         assert not result.met
@@ -145,3 +133,82 @@ class TestBudgets:
         ).run()
         assert result.stop_reason == "budget"
         assert not result.moves
+
+
+class ScratchSession:
+    """From-scratch stand-in for the sizer's incremental session: every
+    query re-analyzes the circuit as it stands with a fresh
+    :class:`TruePathSTA`, so no derived state survives an edit."""
+
+    def __init__(self, circuit, charlib, temp=25.0, vdd=None):
+        self.circuit = circuit
+        self.charlib = charlib
+        self.temp = temp
+        self.vdd = vdd
+        self.edits = 0
+
+    def replace_cell(self, inst_name, new_cell):
+        self.circuit.instances[inst_name].cell = self.circuit.library[new_cell]
+        self.circuit._topo_cache = None
+        self.edits += 1
+
+    def worst_path(self, max_paths, budgets):
+        sta = TruePathSTA(self.circuit, self.charlib,
+                          temp=self.temp, vdd=self.vdd)
+        return sta.n_worst_paths(1, max_paths=max_paths, budgets=budgets)[0]
+
+
+def use_reference(monkeypatch):
+    """Route the sizer onto :class:`ScratchSession`; returns the list
+    the sessions it builds are collected in."""
+    sessions = []
+
+    def make(*args, **kwargs):
+        sessions.append(ScratchSession(*args, **kwargs))
+        return sessions[-1]
+
+    monkeypatch.setattr("repro.opt.sizer.IncrementalSTA", make)
+    return sessions
+
+
+class TestScratchReference:
+    """Dirty-cone repair makes the same sizing decisions, in the same
+    bytes, as re-analyzing the edited circuit from scratch per query."""
+
+    @pytest.mark.parametrize("strategy", ["greedy", "anneal"])
+    def test_chain_matches_reference(self, strategy, sized_lib,
+                                     charlib_sized, monkeypatch):
+        def run():
+            return TimingDrivenSizer(
+                chain_circuit(sized_lib), charlib_sized, required_time=1e-12,
+                strategy=strategy, seed=11, max_moves=6,
+            ).run()
+
+        live = run()
+        sessions = use_reference(monkeypatch)
+        reference = run()
+        assert sessions and sessions[0].edits
+        assert live.moves
+        assert live.describe() == reference.describe()
+        assert live.moves == reference.moves
+
+    def test_c432_gate_configuration_matches_reference(self, monkeypatch,
+                                                       clean_obs):
+        """The ``repro size iscas:c432@0.3 --required 1 --seed 7
+        --max-moves 3`` run: same report, same JSON payload, same sizer
+        counters, and one incremental edit per reference edit."""
+        def run():
+            clean_obs.reset()
+            outcome = execute_size("iscas:c432@0.3", 1.0, seed=7,
+                                   max_moves=3)
+            return outcome, clean_obs.snapshot()
+
+        live, live_metrics = run()
+        sessions = use_reference(monkeypatch)
+        reference, reference_metrics = run()
+        assert live.report == reference.report
+        assert live.payload == reference.payload
+        for name in ("sizer.moves_tried", "sizer.moves_accepted",
+                     "sizer.moves_rejected", "sizer.no_candidate"):
+            assert live_metrics.get(name) == reference_metrics.get(name)
+        assert live_metrics["incremental.edits"] == sessions[0].edits > 0

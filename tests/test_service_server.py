@@ -335,18 +335,23 @@ def test_expired_deadline_refused_before_search(client):
     assert err.value.code == "deadline-exceeded"
 
 
-@pytest.mark.parametrize("op,params", [
-    ("analyze", {"netlist": "iscas:c17", "vectorize": False}),
-    ("size", {"netlist": "iscas:c17", "required_ps": 100.0,
-              "vectorize": False}),
-], ids=["analyze", "size"])
-def test_unknown_param_rejected_naming_it(client, op, params):
-    """The retired scalar-sweep switch is now an unknown param: a
-    structured bad-request naming it, never silently ignored."""
+@pytest.mark.parametrize("op,retired,value", [
+    ("analyze", "vectorize", False),
+    ("size", "vectorize", False),
+    ("size", "scratch", True),
+    ("size", "variant_suffix", "_X2"),
+], ids=["analyze", "size", "size-scratch", "size-variant-suffix"])
+def test_unknown_param_rejected_naming_it(client, op, retired, value):
+    """Retired params (the scalar-sweep switch, the sizer's scratch
+    mode and drive-suffix knob) are now unknown params: a structured
+    bad-request naming them, never silently ignored."""
+    params = {"netlist": "iscas:c17", retired: value}
+    if op == "size":
+        params["required_ps"] = 100.0
     with pytest.raises(ServiceError) as err:
         client.call(op, params)
     assert err.value.code == "bad-request"
-    assert "vectorize" in err.value.message
+    assert retired in err.value.message
 
 
 def test_effort_capped_request_still_serves(client):
