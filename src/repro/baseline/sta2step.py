@@ -56,7 +56,6 @@ class TwoStepReport:
     def as_row(self) -> Dict[str, object]:
         return {
             "backtrack_limit": self.backtrack_limit,
-            "cpu_s": round(self.cpu_seconds, 3),
             "paths": self.paths_explored,
             "true": self.true_paths,
             "false": self.declared_false,
@@ -96,6 +95,9 @@ class TwoStepSTA:
     backtrack_limit:
         Shared sensitization budget per path (the paper sweeps 1000 to
         25000 on c6288).
+    missing_arc_policy:
+        What a traversal does when the library lacks its arc (see
+        :data:`~repro.core.delaycalc.MISSING_ARC_POLICIES`).
     """
 
     def __init__(
@@ -106,6 +108,7 @@ class TwoStepSTA:
         vdd: Optional[float] = None,
         input_slew: float = DEFAULT_INPUT_SLEW,
         backtrack_limit: Optional[int] = 1000,
+        missing_arc_policy: str = "error",
     ):
         circuit.check()
         self.circuit = circuit
@@ -120,6 +123,7 @@ class TwoStepSTA:
             vdd=vdd,
             input_slew=input_slew,
             vector_blind=vector_blind,
+            missing_arc_policy=missing_arc_policy,
         )
         self.enumerator = StructuralEnumerator(self.ec, self.calc)
         self.sensitizer = TwoStepSensitizer(

@@ -123,11 +123,7 @@ class DelayCalculator:
         #: ``delaycalc.arc_substitutions`` deltas).
         self.arc_substitutions: int = 0
         #: Pre-resolved equivalent fanout per gate index.
-        self.fo: List[float] = []
-        circuit = ec.circuit
-        for gate in ec.gates:
-            load = output_load(circuit, gate.inst, charlib, wire=wire)
-            self.fo.append(load / charlib.mean_cap(gate.cell.name))
+        self.fo: List[float] = [self._fanout(gate) for gate in ec.gates]
         self._arc_cache: Dict[Tuple[str, str, str, bool, bool], TimingArc] = {}
         self._gate_arcs_cache: Dict[int, Tuple[TimingArc, ...]] = {}
         #: (gate index, pin) -> (resolved arcs, missing-arc descriptions).
@@ -137,6 +133,11 @@ class DelayCalculator:
         self._worst_delay_cache: Dict[int, float] = {}
         self._worst_arc_cache: Dict[Tuple[int, str], float] = {}
         self._bound_slews: Optional[Tuple[float, ...]] = None
+        #: sample grid -> per-gate worst output slew over that grid
+        #: (None = stale: an edit marks its gates stale in *every*
+        #: cached grid, since a later fixed point may revisit a grid
+        #: this one never touched; entries re-sweep lazily on read).
+        self._slew_peaks: Dict[Tuple[float, ...], List[Optional[float]]] = {}
         self._remaining_bounds: Optional[List[float]] = None
         self._required_bounds: Optional[List[float]] = None
         self._prune_bounds: Optional[PruneBounds] = None
@@ -158,6 +159,13 @@ class DelayCalculator:
             f"cannot infer nominal VDD for technology {self.charlib.tech_name!r}; "
             "pass vdd explicitly"
         )
+
+    def _fanout(self, gate: EngineGate) -> float:
+        """Equivalent fanout of one gate: its output load over its
+        cell's mean input-pin capacitance."""
+        load = output_load(self.ec.circuit, gate.inst, self.charlib,
+                           wire=self.wire)
+        return load / self.charlib.mean_cap(gate.cell.name)
 
     # ------------------------------------------------------------------
     def arc_timing(
@@ -369,10 +377,7 @@ class DelayCalculator:
         admissible bound.
         """
         if self._bound_slews is None:
-            self._bound_slews = self.slew_fixed_point(
-                lambda samples: max(self.tarrays.slew_peaks(samples),
-                                    default=0.0)
-            )
+            self._bound_slews = self.slew_fixed_point(self._worst_peak)
         return self._bound_slews
 
     def slew_fixed_point(
@@ -380,8 +385,9 @@ class DelayCalculator:
     ) -> Tuple[float, ...]:
         """The ceiling iteration behind :meth:`bound_slews`;
         ``worst_slew(samples)`` is the worst output slew any gate can
-        emit over one sample grid (the incremental session reads it
-        from per-gate peak tables instead of re-sweeping every gate)."""
+        emit over one sample grid (:meth:`bound_slews` reads it from
+        the per-gate peak tables, the verify-side reference from its
+        arc-at-a-time sweep)."""
         grid = (self.charlib.metadata or {}).get("grid", {})
         grid_slews = tuple(float(t) for t in grid.get("t_in", ()))
         ceiling = max((*grid_slews, self.input_slew, 4 * self.input_slew))
@@ -396,6 +402,24 @@ class DelayCalculator:
             _log.warning("bound.slew_ceiling_unconverged",
                          circuit=self.ec.circuit.name, ceiling=ceiling)
         return self._slew_samples(grid_slews, ceiling)
+
+    def _worst_peak(self, samples: Tuple[float, ...]) -> float:
+        """Worst output slew any gate can emit over one sample grid,
+        read from that grid's per-gate peak table: only stale entries
+        re-sweep.  The max over per-gate peaks is the max over the
+        identical (arc, sample) multiset a fresh sweep covers, so the
+        fixed point is bitwise the one a fresh calculator derives."""
+        peaks = self._slew_peaks.get(samples)
+        if peaks is None:
+            peaks = self.tarrays.slew_peaks(samples)
+            self._slew_peaks[samples] = peaks
+        stale = [index for index, peak in enumerate(peaks) if peak is None]
+        if stale:
+            for index, peak in zip(
+                stale, self.tarrays.slew_peaks(samples, stale)
+            ):
+                peaks[index] = peak
+        return max(peaks, default=0.0)
 
     @staticmethod
     def _slew_samples(grid_slews: Tuple[float, ...],
@@ -520,45 +544,49 @@ class DelayCalculator:
             self._worst_table_complete = True
 
     # ------------------------------------------------------------------
-    # incremental-edit plumbing (repro.core.incremental)
+    # the edit hook (repro.core.incremental)
     # ------------------------------------------------------------------
-    def invalidate_gates(
-        self, gate_indices: Sequence[int], keep_bounds: bool = False
-    ) -> None:
-        """Drop every per-gate memo keyed off the named gates' arcs.
+    def invalidate_gates(self, gate_indices: Sequence[int]) -> bool:
+        """Forget everything an in-place cell swap of the named gates
+        stales; True when the achievable-slew domain moved.
 
-        Called after an in-place cell swap: the gates' resolved-arc
-        tuples, worst-arc and worst-gate delays all read the old cell's
-        models.  The cell-name-keyed ``_arc_cache`` survives (its
-        entries stay correct for every cell, including the new one).
-        With ``keep_bounds`` the per-net backward bounds are left for
-        the caller to repair incrementally; otherwise they are dropped
-        and recomputed from scratch on next access.
+        A swap dirties the swapped gate (new models, new ``mean_cap``
+        denominator) and the drivers of its input nets (new sink pin
+        caps).  In order: their equivalent fanouts are re-derived,
+        their per-gate memos dropped (the cell-name-keyed
+        ``_arc_cache`` survives: its entries stay right for every
+        cell), and their slew peaks marked stale in every cached grid;
+        the compiled :class:`~repro.core.tarrays.TimingArrays` and the
+        :class:`PruneBounds` snapshot are dropped (the next full sweep
+        recompiles).  If bound slews were ever computed, the fixed
+        point is re-derived from the peak tables, re-sweeping only the
+        stale entries.  When it moved, every fitted worst-delay sweep
+        is stale: every worst-delay memo and both per-net bounds are
+        dropped, the new grid is installed and True is returned.
+        Otherwise the per-net bounds stay for the caller to repair in
+        the dirty cone.
         """
         for index in gate_indices:
+            gate = self.ec.gates[index]
+            self.fo[index] = self._fanout(gate)
             self._gate_arcs_cache.pop(index, None)
             self._worst_delay_cache.pop(index, None)
-            gate = self.ec.gates[index]
             for pin in gate.options:
                 self._pin_arcs_cache.pop((index, pin), None)
                 self._worst_arc_cache.pop((index, pin), None)
+            for peaks in self._slew_peaks.values():
+                peaks[index] = None
         self._worst_table_complete = False
-        if not keep_bounds:
-            self._remaining_bounds = None
-            self._required_bounds = None
-            self._prune_bounds = None
-
-    def refresh_fanout(self, gate_indices: Sequence[int]) -> None:
-        """Re-derive the pre-resolved equivalent fanout of the named
-        gates from the circuit's current cells (a swap moves ``fo`` two
-        ways: the sink pin caps of the edited gate's *drivers* change,
-        and the edited gate's own ``mean_cap`` denominator changes).
-        Mirrors the patched values into the compiled SoA tables when
-        they exist."""
-        circuit = self.ec.circuit
-        for index in gate_indices:
-            gate = self.ec.gates[index]
-            load = output_load(circuit, gate.inst, self.charlib, wire=self.wire)
-            self.fo[index] = load / self.charlib.mean_cap(gate.cell.name)
-        if self._tarrays is not None:
-            self._tarrays.patch_fo(gate_indices)
+        self._tarrays = None
+        self._prune_bounds = None
+        if self._bound_slews is None:
+            return False
+        slews = self.slew_fixed_point(self._worst_peak)
+        if slews == self._bound_slews:
+            return False
+        self._worst_arc_cache.clear()
+        self._worst_delay_cache.clear()
+        self._required_bounds = None
+        self._remaining_bounds = None
+        self._bound_slews = slews
+        return True

@@ -10,13 +10,11 @@ keeps all of that state alive across edits and, after a pin-compatible
 * **Dirty gates.**  A swap of gate ``g`` changes the timing of ``g``
   itself (new models, new ``mean_cap`` denominator in its equivalent
   fanout) *and* of every gate driving one of ``g``'s input nets (their
-  output load includes ``g``'s input-pin caps).  Everything keyed off
-  those gates' arcs is invalidated surgically:
-  :meth:`DelayCalculator.invalidate_gates` drops the per-gate memos
-  while the cell-name-keyed arc cache survives,
-  :meth:`DelayCalculator.refresh_fanout` re-derives their equivalent
-  fanouts, and :meth:`TimingArrays.patch_gate` rewrites the edited
-  gate's SoA records in place instead of recompiling the graph.
+  output load includes ``g``'s input-pin caps).  The one edit hook,
+  :meth:`DelayCalculator.invalidate_gates`, forgets what those gates
+  stale: it re-derives their equivalent fanouts, drops their per-gate
+  memos (the cell-name-keyed arc cache survives), and drops the
+  compiled SoA tables, which only a full forward sweep reads.
 
 * **Forward cone.**  Arrivals/slews are re-propagated from the dirty
   gates' output nets through the transitive fanout, one net at a time
@@ -31,17 +29,17 @@ keeps all of that state alive across edits and, after a pin-compatible
   re-propagated through the transitive fanin in descending level order
   (:meth:`TimingGraph.required_through_net` /
   :meth:`~TimingGraph.suffix_through_net`), again stopping on
-  convergence; cached :class:`PruneBounds` are dropped only when a
-  bound actually moved.
+  convergence; the cached :class:`PruneBounds` snapshot is dropped on
+  every edit.
 
 * **Slew fixed point.**  The achievable-slew ceiling
   (:meth:`DelayCalculator.bound_slews`) is a global fixed point, but
   its rounds only need the *worst* output slew per sample grid -- so
-  the session keeps a per-gate peak table per grid and re-evaluates
-  only dirty gates per edit.  When the resulting sample tuple differs
-  from the active one, every fitted worst-delay value in the circuit is
-  stale and the session falls back to a counted full rebuild
-  (``incremental.full_rebuilds``).
+  the calculator keeps a per-gate peak table per grid and the edit
+  hook re-evaluates only dirty gates.  When the resulting sample tuple
+  differs from the active one, every fitted worst-delay value in the
+  circuit is stale, the hook says so, and the session falls back to a
+  counted full rebuild (``incremental.full_rebuilds``).
 
 N-worst path reports are memoized per session version (edits bump the
 version); a cached report whose cone was touched is simply dropped --
@@ -123,13 +121,6 @@ class IncrementalSTA:
         self._gate_index: Dict[str, int] = {
             g.inst.name: g.index for g in self.ec.gates
         }
-        #: sample grid -> per-gate worst output slew over that grid.
-        self._slew_peaks: Dict[Tuple[float, ...], List[float]] = {}
-        #: sample grid -> gate indices whose peak entry is stale.  An
-        #: edit marks its dirty gates stale in *every* cached grid (a
-        #: later edit's fixed point may revisit a grid this edit's
-        #: replay never touched); entries recompute lazily on read.
-        self._peaks_stale: Dict[Tuple[float, ...], Set[int]] = {}
         #: (n, max_paths) -> (version, paths).
         self._nworst_cache: Dict[
             Tuple[int, Optional[int]], Tuple[int, List[TimedPath]]
@@ -150,15 +141,19 @@ class IncrementalSTA:
         if self._timing is not None:
             return
         with span("incremental.initial_analysis"):
-            if self.calc._bound_slews is None:
-                # Same rounds over the same multiset as the stock fixed
-                # point, but retains the per-gate peak tables so later
-                # edits re-evaluate only dirty gates.
-                self.calc._bound_slews = self._slew_fixed_point()
-            self._timing = self.tg.forward_arrivals(self.calc)
-            self.calc.ensure_worst_arc_table()
-            self.calc.required_bounds()
-            self.calc.remaining_bounds()
+            self._full_sweep()
+
+    def _full_sweep(self) -> None:
+        """A fresh forward sweep, plus every calculator table not
+        built yet (slew grid, worst-arc table, both per-net bounds):
+        the initial analysis, and the counted rebuild after the hook
+        reported a slew-domain move."""
+        calc = self.calc
+        calc.bound_slews()
+        self._timing = self.tg.forward_arrivals(calc)
+        calc.ensure_worst_arc_table()
+        calc.required_bounds()
+        calc.remaining_bounds()
 
     # ------------------------------------------------------------------
     # edits
@@ -215,22 +210,13 @@ class IncrementalSTA:
         registry = obs_metrics.REGISTRY
         registry.counter("incremental.edits").inc()
         dirty = self._dirty_gates(gate)
-        calc = self.calc
-        calc.invalidate_gates(dirty, keep_bounds=True)
-        calc.refresh_fanout(dirty)
         with span("incremental.refresh"):
-            for stale in self._peaks_stale.values():
-                stale.update(dirty)
-            if (calc._tarrays is not None
-                    and not calc._tarrays.patch_gate(gate.index)):
-                registry.counter("incremental.soa_recompiles").inc()
-            new_slews = self._slew_fixed_point()
-            if new_slews != calc._bound_slews:
+            if self.calc.invalidate_gates(dirty):
                 # The achievable-slew domain moved: every fitted
                 # worst-delay sweep in the circuit is stale, which is
                 # exactly the case incremental repair cannot bound.
                 # Count it and rebuild.
-                report = self._refresh_full(gate, from_cell, new_slews)
+                report = self._refresh_full(gate, from_cell)
             else:
                 report = self._refresh_cone(gate, from_cell, dirty)
         registry.histogram("incremental.refresh_ms").observe(
@@ -314,8 +300,6 @@ class IncrementalSTA:
                     if src not in bqueued:
                         bqueued.add(src)
                         heapq.heappush(bheap, (-levels[src], src))
-        if backward_changed:
-            calc._prune_bounds = None
 
         levels_reswept = len(forward_levels) + len(backward_levels)
         registry.counter("incremental.cone_gates").inc(cone_gates)
@@ -333,26 +317,10 @@ class IncrementalSTA:
             version=self.version,
         )
 
-    def _refresh_full(
-        self,
-        gate: EngineGate,
-        from_cell: str,
-        new_slews: Tuple[float, ...],
-    ) -> EditReport:
-        calc = self.calc
+    def _refresh_full(self, gate: EngineGate, from_cell: str) -> EditReport:
         registry = obs_metrics.REGISTRY
         registry.counter("incremental.full_rebuilds").inc()
-        calc._worst_arc_cache.clear()
-        calc._worst_delay_cache.clear()
-        calc._worst_table_complete = False
-        calc._required_bounds = None
-        calc._remaining_bounds = None
-        calc._prune_bounds = None
-        calc._bound_slews = new_slews
-        self._timing = self.tg.forward_arrivals(calc)
-        calc.ensure_worst_arc_table()
-        calc.required_bounds()
-        calc.remaining_bounds()
+        self._full_sweep()
         levels_reswept = 2 * self._distinct_levels
         registry.counter("incremental.cone_gates").inc(len(self.ec.gates))
         registry.counter("incremental.levels_reswept").inc(levels_reswept)
@@ -368,37 +336,6 @@ class IncrementalSTA:
             full_rebuild=True,
             version=self.version,
         )
-
-    # ------------------------------------------------------------------
-    # slew fixed point with per-gate peak tables
-    # ------------------------------------------------------------------
-    def _slew_fixed_point(self) -> Tuple[float, ...]:
-        """:meth:`DelayCalculator.slew_fixed_point` with each round's
-        worst slew read from a per-gate peak table, so only dirty gates
-        re-evaluate per edit.  The max over per-gate peaks is the max
-        over the identical (arc, sample) multiset a fresh calculator
-        sweeps, so the returned tuple is bitwise the one it derives."""
-        return self.calc.slew_fixed_point(
-            lambda samples: max(self._gate_peaks(samples), default=0.0)
-        )
-
-    def _gate_peaks(self, samples: Tuple[float, ...]) -> List[float]:
-        peaks = self._slew_peaks.get(samples)
-        arrays = self.calc.tarrays
-        if peaks is None:
-            peaks = arrays.slew_peaks(samples)
-            self._slew_peaks[samples] = peaks
-            self._peaks_stale[samples] = set()
-            return peaks
-        stale = self._peaks_stale[samples]
-        if stale:
-            indices = sorted(stale)
-            for index, value in zip(
-                indices, arrays.slew_peaks(samples, indices)
-            ):
-                peaks[index] = value
-            stale.clear()
-        return peaks
 
     # ------------------------------------------------------------------
     # queries

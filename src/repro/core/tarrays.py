@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.charlib.lut import LutModel
 from repro.charlib.polynomial import PolynomialModel
-from repro.charlib.store import BLIND
+from repro.charlib.store import BLIND, TimingArc
 from repro.core.tgraph import ForwardTiming
 
 if TYPE_CHECKING:  # import cycle: delaycalc owns the lazy TimingArrays
@@ -210,9 +210,8 @@ class _ForwardTables:
     """Flat per-record arrays of the forward traversal structure."""
 
     __slots__ = (
-        "src", "dst", "in_pol", "out_pol", "gate", "levels",
+        "src", "dst", "in_pol", "out_pol", "gate",
         "delay_groups", "slew_groups", "missing_groups", "level_order",
-        "delay_models", "slew_models",
     )
 
     def __init__(self):
@@ -228,11 +227,6 @@ class _ForwardTables:
         #: lookup args needed to re-raise the scalar error lazily.
         self.missing_groups: Dict[int, np.ndarray] = {}
         self.level_order: List[int] = []
-        #: Per-record resolved models (None = unresolvable record),
-        #: retained so an in-place gate patch can rebuild one level's
-        #: fused groups without recompiling the whole graph.
-        self.delay_models: List[Optional["DelayModel"]] = []
-        self.slew_models: List[Optional["DelayModel"]] = []
 
 
 class TimingArrays:
@@ -241,7 +235,11 @@ class TimingArrays:
     Compilation is lazy and piecewise: the forward tables are built on
     the first forward pass, the backward tables on the first
     required-bound pass -- a GBA-only run never pays for the backward
-    compile and vice versa.
+    compile and vice versa.  The tables describe the circuit's cells
+    and fanouts at compile time: an edit drops the object
+    (:meth:`DelayCalculator.invalidate_gates
+    <repro.core.delaycalc.DelayCalculator.invalidate_gates>`); the
+    next full sweep recompiles.
     """
 
     def __init__(self, calc: "DelayCalculator"):
@@ -288,9 +286,8 @@ class TimingArrays:
         gates: List[int] = []
         levels: List[int] = []
         lookups: List[Tuple] = []
-        #: Per-record resolved models; None marks an unresolvable record.
-        delay_models: List[Optional["DelayModel"]] = []
-        slew_models: List[Optional["DelayModel"]] = []
+        #: Per-record resolved arcs; None marks an unresolvable record.
+        resolved: List[Optional[TimingArc]] = []
 
         for gate in self.ec.gates:
             out_net = gate.output_net
@@ -310,19 +307,15 @@ class TimingArrays:
                         lookups.append((gate, arc.pin, vector.vector_id,
                                         input_rising, output_rising))
                         try:
-                            resolved = self._resolve_record(
+                            resolved.append(self._resolve_record(
                                 gate, arc.pin, vector.vector_id,
                                 input_rising, output_rising,
-                            )
+                            ))
                         except MissingArcsError:
                             # The scalar pass raises only when a
                             # *reachable* polarity traverses the record;
                             # mark it and re-raise lazily in the sweep.
-                            delay_models.append(None)
-                            slew_models.append(None)
-                            continue
-                        delay_models.append(resolved.delay_model)
-                        slew_models.append(resolved.slew_model)
+                            resolved.append(None)
 
         fwd = _ForwardTables()
         fwd.src = np.asarray(src, dtype=np.intp)
@@ -330,9 +323,6 @@ class TimingArrays:
         fwd.in_pol = np.asarray(in_pols, dtype=np.intp)
         fwd.out_pol = np.asarray(out_pols, dtype=np.intp)
         fwd.gate = np.asarray(gates, dtype=np.intp)
-        fwd.levels = np.asarray(levels, dtype=np.intp)
-        fwd.delay_models = delay_models
-        fwd.slew_models = slew_models
         self._record_lookups = lookups
 
         by_level: Dict[int, List[int]] = {}
@@ -340,16 +330,15 @@ class TimingArrays:
             by_level.setdefault(level, []).append(rec)
         fwd.level_order = sorted(by_level)
         for level, recs in by_level.items():
-            missing = [r for r in recs if delay_models[r] is None]
+            missing = [r for r in recs if resolved[r] is None]
             if missing:
                 fwd.missing_groups[level] = np.asarray(missing, dtype=np.intp)
+            present = [r for r in recs if resolved[r] is not None]
             fwd.delay_groups[level] = _build_groups(
-                [(r, delay_models[r]) for r in recs
-                 if delay_models[r] is not None]
+                [(r, resolved[r].delay_model) for r in present]
             )
             fwd.slew_groups[level] = _build_groups(
-                [(r, slew_models[r]) for r in recs
-                 if slew_models[r] is not None]
+                [(r, resolved[r].slew_model) for r in present]
             )
         self._forward = fwd
         return fwd
@@ -456,93 +445,6 @@ class TimingArrays:
         ]
         return ForwardTiming(arrivals=arrivals, slews=slews)
 
-    # ------------------------------------------------------------------
-    # in-place record patching (repro.core.incremental)
-    # ------------------------------------------------------------------
-    def patch_gate(self, gate_index: int) -> bool:
-        """Re-resolve one gate's forward records in place after its
-        cell was swapped, instead of recompiling the whole graph.
-
-        The record layout per gate is ``(fanin arc x sensitization
-        option x input polarity)`` in compile order.  A pin-compatible
-        swap keeps the fanin arcs (and hence ``src``/``dst``/``levels``)
-        fixed, but the new cell's vectors may change ``out_pol``
-        (inverting flips), the resolved models, and -- when the vector
-        *count* per pin differs (e.g. NAND2 -> XOR2) -- the record count
-        itself.  In that last case patching is impossible; the compiled
-        tables are dropped and False is returned so the caller can
-        count a full SoA recompile.  Otherwise the gate's records are
-        regenerated exactly as :meth:`_compile_forward` would, and only
-        the fused evaluation groups of the gate's own level are
-        rebuilt.  No-op (True) when the forward tables were never
-        compiled.
-        """
-        if self._forward is None:
-            return True
-        from repro.core.delaycalc import MissingArcsError
-
-        fwd = self._forward
-        gate = self.ec.gates[gate_index]
-        recs = np.nonzero(fwd.gate == gate_index)[0]
-        out_net = gate.output_net
-        regenerated: List[Tuple] = []
-        for arc in self.tg.fanin[out_net]:
-            if arc.gate_index != gate_index:
-                continue
-            for option in gate.options[arc.pin]:
-                vector = option.vector
-                for in_pol in (0, 1):
-                    input_rising = in_pol == 0
-                    output_rising = input_rising ^ vector.inverting
-                    regenerated.append((
-                        arc.src_net, in_pol, 0 if output_rising else 1,
-                        (gate, arc.pin, vector.vector_id,
-                         input_rising, output_rising),
-                    ))
-        if len(regenerated) != recs.size:
-            self._forward = None
-            self._record_lookups = []
-            return False
-        for rec, (src_net, in_pol, out_pol, lookup) in zip(
-            recs, regenerated
-        ):
-            rec = int(rec)
-            fwd.src[rec] = src_net
-            fwd.in_pol[rec] = in_pol
-            fwd.out_pol[rec] = out_pol
-            self._record_lookups[rec] = lookup
-            try:
-                resolved = self._resolve_record(*lookup)
-            except MissingArcsError:
-                fwd.delay_models[rec] = None
-                fwd.slew_models[rec] = None
-                continue
-            fwd.delay_models[rec] = resolved.delay_model
-            fwd.slew_models[rec] = resolved.slew_model
-        level = self.tg.levels[out_net]
-        level_recs = np.nonzero(fwd.levels == level)[0]
-        missing = [int(r) for r in level_recs if fwd.delay_models[r] is None]
-        if missing:
-            fwd.missing_groups[level] = np.asarray(missing, dtype=np.intp)
-        else:
-            fwd.missing_groups.pop(level, None)
-        fwd.delay_groups[level] = _build_groups(
-            [(int(r), fwd.delay_models[r]) for r in level_recs
-             if fwd.delay_models[r] is not None]
-        )
-        fwd.slew_groups[level] = _build_groups(
-            [(int(r), fwd.slew_models[r]) for r in level_recs
-             if fwd.slew_models[r] is not None]
-        )
-        return True
-
-    def patch_fo(self, gate_indices: Sequence[int]) -> None:
-        """Mirror the calculator's refreshed equivalent fanouts into
-        the shared per-gate vector (:meth:`DelayCalculator.refresh_fanout`
-        calls this after an edit)."""
-        for index in gate_indices:
-            self.fo[index] = self.calc.fo[index]
-
     def slew_peaks(
         self, samples: Sequence[float],
         gate_indices: Optional[Sequence[int]] = None,
@@ -552,9 +454,9 @@ class TimingArrays:
         arcs of ``evaluate_many`` on the grid -- bitwise the per-arc
         sweeps of :func:`~repro.verify.metamorphic.reference_slew_peaks`.
         One fixed-point round of :meth:`DelayCalculator.bound_slews`
-        maximizes over all of them; a per-gate peak table maintained
-        from these reproduces that fixed point exactly while
-        re-evaluating only dirty gates per edit."""
+        maximizes over all of them; the calculator keeps them as
+        per-gate peak tables, so an edit re-sweeps only its dirty
+        gates (``gate_indices``)."""
         calc = self.calc
         gates = (self.ec.gates if gate_indices is None
                  else [self.ec.gates[i] for i in gate_indices])

@@ -335,7 +335,8 @@ def execute_analysis(
         from repro.baseline.sta2step import TwoStepSTA
 
         tool = TwoStepSTA(circuit, charlib,
-                          backtrack_limit=request.backtrack_limit)
+                          backtrack_limit=request.backtrack_limit,
+                          missing_arc_policy=request.missing_arc_policy)
         report = tool.run(max_structural_paths=request.max_paths or 1000)
         paths = tool.true_paths(report)
         lines.append(f"two-step baseline: {report.as_row()}")

@@ -326,12 +326,13 @@ def check_incremental_identical(
 ) -> InvariantResult:
     """After every edit of a randomized pin-compatible swap sequence,
     the incremental session must match a from-scratch rebuild bit for
-    bit -- forward arrivals/slews, backward required/suffix bounds, and
-    the full N-worst path identity -- and the rebuild's SoA sweeps must
-    match the arc-at-a-time reference passes (forward timing, the whole
-    slew-ceiling fixed point, required bounds, per-gate slew peaks on
-    the final grid), computed on a
-    fresh calculator so no batched table leaks into the reference.
+    bit -- forward arrivals/slews (both the repaired ones and a fresh
+    SoA forward sweep on the session's own calculator), backward
+    required/suffix bounds, and the full N-worst path identity -- and
+    the rebuild's SoA sweeps must match the arc-at-a-time reference
+    passes (forward timing, the whole slew-ceiling fixed point,
+    required bounds, per-gate slew peaks on the final grid), computed
+    on a fresh calculator so no batched table leaks into the reference.
     Two comparisons per edit.  Mutates and then restores the circuit in
     place."""
     from repro.core.incremental import IncrementalSTA
@@ -375,6 +376,10 @@ def check_incremental_identical(
             if (session.arrivals() != timing.arrivals
                     or session.slews() != timing.slews):
                 return diverged("session forward timing (vs scratch)")
+            swept = session.tg.forward_arrivals(session.calc)
+            if (swept.arrivals != timing.arrivals
+                    or swept.slews != timing.slews):
+                return diverged("session SoA forward sweep (vs scratch)")
             if (session.required_bounds() != want_required
                     or session.suffix_bounds() != want_suffix):
                 return diverged("session backward bounds (vs scratch)")

@@ -146,6 +146,33 @@ class TestTwoStepSTA:
             p.worst_arrival for p in tool.true_paths(report)
         )
 
+    def test_rendered_report_is_clock_free(self, charlib_lut_90,
+                                           monkeypatch):
+        """The served result memo treats a baseline report as a pure
+        function of its request, so the rendered text must not carry
+        the run's wall-clock time (it stays in ``baseline.cpu_seconds``)."""
+        import itertools
+        from types import SimpleNamespace
+
+        import repro.baseline.sta2step as sta2step
+        from repro.service.requests import (
+            AnalysisContext, AnalysisRequest, execute_analysis,
+        )
+
+        # A clock whose every reading advances further than the last:
+        # the two runs below take 2 s and 4 s.
+        ticks = itertools.accumulate(itertools.count(1))
+        monkeypatch.setattr(sta2step, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+
+        def render():
+            return execute_analysis(
+                AnalysisRequest("c17", tool="baseline"),
+                AnalysisContext(circuit=c17(), charlib=charlib_lut_90),
+            ).report
+
+        assert render() == render()
+
     def test_abort_with_tiny_budget(self, charlib_lut_90):
         circuit = techmap(random_dag("ab", 16, 120, seed=41))
         tool = TwoStepSTA(circuit, charlib_lut_90, backtrack_limit=0)

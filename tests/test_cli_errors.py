@@ -153,34 +153,42 @@ class TestWarnSubstituteEquivalence:
                 == [_path_identity(p) for p in parallel.paths])
 
 
-class TestGbaMissingArcPolicy:
-    @pytest.mark.parametrize("compare", [False, True],
-                             ids=["gba", "gba-compare"])
-    def test_gba_honours_the_request_policy(self, charlib_poly_90, compare):
-        """``--tool gba`` (and its ``--compare`` true-path side) analyze
-        under the request's missing-arc policy, which is part of the
-        context key: warn-substitute renders, error still raises."""
+class TestToolMissingArcPolicy:
+    @pytest.mark.parametrize(
+        "tool, compare, charlib_name, header",
+        [("gba", False, "charlib_poly_90", "GBA endpoint arrivals"),
+         ("gba", True, "charlib_poly_90", "GBA endpoint arrivals"),
+         ("baseline", False, "charlib_lut_90", "two-step baseline:")],
+        ids=["gba", "gba-compare", "baseline"],
+    )
+    def test_tool_honours_the_request_policy(self, request, tool, compare,
+                                             charlib_name, header):
+        """``--tool gba`` (and its ``--compare`` true-path side) and
+        ``--tool baseline`` analyze under the request's missing-arc
+        policy, which is part of the context key: warn-substitute
+        renders, error still raises."""
         from repro.core.delaycalc import MissingArcsError
         from repro.service.requests import (
             AnalysisContext, AnalysisRequest, execute_analysis, load_circuit,
         )
         from repro.verify.faults import corrupt_charlib
 
+        charlib = request.getfixturevalue(charlib_name)
+
         def run(policy):
             circuit = load_circuit("iscas:c432@0.1")
-            corrupted, dropped = corrupt_charlib(charlib_poly_90, circuit,
-                                                 seed=3)
+            corrupted, dropped = corrupt_charlib(charlib, circuit, seed=3)
             assert dropped
-            request = AnalysisRequest(
-                "iscas:c432@0.1", tool="gba", compare=compare,
+            analysis = AnalysisRequest(
+                "iscas:c432@0.1", tool=tool, compare=compare,
                 missing_arc_policy=policy,
             )
             return execute_analysis(
-                request, AnalysisContext(circuit=circuit, charlib=corrupted),
+                analysis, AnalysisContext(circuit=circuit, charlib=corrupted),
             )
 
         report = run("warn-substitute").report
-        assert report.startswith("GBA endpoint arrivals")
+        assert report.startswith(header)
         assert ("gba_pessimism vs" in report) == compare
         with pytest.raises(MissingArcsError):
             run("error")

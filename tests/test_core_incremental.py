@@ -219,11 +219,30 @@ class TestMetricsAndLocality:
         assert snapshot["incremental.graph_levels"] >= 1
 
     def test_endpoint_cone_is_local_on_c432(self, charlib_poly_90,
-                                            clean_obs):
+                                            clean_obs, monkeypatch):
+        from repro.core.tarrays import TimingArrays
+
+        honest = TimingArrays.slew_peaks
+        swept = []
+
+        def spy(self, samples, gate_indices=None):
+            swept.append(None if gate_indices is None
+                         else list(gate_indices))
+            return honest(self, samples, gate_indices)
+
+        monkeypatch.setattr(TimingArrays, "slew_peaks", spy)
         circuit = build_circuit("c432", scale=0.25)
         session = IncrementalSTA(circuit, charlib_poly_90)
         session.refresh()
-        report = session.replace_cell(_endpoint_gate(circuit), "NOR2")
+        assert swept == [None]  # the slew fixed point sweeps every gate once
+        name = _endpoint_gate(circuit)
+        report = session.replace_cell(name, "NOR2")
+        # The edit re-sweeps the slew peaks of its dirty gates only: the
+        # edited gate and the drivers of its input nets.  The peak
+        # tables must outlive the SoA tables an edit drops.
+        gate = next(g for g in session.ec.gates if g.inst.name == name)
+        drivers = {session.ec.driver[net] for net in gate.input_nets}
+        assert swept == [None, sorted(({gate.index} | drivers) - {-1})]
         total_gates = len(circuit.instances)
         assert report.cone_gates < total_gates / 4
         snapshot = clean_obs.snapshot()
