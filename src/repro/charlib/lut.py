@@ -10,6 +10,7 @@ exactly the inaccuracy the paper quantifies in Tables 7-9.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -40,32 +41,32 @@ class LutModel:
         #: Relative derating per Kelvin / per Volt (commercial k-factors).
         self.k_temp = k_temp
         self.k_vdd = k_vdd
+        # Plain-float copies for the scalar evaluator, taken once: a
+        # model is not mutated after construction.
+        self._t_axis = tuple(self.t_in_axis.tolist())
+        self._f_axis = tuple(self.fo_axis.tolist())
+        self._rows = tuple(tuple(row) for row in self.table.tolist())
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _bracket(axis: np.ndarray, x: float):
-        """Clamped segment index and interpolation weight."""
-        idx = int(np.searchsorted(axis, x) - 1)
-        idx = min(max(idx, 0), len(axis) - 2)
-        x0, x1 = axis[idx], axis[idx + 1]
-        w = (x - x0) / (x1 - x0)
-        w = min(max(w, 0.0), 1.0)  # clamp: no extrapolation beyond corners
-        return idx, w
-
     def evaluate(self, fo: float, t_in: float, temp: float, vdd: float) -> float:
-        i, wi = self._bracket(self.t_in_axis, t_in)
-        j, wj = self._bracket(self.fo_axis, fo)
-        t = self.table
+        """One point, on plain floats: ``bisect_left`` is
+        ``np.searchsorted``'s default side, and the clamped weights
+        keep the value inside the table's corners."""
+        ts, fs = self._t_axis, self._f_axis
+        i = min(max(bisect_left(ts, t_in) - 1, 0), len(ts) - 2)
+        j = min(max(bisect_left(fs, fo) - 1, 0), len(fs) - 2)
+        wi = min(max((t_in - ts[i]) / (ts[i + 1] - ts[i]), 0.0), 1.0)
+        wj = min(max((fo - fs[j]) / (fs[j + 1] - fs[j]), 0.0), 1.0)
+        lo, hi = self._rows[i], self._rows[i + 1]
         base = (
-            t[i, j] * (1 - wi) * (1 - wj)
-            + t[i + 1, j] * wi * (1 - wj)
-            + t[i, j + 1] * (1 - wi) * wj
-            + t[i + 1, j + 1] * wi * wj
+            lo[j] * (1 - wi) * (1 - wj)
+            + hi[j] * wi * (1 - wj)
+            + lo[j + 1] * (1 - wi) * wj
+            + hi[j + 1] * wi * wj
         )
-        derate = 1.0 + self.k_temp * (temp - self.ref_temp) + self.k_vdd * (
-            vdd - self.ref_vdd
-        )
-        return float(base * derate)
+        derate = (1.0 + self.k_temp * (temp - self.ref_temp)
+                  + self.k_vdd * (vdd - self.ref_vdd))
+        return base * derate
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`evaluate` over ``(n, 4)`` rows of
@@ -76,7 +77,8 @@ class LutModel:
         :class:`~repro.charlib.model.DelayModel` batch-equivalence
         law): searchsorted bracketing, clamped weights, the bilinear
         expression tree and the derate factor are the same elementwise
-        operations in the same order as the scalar path.
+        operations in the same order as the scalar path's plain-float
+        ones.
         """
         points = np.asarray(points, dtype=float)
         fo, t_in, temp, vdd = points.T

@@ -21,14 +21,22 @@ batch composition.  The vectorized timing core relies on it to produce
 byte-identical arrivals, slews and pruning bounds whether a model is
 evaluated one traversal at a time (the search hot loop, incremental
 per-net repair, the reference passes in :mod:`repro.verify.metamorphic`)
-or once per (level, model group).  Implementations must therefore
-replay the scalar operation sequence elementwise (see
-:meth:`PolynomialModel._power_ladder
-<repro.charlib.polynomial.PolynomialModel._power_ladder>`) rather than
-reassociating the arithmetic (e.g. a BLAS ``design @ coeffs`` product
-is *not* bitwise-equal to sequential accumulation).
-``tests/test_core_tarrays.py`` pins the law for both built-in
-families.
+or once per (level, model group).
+
+Both built-in families keep the law the same way: the scalar side runs
+on plain Python floats, the batch side runs numpy elementwise ufuncs,
+and IEEE 754 rounds each ``+ - * /`` of two doubles correctly in
+either, so the two agree bit for bit as long as they perform the same
+operations in the same order.  The scalar polynomial kernel is
+generated from the batch loop's term sequence
+(:func:`repro.charlib.polynomial._scalar_kernel`, with the
+:meth:`~repro.charlib.polynomial.PolynomialModel._power_ladder` rungs);
+the LUT pair shares one bracketing, weighting and bilinear expression
+tree.  Reassociating either side breaks the law: Horner's rule or a
+BLAS ``design @ coeffs`` product is *not* bitwise-equal to sequential
+accumulation.  ``tests/test_core_tarrays.py`` pins the law on every arc
+of the built-in libraries, and shows that it catches a reassociated
+kernel.
 
 New model families register their ``kind`` tag in :data:`MODEL_KINDS`
 and automatically work everywhere: arc resolution, the arc cache, the

@@ -15,8 +15,10 @@ declared orders in the physical variables.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +44,51 @@ class Normalization:
         return (points - np.asarray(self.centers)) / np.asarray(self.scales)
 
 
+@functools.cache
+def _scalar_kernel(orders: Tuple[int, int, int, int]) -> Callable[..., float]:
+    """Compile the plain-float evaluator shared by every model of one
+    orders tuple: ``kernel(fo, t_in, temp, vdd, c, centers, scales)``,
+    with ``c`` the coefficients flattened in C order.
+
+    The generated straight-line code replays
+    :meth:`PolynomialModel.evaluate_many` on Python floats: the affine
+    normalization, the :meth:`~PolynomialModel._power_ladder` rungs, the
+    left-to-right term products ``c * p0 * p1 * p2 * p3`` and the
+    accumulation from ``0.0`` in C order.  Only the ladder's rung 0 is
+    left out: multiplying by exactly ``1.0`` changes no bit, so a term
+    keeps just its nonzero powers and a zero-order variable is never
+    normalized.  For orders ``(1, 2, 0, 0)`` the body reads::
+
+        c0, c1, c2, c3, c4, c5, = c
+        x0_1 = (fo - centers[0]) / scales[0]
+        x1_1 = (t_in - centers[1]) / scales[1]
+        x1_2 = x1_1 * x1_1
+        acc = 0.0
+        acc += c0
+        acc += c1 * x1_1
+        ...
+        acc += c5 * x0_1 * x1_2
+        return acc
+    """
+    terms = list(itertools.product(*(range(o + 1) for o in orders)))
+    body = [", ".join(f"c{n}" for n in range(len(terms))) + ", = c"]
+    for v, name in enumerate(("fo", "t_in", "temp", "vdd")):
+        if orders[v]:
+            body.append(f"x{v}_1 = ({name} - centers[{v}]) / scales[{v}]")
+        for p in range(2, orders[v] + 1):
+            body.append(f"x{v}_{p} = x{v}_{p - 1} * x{v}_1")
+    body.append("acc = 0.0")
+    for n, term in enumerate(terms):
+        powers = [f"x{v}_{p}" for v, p in enumerate(term) if p]
+        body.append("acc += " + " * ".join([f"c{n}"] + powers))
+    body.append("return acc")
+    source = "def kernel(fo, t_in, temp, vdd, c, centers, scales):\n" + "".join(
+        f"    {line}\n" for line in body)
+    namespace: Dict = {}
+    exec(compile(source, f"<polynomial kernel {orders}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 class PolynomialModel:
     """A fitted polynomial ``f(Fo, t_in, T, VDD)`` returning seconds."""
 
@@ -51,12 +98,33 @@ class PolynomialModel:
         coeffs: np.ndarray,
         norm: Normalization,
     ):
-        expected = tuple(o + 1 for o in orders)
-        if coeffs.shape != expected:
-            raise ValueError(f"coeff shape {coeffs.shape} != orders+1 {expected}")
         self.orders = tuple(orders)
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = coeffs
         self.norm = norm
+        self._kernel = _scalar_kernel(self.orders)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Coefficient tensor ``P[i, j, k, l]`` of shape ``orders + 1``."""
+        return self._coeffs
+
+    @coeffs.setter
+    def coeffs(self, value: np.ndarray) -> None:
+        # Every assignment re-flattens the scalar kernel's coefficients,
+        # ``model.coeffs *= k`` included (it assigns the scaled array
+        # back), so evaluate() always reads the tensor evaluate_many()
+        # and the stacked TimingArrays groups read.  An element write
+        # into the array must likewise be assigned back.
+        value = np.asarray(value, dtype=float)
+        expected = tuple(o + 1 for o in self.orders)
+        if value.shape != expected:
+            raise ValueError(f"coeff shape {value.shape} != orders+1 {expected}")
+        self._coeffs = value
+        self._flat = tuple(value.reshape(-1).tolist())
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild the compiled kernel from the orders.
+        return (type(self), (self.orders, self._coeffs, self.norm))
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -101,15 +169,17 @@ class PolynomialModel:
     # ------------------------------------------------------------------
     @staticmethod
     def _power_ladder(x, order: int) -> List:
-        """``[1.0, x, x*x, ...]`` by repeated multiplication.
+        """``[1.0, x, x*x, ...]`` by repeated multiplication, on a
+        column of points (the batch evaluators: :meth:`evaluate_many`
+        and the fused groups in :mod:`repro.core.tarrays`).
 
-        Shared by the scalar and batch evaluators: ``x`` may be an
-        ``np.float64`` scalar or a column of points.  Repeated IEEE
-        multiplication is the same elementwise operation either way,
-        which is what makes ``evaluate_many(batch)[i]`` bitwise-equal
-        to ``evaluate(batch[i])`` (``x ** n`` would not be: numpy
-        routes scalar and array integer powers through different pow
-        kernels that can disagree in the last ulp).
+        The scalar kernel (:func:`_scalar_kernel`) builds the same rungs
+        on plain floats.  Repeated IEEE multiplication is one correctly
+        rounded operation per rung either way, which is what makes
+        ``evaluate_many(batch)[i]`` bitwise-equal to
+        ``evaluate(*batch[i])``; ``x ** n`` would not be, because the
+        scalar and array integer powers run different pow routines
+        that can disagree in the last ulp.
         """
         powers = [1.0]
         for _ in range(order):
@@ -117,21 +187,10 @@ class PolynomialModel:
         return powers
 
     def evaluate(self, fo: float, t_in: float, temp: float, vdd: float) -> float:
-        point = np.array([[fo, t_in, temp, vdd]], dtype=float)
-        x = self.norm.apply(point)[0]
-        acc = 0.0
-        # Horner-free direct accumulation; arrays are tiny.
-        pow0 = self._power_ladder(x[0], self.orders[0])
-        pow1 = self._power_ladder(x[1], self.orders[1])
-        pow2 = self._power_ladder(x[2], self.orders[2])
-        pow3 = self._power_ladder(x[3], self.orders[3])
-        c = self.coeffs
-        for i, p0 in enumerate(pow0):
-            for j, p1 in enumerate(pow1):
-                for k, p2 in enumerate(pow2):
-                    for l, p3 in enumerate(pow3):
-                        acc += c[i, j, k, l] * p0 * p1 * p2 * p3
-        return float(acc)
+        """One point, on plain floats (see :func:`_scalar_kernel`)."""
+        norm = self.norm
+        return self._kernel(fo, t_in, temp, vdd, self._flat,
+                            norm.centers, norm.scales)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Batch :meth:`evaluate` over ``(n, 4)`` rows.

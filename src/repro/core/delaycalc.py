@@ -189,9 +189,8 @@ class DelayCalculator:
         else:
             self.arc_cache_hits += 1
         fo = self.fo[gate.index]
-        delay = arc.delay(fo, t_in, self.temp, self.vdd)
-        slew = arc.slew(fo, t_in, self.temp, self.vdd)
-        return delay, slew
+        return (arc.delay_model.evaluate(fo, t_in, self.temp, self.vdd),
+                arc.slew_model.evaluate(fo, t_in, self.temp, self.vdd))
 
     # ------------------------------------------------------------------
     def _lookup_arc(

@@ -44,6 +44,7 @@ them level by level).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -243,7 +244,10 @@ class TimingArrays:
     """
 
     def __init__(self, calc: "DelayCalculator"):
-        self.calc = calc
+        # The calculator owns this object (``calc.tarrays``); a weak
+        # back-reference keeps the pair out of a reference cycle, so a
+        # finished session is freed when its last reference goes.
+        self._calc = weakref.ref(calc)
         self.ec = calc.ec
         self.tg = calc.ec.tgraph
         #: Equivalent fanout per gate index, shared by every sweep.
@@ -252,6 +256,19 @@ class TimingArrays:
         #: Lookup args per record (only consulted to re-raise lazily).
         self._record_lookups: List[Tuple] = []
         self._backward: Optional[Tuple] = None
+
+    @property
+    def calc(self) -> "DelayCalculator":
+        return self._calc()
+
+    def __getstate__(self):
+        # A pickled session (the spawn pool's) carries its owner as a
+        # plain reference, which pickle's memo resolves to the same
+        # calculator on load.
+        return {**self.__dict__, "_calc": self.calc}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _calc=weakref.ref(state["_calc"]))
 
     # ------------------------------------------------------------------
     # compilation

@@ -113,7 +113,11 @@ class TimingGraph:
     """
 
     def __init__(self, ec: "EngineCircuit"):
-        self.ec = ec
+        # The engine's gate list (an edit rebinds a gate's cell in place,
+        # so the list stays current), not the engine itself: the engine
+        # owns this graph, and a back-reference would make every finished
+        # session cyclic garbage.
+        self.gates = ec.gates
         n_nets = ec.num_nets
 
         #: All timing arcs, gate-major in topological gate order.
@@ -213,7 +217,7 @@ class TimingGraph:
         arrivals, slews = timing.arrivals, timing.slews
         out_arr: List[Optional[float]] = [None, None]
         out_slew: List[Optional[float]] = [None, None]
-        gates = self.ec.gates
+        gates = self.gates
         for arc in self.fanin[net]:
             gate = gates[arc.gate_index]
             in_arr = arrivals[arc.src_net]
@@ -250,7 +254,7 @@ class TimingGraph:
         full reverse pass converges to, so recomputing only nets whose
         inputs changed reproduces the full pass bitwise."""
         best = 0.0
-        gates = self.ec.gates
+        gates = self.gates
         for arc in self.fanout[net]:
             through = (
                 calc.worst_arc_delay(gates[arc.gate_index], arc.pin)
@@ -269,7 +273,7 @@ class TimingGraph:
         change the maximum -- bitwise-equal to the full reverse pass of
         :meth:`DelayCalculator.remaining_bounds`."""
         best = 0.0
-        gates = self.ec.gates
+        gates = self.gates
         for arc in self.fanout[net]:
             gate = gates[arc.gate_index]
             through = calc.worst_gate_delay(gate) + suffix[gate.output_net]

@@ -17,6 +17,7 @@ the function the cell derives, once, everything the STA engines need:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.gates.logic import BoolFunc
@@ -54,9 +55,12 @@ class SensitizationVector:
     side_values: Dict[str, int] = field(hash=False)
     inverting: bool
 
-    @property
+    @cached_property
     def vector_id(self) -> str:
-        """Stable key such as ``"A:100"`` (side pins in cell pin order)."""
+        """Stable key such as ``"A:100"`` (side pins in name order).
+
+        Computed on first use and kept in the instance ``__dict__``;
+        equality and hashing read the fields only."""
         bits = "".join(str(self.side_values[p]) for p in sorted(self.side_values))
         return f"{self.pin}:{bits}"
 

@@ -51,7 +51,7 @@ class TestFit:
         model = PolynomialModel.fit(pts, values, orders=(2, 1, 0, 0))
         for row in pts[:5]:
             single = model.evaluate(*row)
-            assert single == pytest.approx(model.evaluate_many(row[None, :])[0])
+            assert single == model.evaluate_many(row[None, :])[0]
 
     def test_num_parameters(self):
         pts = grid_points()

@@ -2,6 +2,9 @@
 re-analysis across edit sequences, and strictly cheaper on the metrics
 that matter (cone size, levels reswept)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.incremental import IncrementalSTA
@@ -251,3 +254,25 @@ class TestMetricsAndLocality:
         assert _session_state(session, n_worst=2) == _scratch_state(
             circuit, charlib_poly_90, n_worst=2
         )
+
+
+class TestSessionLifetime:
+    def test_finished_session_is_freed_without_the_cyclic_collector(
+            self, charlib_poly_90):
+        """The engine owns its timing graph and the calculator its SoA
+        tables without strong back-references, so a finished session
+        on a shared circuit is freed by reference counting.  With the
+        cycles, every fresh session stayed in memory until a full
+        collection, and peak RSS grew with the session rate."""
+        circuit = build_circuit("c432", scale=0.3)
+        session = IncrementalSTA(circuit, charlib_poly_90)
+        session.arrivals()
+        session.required_bounds()
+        held = [weakref.ref(obj) for obj in (
+            session.ec, session.ec.tgraph, session.calc, session.calc.tarrays)]
+        gc.disable()
+        try:
+            del session
+            assert [ref() for ref in held] == [None] * len(held)
+        finally:
+            gc.enable()

@@ -7,12 +7,20 @@ and N-worst report must be bitwise the same float.  These tests pin
 that contract on the ISCAS suite, on seeded fuzz netlists, and on
 degenerate graphs, and also pin the batch-equivalence law of the
 models that the whole scheme rests on (``evaluate_many(batch)[i]``
-bitwise-equal to ``evaluate(batch[i])``).
+bitwise-equal to ``evaluate(*batch[i])``).
 """
+
+import copy
+import itertools
 
 import numpy as np
 import pytest
 
+from repro.charlib.characterize import (
+    FAST_GRID, CharacterizationGrid, characterize_library,
+)
+from repro.charlib.lut import LutModel
+from repro.charlib.polynomial import PolynomialModel
 from repro.core.delaycalc import DelayCalculator
 from repro.core.engine import EngineCircuit
 from repro.core.pathfinder import PathFinder
@@ -127,37 +135,200 @@ class TestSlewFixedPointReference:
         assert reference_bound_slews(reference) != samples
 
 
+def _numpy_scalar_evaluate(model, fo, t_in, temp, vdd):
+    """The numpy scalar evaluators that the plain-float ones replaced,
+    kept here verbatim as the bitwise differential reference."""
+    if isinstance(model, LutModel):
+        def bracket(axis, x):
+            idx = int(np.searchsorted(axis, x) - 1)
+            idx = min(max(idx, 0), len(axis) - 2)
+            x0, x1 = axis[idx], axis[idx + 1]
+            w = (x - x0) / (x1 - x0)
+            return idx, min(max(w, 0.0), 1.0)
+
+        i, wi = bracket(model.t_in_axis, t_in)
+        j, wj = bracket(model.fo_axis, fo)
+        t = model.table
+        base = (t[i, j] * (1 - wi) * (1 - wj) + t[i + 1, j] * wi * (1 - wj)
+                + t[i, j + 1] * (1 - wi) * wj + t[i + 1, j + 1] * wi * wj)
+        derate = 1.0 + model.k_temp * (temp - model.ref_temp) + model.k_vdd * (
+            vdd - model.ref_vdd)
+        return float(base * derate)
+    x = model.norm.apply(np.array([[fo, t_in, temp, vdd]], dtype=float))[0]
+    ladder = PolynomialModel._power_ladder
+    c = model.coeffs
+    acc = 0.0
+    for i, p0 in enumerate(ladder(x[0], model.orders[0])):
+        for j, p1 in enumerate(ladder(x[1], model.orders[1])):
+            for k, p2 in enumerate(ladder(x[2], model.orders[2])):
+                for l, p3 in enumerate(ladder(x[3], model.orders[3])):
+                    acc += c[i, j, k, l] * p0 * p1 * p2 * p3
+    return float(acc)
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _law_points(tech) -> np.ndarray:
+    """FAST_GRID's points plus seeded random points at three
+    temperatures and three supplies.  Fo and t_in range well past the
+    characterized axes on both sides, so LUT models also run their
+    clamped extrapolation."""
+    rng = np.random.default_rng(7)
+    vdds = [scale * tech.vdd for scale in (0.9, 1.0, 1.1)]
+    rows = list(FAST_GRID.points(tech))
+    for temp in (-40.0, 25.0, 125.0):
+        for vdd in vdds:
+            rows.extend((rng.uniform(0.2, 10.0), rng.uniform(5e-12, 5e-10),
+                         temp, vdd) for _ in range(4))
+    rows += [(0.05, 1e-13, 25.0, tech.vdd), (50.0, 2e-9, 125.0, tech.vdd)]
+    return np.array(rows, dtype=float)
+
+
+def _library_models(charlib):
+    for arc in charlib.arcs():
+        yield f"{arc.key}/delay", arc.delay_model
+        yield f"{arc.key}/slew", arc.slew_model
+
+
+def _assert_law(models, points):
+    """For every model and row, ``evaluate(*row)`` is a plain float
+    with the bits of ``evaluate_many(points)[row]`` and of the numpy
+    scalar reference."""
+    rows = points.tolist()
+    checked = 0
+    for label, model in models:
+        scalar = [model.evaluate(*row) for row in rows]
+        assert all(type(v) is float for v in scalar), label
+        assert _bits(scalar) == _bits(model.evaluate_many(points)), label
+        reference = [_numpy_scalar_evaluate(model, *row) for row in rows]
+        assert _bits(scalar) == _bits(reference), label
+        checked += 1
+    assert checked
+
+
+@pytest.fixture(scope="module")
+def charlib_drive_variants(tech90):
+    """The X2 drive variants of ``sized_library()``: its other cells are
+    the default library's, whose arcs ``charlib_poly_90`` holds."""
+    from repro.gates.library import DRIVE_SUFFIX, SIZABLE_CELLS, sized_library
+
+    return characterize_library(
+        sized_library(), tech90, grid=FAST_GRID,
+        cells=[name + DRIVE_SUFFIX for name in SIZABLE_CELLS],
+    )
+
+
+def _pvt_model(tech, orders) -> PolynomialModel:
+    """A model fitted over temperature and supply as well, on a denser
+    grid in the style of ``exp_pvt.PVT_GRID``.  No model of the default
+    characterization varies T or VDD, so only these run kernels with
+    temperature and supply terms."""
+    grid = CharacterizationGrid(
+        fo=(1.0, 2.0, 4.0, 8.0), t_in=(2e-11, 6e-11, 1.2e-10),
+        temp=(25.0, 75.0, 125.0), vdd_scale=(0.9, 1.0, 1.1),
+    )
+    pts = np.array(grid.points(tech))
+    fo, t_in, temp, vdd = pts.T
+    values = (4e-12 * (1.0 + 0.35 * fo + 0.02 * fo ** 2)
+              * (1.0 + 3e9 * t_in) * (1.0 + 1.5e-3 * (temp - 25.0))
+              * (tech.vdd / vdd) ** 1.3)
+    model = PolynomialModel.fit(pts, values, orders)
+    assert model.orders[2] > 0 and model.orders[3] > 0
+    return model
+
+
+def _reassociated_evaluate(variant):
+    """A scalar evaluator computing the same polynomial with its
+    arithmetic reassociated: Horner's rule in t_in, or the terms
+    accumulated j-major instead of in C order."""
+
+    def evaluate(self, fo, t_in, temp, vdd):
+        norm = self.norm
+        x = [(v - c) / s for v, c, s in
+             zip((fo, t_in, temp, vdd), norm.centers, norm.scales)]
+        pw = [PolynomialModel._power_ladder(x[v], self.orders[v])
+              for v in range(4)]
+        c = self.coeffs.tolist()
+        o0, o1, o2, o3 = self.orders
+        acc = 0.0
+        if variant == "horner":
+            for i, k, l in itertools.product(
+                    range(o0 + 1), range(o2 + 1), range(o3 + 1)):
+                inner = 0.0
+                for j in reversed(range(o1 + 1)):
+                    inner = inner * x[1] + c[i][j][k][l]
+                acc += inner * pw[0][i] * pw[2][k] * pw[3][l]
+            return acc
+        for j, i, k, l in itertools.product(
+                range(o1 + 1), range(o0 + 1), range(o2 + 1), range(o3 + 1)):
+            acc += c[i][j][k][l] * pw[0][i] * pw[1][j] * pw[2][k] * pw[3][l]
+        return acc
+
+    return evaluate
+
+
 class TestBatchEquivalenceLaw:
-    """``evaluate_many(batch)[i]`` must be bitwise ``evaluate(batch[i])``.
+    """``evaluate_many(batch)[i]`` must be bitwise ``evaluate(*batch[i])``.
 
     This is the law (documented in repro.charlib.model) that lets the
     SoA sweeps batch arbitrarily while staying byte-identical to the
-    scalar traversal.  Checked against every arc of both model kinds.
+    scalar traversal.  Checked on every arc of the polynomial, LUT and
+    sized libraries, on models that vary with T and VDD, and against
+    the numpy scalar evaluators the plain-float kernels replaced.
     """
 
-    def _check(self, charlib, points):
-        for arc in charlib.arcs()[:40]:
-            for model in (arc.delay_model, arc.slew_model):
-                batch = model.evaluate_many(points)
-                for i, (fo, t_in, temp, vdd) in enumerate(points):
-                    one = model.evaluate(fo, t_in, temp, vdd)
-                    assert batch[i] == one, (arc.key, i)
+    def test_polynomial_models(self, charlib_poly_90, tech90):
+        _assert_law(_library_models(charlib_poly_90), _law_points(tech90))
 
-    def _points(self):
-        rng = np.random.default_rng(7)
-        n = 16
-        return np.column_stack([
-            rng.uniform(0.5, 8.0, n),
-            rng.uniform(1e-12, 4e-10, n),
-            np.full(n, 25.0),
-            np.full(n, 1.2),
-        ])
+    def test_lut_models(self, charlib_lut_90, tech90):
+        _assert_law(_library_models(charlib_lut_90), _law_points(tech90))
 
-    def test_polynomial_models(self, charlib_poly_90):
-        self._check(charlib_poly_90, self._points())
+    def test_sized_library_models(self, charlib_drive_variants, tech90):
+        _assert_law(_library_models(charlib_drive_variants),
+                    _law_points(tech90))
 
-    def test_lut_models(self, charlib_lut_90):
-        self._check(charlib_lut_90, self._points())
+    def test_models_varying_with_temperature_and_supply(self, tech90):
+        models = [(str(orders), _pvt_model(tech90, orders))
+                  for orders in ((2, 1, 1, 1), (1, 2, 2, 2))]
+        _assert_law(models, _law_points(tech90))
+
+    def test_derated_lut_models(self, charlib_lut_90, tech90):
+        """Library LUTs all derate by 1.0; nonzero k-factors put the
+        temperature and supply terms into the comparison."""
+        models = [
+            (f"{arc.key}/derated", LutModel(
+                arc.delay_model.t_in_axis, arc.delay_model.fo_axis,
+                arc.delay_model.table, ref_temp=25.0, ref_vdd=tech90.vdd,
+                k_temp=1.3e-3, k_vdd=-0.45))
+            for arc in charlib_lut_90.arcs()[:20]
+        ]
+        _assert_law(models, _law_points(tech90))
+
+    @pytest.mark.parametrize("variant", ["horner", "j-major"])
+    def test_catches_a_reassociated_kernel(self, variant, charlib_poly_90,
+                                           tech90, monkeypatch):
+        """Same polynomial, other rounding: the law must notice."""
+        monkeypatch.setattr(PolynomialModel, "evaluate",
+                            _reassociated_evaluate(variant))
+        with pytest.raises(AssertionError):
+            _assert_law(_library_models(charlib_poly_90), _law_points(tech90))
+
+    def test_coefficient_assignment_reaches_both_evaluators(
+            self, charlib_poly_90, tech90):
+        """``model.coeffs *= 2.0`` assigns the scaled tensor back
+        (``repro.charlib.qa``'s corrupted-model test relies on it): the
+        scalar kernel and the batch path both see it, and doubling
+        every coefficient doubles every value exactly."""
+        points = _law_points(tech90)
+        model = copy.deepcopy(charlib_poly_90.arcs()[0].delay_model)
+        before = model.evaluate_many(points)
+        model.coeffs *= 2.0
+        doubled = model.evaluate_many(points)
+        assert _bits(doubled) == _bits(2.0 * before)
+        assert _bits([model.evaluate(*row) for row in points.tolist()]) == \
+            _bits(doubled)
 
 
 class TestNWorstEquivalence:

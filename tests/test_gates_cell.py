@@ -1,9 +1,11 @@
 """Unit tests for cell definitions and sensitization vectors."""
 
+import pickle
+
 import pytest
 
 from repro.gates.cell import Cell, SensitizationVector, expr_function
-from repro.gates.library import default_library
+from repro.gates.library import default_library, sized_library
 from repro.gates.logic import BoolFunc
 
 
@@ -128,6 +130,25 @@ class TestVectorObject:
         vectors = lib["AO22"].sensitization_vectors("A")
         assert len({hash(v) for v in vectors}) == 3
         assert "case1" in repr(vectors[0])
+
+    def test_cached_vector_id_matches_the_computed_key(self):
+        """``vector_id`` is computed once per vector; the cached string
+        is the ``"pin:bits"`` key, and equality, hashing and pickling
+        still go by the fields alone."""
+        for cell in sized_library():
+            for vectors in cell.sensitization_vectors().values():
+                for v in vectors:
+                    bits = "".join(str(v.side_values[p])
+                                   for p in sorted(v.side_values))
+                    assert v.vector_id == f"{v.pin}:{bits}"
+                    assert v.vector_id is v.vector_id
+                    fresh = SensitizationVector(
+                        v.cell_name, v.pin, v.case, dict(v.side_values),
+                        v.inverting)
+                    assert fresh == v and hash(fresh) == hash(v)
+                    back = pickle.loads(pickle.dumps(v))
+                    assert back == v and hash(back) == hash(v)
+                    assert back.vector_id == v.vector_id
 
 
 class TestJustificationCubes:
