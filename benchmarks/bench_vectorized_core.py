@@ -1,13 +1,15 @@
-"""Vectorized SoA timing core vs the arc-at-a-time reference passes.
+"""Production timing sweeps vs the reference passes.
 
-Times the forward worst-arrival pass and the backward bound
-construction (required-time bound plus suffix sum) on the
-structure-of-arrays kernels -- the only production implementation --
-and on the verify-side reference passes in
-:mod:`repro.verify.metamorphic`, on a mid-size and the largest ISCAS
-circuit.  Identity is asserted first and exactly: the SoA sweeps
-promise byte identity, so the only thing allowed to differ is the
-clock.  The snapshot carries the ``tgraph.forward_pass_ms`` /
+Times two passes on a mid-size and the largest ISCAS circuit.  The
+forward worst-arrival pass runs the production per-net plain-float
+kernel (``TimingGraph.forward_arrivals``) against the batched reference
+(``reference_forward``: gate-major, one ``evaluate_many`` row per
+traversal).  The backward bound construction (required-time bound plus
+suffix sum) runs the structure-of-arrays grid sweeps against the
+arc-at-a-time reference loops of :mod:`repro.verify.metamorphic`.
+Identity is asserted first and exactly: both pairs promise byte
+identity, so the only thing allowed to differ is the clock.  The
+snapshot carries the ``tgraph.forward_pass_ms`` /
 ``tgraph.backward_pass_ms`` histograms next to the measured speedups
 for the ``repro obs diff`` trajectory.
 """
@@ -42,7 +44,7 @@ def _timed(fn):
     return value, time.perf_counter() - start
 
 
-def _run_soa(circuit, charlib):
+def _run_production(circuit, charlib):
     calc = _calc(circuit, charlib, DelayCalculator.bound_slews)
     forward, fwd = _timed(lambda: calc.ec.tgraph.forward_arrivals(calc))
     bounds, bwd = _timed(calc.prune_bounds)
@@ -65,18 +67,18 @@ def sweep(poly90):
     for name in CIRCUITS:
         circuit = build_circuit(name)
         ft_r, pb_r, fwd_r, bwd_r = _run_reference(circuit, poly90)
-        ft_v, pb_v, fwd_v, bwd_v = _run_soa(circuit, poly90)
-        # Byte identity, not tolerance: the SoA sweeps replay the same
-        # IEEE operations the reference loops perform.
+        ft_v, pb_v, fwd_v, bwd_v = _run_production(circuit, poly90)
+        # Byte identity, not tolerance: the production passes replay the
+        # same IEEE operations the reference passes perform.
         assert ft_r.arrivals == ft_v.arrivals
         assert ft_r.slews == ft_v.slews
         assert pb_r == pb_v
         rows.append({
             "circuit": name,
             "gates": len(circuit.instances),
-            "forward_reference_ms": fwd_r * 1e3,
-            "forward_vectorized_ms": fwd_v * 1e3,
-            "forward_speedup": fwd_r / max(fwd_v, 1e-9),
+            "forward_batched_reference_ms": fwd_r * 1e3,
+            "forward_per_net_ms": fwd_v * 1e3,
+            "forward_per_net_speedup": fwd_r / max(fwd_v, 1e-9),
             "backward_reference_ms": bwd_r * 1e3,
             "backward_vectorized_ms": bwd_v * 1e3,
             "backward_speedup": bwd_r / max(bwd_v, 1e-9),
@@ -86,11 +88,11 @@ def sweep(poly90):
 
 def test_vectorized_passes_byte_identical_and_faster(
         benchmark, poly90, sweep, bench_snapshot):
-    def rerun_vectorized():
+    def rerun_production():
         circuit = build_circuit(CIRCUITS[0])
-        return _run_soa(circuit, poly90)
+        return _run_production(circuit, poly90)
 
-    benchmark.pedantic(rerun_vectorized, rounds=1, iterations=1)
+    benchmark.pedantic(rerun_production, rounds=1, iterations=1)
 
     by_name = {row["circuit"]: row for row in sweep}
     # A conservative 2x floor on c7552's backward pass so shared CI

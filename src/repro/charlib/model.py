@@ -9,19 +9,21 @@ interchangeable behind :class:`DelayModel`:
 * ``evaluate(fo, t_in, temp, vdd)`` -- one point, in seconds;
 * ``evaluate_many(points)`` -- a batch of ``(fo, t_in, temp, vdd)``
   rows (the bound sweeps in :mod:`repro.core.delaycalc` and the
-  structure-of-arrays timing sweeps in :mod:`repro.core.tarrays`
-  evaluate whole level/model groups in one call);
+  structure-of-arrays slew-grid sweeps in :mod:`repro.core.tarrays`
+  evaluate every arc of one model over a whole slew grid in one call);
 * ``to_dict()`` / ``from_dict`` -- JSON persistence, dispatched through
   :data:`MODEL_KINDS`.
 
 **The batch-equivalence law.**  ``evaluate_many`` must be *row
 independent* and *bitwise-equal* to the scalar evaluator:
 ``evaluate_many(points)[i] == evaluate(*points[i])`` exactly, for any
-batch composition.  The vectorized timing core relies on it to produce
+batch composition.  The timing core relies on it to produce
 byte-identical arrivals, slews and pruning bounds whether a model is
-evaluated one traversal at a time (the search hot loop, incremental
-per-net repair, the reference passes in :mod:`repro.verify.metamorphic`)
-or once per (level, model group).
+evaluated one point at a time (the search hot loop, the per-net forward
+pass and its incremental repair, the arc-at-a-time reference passes) or
+in batches (the grid sweeps, and the reference forward pass in
+:mod:`repro.verify.metamorphic`, which checks the per-net pass against
+the batch kernel).
 
 Both built-in families keep the law the same way: the scalar side runs
 on plain Python floats, the batch side runs numpy elementwise ufuncs,

@@ -113,8 +113,8 @@ class PolynomialModel:
         # Every assignment re-flattens the scalar kernel's coefficients,
         # ``model.coeffs *= k`` included (it assigns the scaled array
         # back), so evaluate() always reads the tensor evaluate_many()
-        # and the stacked TimingArrays groups read.  An element write
-        # into the array must likewise be assigned back.
+        # reads.  An element write into the array must likewise be
+        # assigned back.
         value = np.asarray(value, dtype=float)
         expected = tuple(o + 1 for o in self.orders)
         if value.shape != expected:
@@ -170,8 +170,7 @@ class PolynomialModel:
     @staticmethod
     def _power_ladder(x, order: int) -> List:
         """``[1.0, x, x*x, ...]`` by repeated multiplication, on a
-        column of points (the batch evaluators: :meth:`evaluate_many`
-        and the fused groups in :mod:`repro.core.tarrays`).
+        column of points (the batch evaluator, :meth:`evaluate_many`).
 
         The scalar kernel (:func:`_scalar_kernel`) builds the same rungs
         on plain floats.  Repeated IEEE multiplication is one correctly
@@ -199,9 +198,9 @@ class PolynomialModel:
         ``evaluate(*points[i])``: the kernel replays the scalar
         evaluator's exact operation sequence (power ladder, term
         product order, term accumulation order) elementwise across
-        rows, so the vectorized timing sweeps in
-        :mod:`repro.core.tarrays` reproduce the scalar engines'
-        results byte for byte (see :class:`repro.charlib.model.DelayModel`).
+        rows, so the grid sweeps in :mod:`repro.core.tarrays` reproduce
+        the scalar engines' results byte for byte (see
+        :class:`repro.charlib.model.DelayModel`).
         """
         pts = self.norm.apply(np.asarray(points, dtype=float))
         pow0 = self._power_ladder(pts[:, 0], self.orders[0])

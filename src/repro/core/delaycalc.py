@@ -522,8 +522,8 @@ class DelayCalculator:
     # ------------------------------------------------------------------
     @property
     def tarrays(self) -> "TimingArrays":
-        """Lazy structure-of-arrays compilation of this calculator's
-        timing graph (:class:`~repro.core.tarrays.TimingArrays`)."""
+        """This calculator's grid-batched sweeps
+        (:class:`~repro.core.tarrays.TimingArrays`), built lazily."""
         if self._tarrays is None:
             from repro.core.tarrays import TimingArrays
 
@@ -555,13 +555,12 @@ class DelayCalculator:
         their per-gate memos dropped (the cell-name-keyed
         ``_arc_cache`` survives: its entries stay right for every
         cell), and their slew peaks marked stale in every cached grid;
-        the compiled :class:`~repro.core.tarrays.TimingArrays` and the
-        :class:`PruneBounds` snapshot are dropped (the next full sweep
-        recompiles).  If bound slews were ever computed, the fixed
-        point is re-derived from the peak tables, re-sweeping only the
-        stale entries.  When it moved, every fitted worst-delay sweep
-        is stale: every worst-delay memo and both per-net bounds are
-        dropped, the new grid is installed and True is returned.
+        the :class:`PruneBounds` snapshot is dropped.  If bound slews
+        were ever computed, the fixed point is re-derived from the peak
+        tables, re-sweeping only the stale entries.  When it moved,
+        every fitted worst-delay sweep is stale: every worst-delay memo
+        and both per-net bounds are dropped, the new grid is installed
+        and True is returned.
         Otherwise the per-net bounds stay for the caller to repair in
         the dirty cone.
         """
@@ -576,7 +575,6 @@ class DelayCalculator:
             for peaks in self._slew_peaks.values():
                 peaks[index] = None
         self._worst_table_complete = False
-        self._tarrays = None
         self._prune_bounds = None
         if self._bound_slews is None:
             return False

@@ -146,9 +146,9 @@ class EngineCircuit:
 
     def swap_cell(self, gate: EngineGate, cell: Cell) -> None:
         """Rebind ``gate`` (and its circuit instance) to the
-        pin-compatible ``cell`` in place, so every live reference -- SoA
-        record lookups, the pathfinder's gate table, the implication
-        kernel -- sees the new cell without re-indexing.  Pin
+        pin-compatible ``cell`` in place, so every live reference -- the
+        timing graph's gate list, the pathfinder's gate table, the
+        implication kernel -- sees the new cell without re-indexing.  Pin
         compatibility keeps ``input_nets`` and the kernel's codes and
         weights valid; the caller checks it."""
         inst = gate.inst

@@ -3,7 +3,7 @@
 Every other entry point in the repo is batch: one circuit in, one
 analysis out, and an edit (gate resize, cell swap) means rebuilding the
 whole pipeline -- engine indexing, arc resolution, slew fixed point,
-forward/backward sweeps, SoA compilation.  :class:`IncrementalSTA`
+forward/backward sweeps.  :class:`IncrementalSTA`
 keeps all of that state alive across edits and, after a pin-compatible
 :meth:`replace_cell`, repairs only what the edit actually touched:
 
@@ -12,18 +12,18 @@ keeps all of that state alive across edits and, after a pin-compatible
   fanout) *and* of every gate driving one of ``g``'s input nets (their
   output load includes ``g``'s input-pin caps).  The one edit hook,
   :meth:`DelayCalculator.invalidate_gates`, forgets what those gates
-  stale: it re-derives their equivalent fanouts, drops their per-gate
-  memos (the cell-name-keyed arc cache survives), and drops the
-  compiled SoA tables, which only a full forward sweep reads.
+  stale: it re-derives their equivalent fanouts and drops their
+  per-gate memos (the cell-name-keyed arc cache survives).
 
 * **Forward cone.**  Arrivals/slews are re-propagated from the dirty
   gates' output nets through the transitive fanout, one net at a time
   in level order (:meth:`TimingGraph.forward_update_net`), stopping as
-  soon as a net's recomputed slots equal its prior values -- float
-  ``max`` over a fixed multiset is order-independent and the per-arc
-  arithmetic is the same IEEE doubles the full pass performs, so the
-  repaired :class:`ForwardTiming` is *byte-identical* to a from-scratch
-  pass (the ``incremental_identical`` metamorphic law pins this).
+  soon as a net's recomputed slots equal its prior values -- the full
+  pass (:meth:`TimingGraph.forward_arrivals`) runs the same per-net
+  kernel over every driven net, and float ``max`` over a fixed multiset
+  is order-independent, so the repaired :class:`ForwardTiming` is
+  *byte-identical* to a from-scratch pass (the ``incremental_identical``
+  metamorphic law pins this).
 
 * **Backward cone.**  The per-net required-time and suffix bounds are
   re-propagated through the transitive fanin in descending level order

@@ -207,6 +207,9 @@ class PathStream:
         self._gen.close()
         elapsed = time.perf_counter() - self._started
         self._finder._publish_run(elapsed, self._counters_before)
+        # The finder points back at this stream; dropping the other half
+        # lets a finished search be freed by reference counting.
+        self._finder = None
 
     def __enter__(self) -> "PathStream":
         return self

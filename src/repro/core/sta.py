@@ -55,8 +55,10 @@ class TruePathSTA:
         ``warn-substitute`` falls back to the nearest characterized arc
         of the same cell, counting ``delaycalc.arc_substitutions``.
 
-    The sweep passes (pruning bounds, slew fixed point, GBA forward)
-    run on the structure-of-arrays kernels in :mod:`repro.core.tarrays`.
+    The GBA forward pass runs the per-net plain-float kernel of
+    :class:`~repro.core.tgraph.TimingGraph`; the grid sweeps behind the
+    pruning bounds and the slew fixed point run on the
+    structure-of-arrays kernels in :mod:`repro.core.tarrays`.
     """
 
     def __init__(

@@ -173,15 +173,29 @@ class TimingGraph:
         the ``error`` policy the moment a reachable polarity traverses
         it, like every other engine.
 
-        Runs the structure-of-arrays sweep
-        (:meth:`TimingArrays.forward_arrivals
-        <repro.core.tarrays.TimingArrays.forward_arrivals>`).
+        Seeds the primary inputs (arrival 0, the calculator's input
+        slew), then runs :meth:`forward_update_net` over the driven
+        nets in level order: each traversal is one plain-float
+        :meth:`arc_timing
+        <repro.core.delaycalc.DelayCalculator.arc_timing>` call at the
+        slew it sees, the kernel the dirty-cone repair shares.
         Wall-clock is published to the ``tgraph.forward_pass_ms``
         histogram.
         """
         started = time.perf_counter()
         with span("tgraph.forward_pass"):
-            timing = calc.tarrays.forward_arrivals()
+            ec = calc.ec
+            timing = ForwardTiming(
+                arrivals=[[None, None] for _ in range(ec.num_nets)],
+                slews=[[None, None] for _ in range(ec.num_nets)],
+            )
+            for net in ec.input_ids:
+                timing.arrivals[net] = [0.0, 0.0]
+                timing.slews[net] = [calc.input_slew, calc.input_slew]
+            driver = ec.driver
+            for net in self.topo_nets:
+                if driver[net] >= 0:
+                    self.forward_update_net(calc, net, timing)
         obs_metrics.REGISTRY.histogram("tgraph.forward_pass_ms").observe(
             (time.perf_counter() - started) * 1e3
         )
@@ -208,11 +222,10 @@ class TimingGraph:
         doubles the full pass performs, the updated slots are
         bitwise-equal to a from-scratch pass -- this is the primitive
         :class:`~repro.core.incremental.IncrementalSTA` sweeps over the
-        dirty cone, and the reference forward pass in
-        :mod:`repro.verify.metamorphic` applies it to every driven net
-        in level order.  Returns True when either polarity slot changed
-        (including reachability flips, which a function-changing cell
-        swap can cause).
+        dirty cone, and :meth:`forward_arrivals` applies it to every
+        driven net in level order.  Returns True when either polarity
+        slot changed (including reachability flips, which a
+        function-changing cell swap can cause).
         """
         arrivals, slews = timing.arrivals, timing.slews
         out_arr: List[Optional[float]] = [None, None]

@@ -1,7 +1,7 @@
 """STA-as-a-service: a long-running analysis daemon with hot caches.
 
-The CLI pays library characterization, circuit indexing, and SoA/tgraph
-compilation on every invocation.  ``repro serve`` pays them once and
+The CLI pays library characterization, circuit indexing, and timing-graph
+construction on every invocation.  ``repro serve`` pays them once and
 holds the results hot behind a length-prefixed JSON socket protocol:
 
 * :mod:`repro.service.protocol` -- framing, schema, error taxonomy;

@@ -10,7 +10,7 @@ CLI prints the returned string; the server ships it in a result frame.
 
 The expensive inputs of a request -- the parsed/indexed circuit, the
 characterized library, the :class:`~repro.core.sta.TruePathSTA` session
-with its compiled SoA tables -- are bundled into an
+with its timing graph and derived bounds -- are bundled into an
 :class:`AnalysisContext`, built once per *context fingerprint* and held
 hot by the server's LRU cache (:mod:`repro.service.cache`).  A request
 names everything that affects its results; the context key is the

@@ -31,16 +31,17 @@ The catalog (see docs/TESTING.md):
     the incremental session's dirty-cone repair (arrivals, slews,
     required/suffix bounds, N-worst report) is byte-identical to a
     from-scratch analysis of the mutated circuit, and that analysis's
-    structure-of-arrays sweeps are byte-identical to the arc-at-a-time
-    reference passes below.
+    full sweeps are byte-identical to the reference passes below.
 
-The reference passes (:func:`reference_forward`,
+The reference passes check the production sweeps with a different
+kernel.  :func:`reference_forward` is a gate-major pass on the models'
+batch kernel (``evaluate_many``), against the production forward pass,
+which runs the per-net plain-float kernel in level order.
 :func:`reference_required_bounds`, :func:`reference_slew_peaks` and the
-:func:`reference_bound_slews` fixed point built on it) are
-the scalar counterparts of the SoA kernels in
-:mod:`repro.core.tarrays`.  They are built from the per-net kernels
-incremental repair already uses, so no production code carries a
-second full-sweep implementation.
+:func:`reference_bound_slews` fixed point built on it are the
+arc-at-a-time counterparts of the grid-batched SoA sweeps in
+:mod:`repro.core.tarrays`, built from the per-net kernels incremental
+repair already uses.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.baseline.structural import StructuralEnumerator
-from repro.charlib.store import CharacterizedLibrary
+from repro.charlib.store import BLIND, CharacterizedLibrary
 from repro.core.delaycalc import DelayCalculator, _model_max
 from repro.core.graphsta import GraphSTA
 from repro.core.path import TimedPath
@@ -93,26 +96,49 @@ class InvariantResult:
 
 
 def reference_forward(calc: DelayCalculator) -> ForwardTiming:
-    """Arc-at-a-time GBA forward pass: primary inputs seeded at arrival
-    0 and the calculator's input slew, then
-    :meth:`TimingGraph.forward_update_net
-    <repro.core.tgraph.TimingGraph.forward_update_net>` over every
-    driven net in level order.  Raises
+    """Gate-major GBA forward pass, independent of the production one.
+
+    Primary inputs are seeded at arrival 0 and the calculator's input
+    slew; then, gate by gate in topological order, every reachable
+    traversal (pin x sensitization option x input polarity) resolves
+    its arc through the calculator's missing-arc policy and evaluates
+    it through the models' batch kernel (``evaluate_many``, one row per
+    traversal) -- neither :meth:`TimingGraph.forward_update_net
+    <repro.core.tgraph.TimingGraph.forward_update_net>` nor the
+    plain-float ``evaluate``.  Raises
     :class:`~repro.core.delaycalc.MissingArcsError` on the first
     reachable traversal the library cannot resolve."""
     ec = calc.ec
-    tg = ec.tgraph
-    timing = ForwardTiming(
-        arrivals=[[None, None] for _ in range(ec.num_nets)],
-        slews=[[None, None] for _ in range(ec.num_nets)],
-    )
+    arrivals = [[None, None] for _ in range(ec.num_nets)]
+    slews = [[None, None] for _ in range(ec.num_nets)]
     for net in ec.input_ids:
-        timing.arrivals[net] = [0.0, 0.0]
-        timing.slews[net] = [calc.input_slew, calc.input_slew]
-    for net in tg.topo_nets:
-        if ec.driver[net] >= 0:
-            tg.forward_update_net(calc, net, timing)
-    return timing
+        arrivals[net] = [0.0, 0.0]
+        slews[net] = [calc.input_slew, calc.input_slew]
+    for gate in ec.gates:
+        out_arr, out_slew = arrivals[gate.output_net], slews[gate.output_net]
+        for pin, src in zip(gate.cell.inputs, gate.input_nets):
+            for option in gate.options[pin]:
+                vector_id = BLIND if calc.vector_blind \
+                    else option.vector.vector_id
+                for in_pol in (0, 1):
+                    if arrivals[src][in_pol] is None:
+                        continue
+                    input_rising = in_pol == 0
+                    output_rising = input_rising ^ option.inverting
+                    arc = calc._lookup_arc(gate.cell.name, pin, vector_id,
+                                           input_rising, output_rising)
+                    row = np.array([[calc.fo[gate.index],
+                                     slews[src][in_pol], calc.temp,
+                                     calc.vdd]])
+                    delay = float(arc.delay_model.evaluate_many(row)[0])
+                    slew = float(arc.slew_model.evaluate_many(row)[0])
+                    out_pol = 0 if output_rising else 1
+                    arrival = arrivals[src][in_pol] + delay
+                    if out_arr[out_pol] is None or arrival > out_arr[out_pol]:
+                        out_arr[out_pol] = arrival
+                    if out_slew[out_pol] is None or slew > out_slew[out_pol]:
+                        out_slew[out_pol] = slew
+    return ForwardTiming(arrivals=arrivals, slews=slews)
 
 
 def reference_bound_slews(calc: DelayCalculator) -> Tuple[float, ...]:
@@ -327,12 +353,12 @@ def check_incremental_identical(
     """After every edit of a randomized pin-compatible swap sequence,
     the incremental session must match a from-scratch rebuild bit for
     bit -- forward arrivals/slews (both the repaired ones and a fresh
-    SoA forward sweep on the session's own calculator), backward
+    full forward pass on the session's own calculator), backward
     required/suffix bounds, and the full N-worst path identity -- and
-    the rebuild's SoA sweeps must match the arc-at-a-time reference
-    passes (forward timing, the whole slew-ceiling fixed point,
-    required bounds, per-gate slew peaks on the final grid), computed
-    on a fresh calculator so no batched table leaks into the reference.
+    the rebuild's sweeps must match the reference passes (forward
+    timing, the whole slew-ceiling fixed point, required bounds,
+    per-gate slew peaks on the final grid), computed on a fresh
+    calculator so no batched table leaks into the reference.
     Two comparisons per edit.  Mutates and then restores the circuit in
     place."""
     from repro.core.incremental import IncrementalSTA
@@ -379,7 +405,7 @@ def check_incremental_identical(
             swept = session.tg.forward_arrivals(session.calc)
             if (swept.arrivals != timing.arrivals
                     or swept.slews != timing.slews):
-                return diverged("session SoA forward sweep (vs scratch)")
+                return diverged("session full forward pass (vs scratch)")
             if (session.required_bounds() != want_required
                     or session.suffix_bounds() != want_suffix):
                 return diverged("session backward bounds (vs scratch)")
@@ -391,13 +417,13 @@ def check_incremental_identical(
                 return diverged(
                     f"session {n_worst}-worst report (vs scratch)")
 
-            # Scratch vs reference: SoA sweeps == arc-at-a-time passes.
+            # Scratch vs reference: production sweeps == reference passes.
             checked += 1
             reference = DelayCalculator(scratch.ec, charlib)
             ref_timing = reference_forward(reference)
             if (ref_timing.arrivals != timing.arrivals
                     or ref_timing.slews != timing.slews):
-                return diverged("SoA forward timing (vs reference)")
+                return diverged("forward timing (vs reference)")
             samples = scratch.calc.bound_slews()
             if reference_bound_slews(reference) != samples:
                 return diverged("SoA slew-ceiling fixed point (vs reference)")

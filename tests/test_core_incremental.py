@@ -241,8 +241,8 @@ class TestMetricsAndLocality:
         name = _endpoint_gate(circuit)
         report = session.replace_cell(name, "NOR2")
         # The edit re-sweeps the slew peaks of its dirty gates only: the
-        # edited gate and the drivers of its input nets.  The peak
-        # tables must outlive the SoA tables an edit drops.
+        # edited gate and the drivers of its input nets; every other
+        # entry of the peak tables stays.
         gate = next(g for g in session.ec.gates if g.inst.name == name)
         drivers = {session.ec.driver[net] for net in gate.input_nets}
         assert swept == [None, sorted(({gate.index} | drivers) - {-1})]
@@ -259,8 +259,8 @@ class TestMetricsAndLocality:
 class TestSessionLifetime:
     def test_finished_session_is_freed_without_the_cyclic_collector(
             self, charlib_poly_90):
-        """The engine owns its timing graph and the calculator its SoA
-        tables without strong back-references, so a finished session
+        """The engine owns its timing graph and the calculator its
+        grid-batched sweeps without strong back-references, so a finished session
         on a shared circuit is freed by reference counting.  With the
         cycles, every fresh session stayed in memory until a full
         collection, and peak RSS grew with the session rate."""
@@ -272,6 +272,33 @@ class TestSessionLifetime:
             session.ec, session.ec.tgraph, session.calc, session.calc.tarrays)]
         gc.disable()
         try:
+            del session
+            assert [ref() for ref in held] == [None] * len(held)
+        finally:
+            gc.enable()
+
+    def test_finished_search_is_freed_without_the_cyclic_collector(
+            self, charlib_poly_90, monkeypatch):
+        """A closed path stream lets go of its finder (the finder keeps
+        the stream), so an analyzed session's finders, with their
+        search states, and its calculator go with the session."""
+        from repro.core.pathfinder import PathFinder
+
+        finders = []
+        honest = PathFinder.__init__
+
+        def spy(self, *args, **kwargs):
+            honest(self, *args, **kwargs)
+            finders.append(weakref.ref(self))
+
+        monkeypatch.setattr(PathFinder, "__init__", spy)
+        circuit = build_circuit("c432", scale=0.3)
+        gc.disable()
+        try:
+            session = TruePathSTA(circuit, charlib_poly_90)
+            assert session.analyze(n_worst=5).paths
+            held = [weakref.ref(session.calc), *finders]
+            assert len(held) > 1
             del session
             assert [ref() for ref in held] == [None] * len(held)
         finally:

@@ -1,13 +1,19 @@
-"""SoA-vs-reference equivalence for the vectorized timing core.
+"""Production sweeps vs the reference passes of the timing core.
 
-The sweeps in :mod:`repro.core.tarrays` promise *byte identity* with
-the arc-at-a-time reference passes in :mod:`repro.verify.metamorphic`,
-not approximate agreement: every arrival, slew, slew peak, prune bound
-and N-worst report must be bitwise the same float.  These tests pin
-that contract on the ISCAS suite, on seeded fuzz netlists, and on
-degenerate graphs, and also pin the batch-equivalence law of the
-models that the whole scheme rests on (``evaluate_many(batch)[i]``
-bitwise-equal to ``evaluate(*batch[i])``).
+Every full sweep promises *byte identity* with its reference pass in
+:mod:`repro.verify.metamorphic`, not approximate agreement: every
+arrival, slew, slew peak, prune bound and N-worst report must be
+bitwise the same float.  The forward pass (the per-net plain-float
+kernel in level order) is checked against a gate-major pass on the
+models' batch kernel; the grid-batched sweeps of
+:mod:`repro.core.tarrays` (slew peaks, the slew-ceiling fixed point,
+the worst-arc prefill and the backward bound) against arc-at-a-time
+loops.  These tests pin that contract on the ISCAS suite, on seeded
+fuzz netlists, on degenerate graphs and on missing library arcs, show
+that it catches a forward kernel that skips sensitization options, and
+pin the batch-equivalence law of the models that the whole scheme
+rests on (``evaluate_many(batch)[i]`` bitwise-equal to
+``evaluate(*batch[i])``).
 """
 
 import copy
@@ -37,12 +43,13 @@ from repro.verify.metamorphic import (
 )
 
 
-def _calcs(circuit, charlib):
+def _calcs(circuit, charlib, **kwargs):
     """A (reference, default) calculator pair over independent engines:
-    the first one only ever feeds the arc-at-a-time reference passes."""
+    the first one only ever feeds the reference passes."""
     blind = charlib.metadata.get("vector_mode") == "default"
     return tuple(
-        DelayCalculator(EngineCircuit(circuit), charlib, vector_blind=blind)
+        DelayCalculator(EngineCircuit(circuit), charlib, vector_blind=blind,
+                        **kwargs)
         for _ in range(2)
     )
 
@@ -378,49 +385,96 @@ class TestShardShipping:
         assert top(serial.paths) == top(sharded.paths)
 
 
-class TestLazyMissingArcs:
-    def test_compile_survives_missing_arcs(self, library, charlib_poly_90):
-        """Compilation must not raise for arcs no reachable signal uses;
-        a reachable missing arc raises the same error as the reference
-        pass when the sweep activates it."""
-        from repro.charlib.store import CharacterizedLibrary
+def _without_arcs(charlib, dropped):
+    """``charlib`` minus every arc for which ``dropped(arc)`` holds."""
+    from repro.charlib.store import CharacterizedLibrary
+
+    return CharacterizedLibrary(
+        tech_name=charlib.tech_name,
+        library_name=charlib.library_name,
+        model_kind=charlib.model_kind,
+        input_caps=charlib.input_caps,
+        arcs=[arc for arc in charlib.arcs() if not dropped(arc)],
+        metadata=charlib.metadata,
+    )
+
+
+def _inverter(library):
+    from repro.netlist.circuit import Circuit
+
+    circuit = Circuit("missing", library)
+    circuit.add_input("a")
+    circuit.add_gate("INV", "out", {"A": "a"})
+    circuit.add_output("out")
+    circuit.check()
+    return circuit
+
+
+class TestMissingArcs:
+    def test_error_policy_raises_the_reference_error(self, library,
+                                                     charlib_poly_90):
+        """A reachable traversal with no library arc raises from the
+        forward pass, with the reference pass's message."""
         from repro.core.delaycalc import MissingArcsError
-        from repro.netlist.circuit import Circuit
 
-        circuit = Circuit("missing", library)
-        circuit.add_input("a")
-        circuit.add_gate("INV", "out", {"A": "a"})
-        circuit.add_output("out")
-        circuit.check()
-
-        kept = [a for a in charlib_poly_90.arcs() if a.cell != "INV"]
-        gutted = CharacterizedLibrary(
-            tech_name=charlib_poly_90.tech_name,
-            library_name=charlib_poly_90.library_name,
-            model_kind=charlib_poly_90.model_kind,
-            input_caps=charlib_poly_90.input_caps,
-            arcs=kept,
-            metadata=charlib_poly_90.metadata,
-        )
-
-        reference, calc = _calcs(circuit, gutted)
-        calc.tarrays._compile_forward()  # must not raise
-        with pytest.raises(MissingArcsError):
+        gutted = _without_arcs(charlib_poly_90, lambda a: a.cell == "INV")
+        reference, calc = _calcs(_inverter(library), gutted)
+        with pytest.raises(MissingArcsError) as want:
             reference_forward(reference)
-        with pytest.raises(MissingArcsError):
+        with pytest.raises(MissingArcsError) as got:
             calc.ec.tgraph.forward_arrivals(calc)
+        assert str(got.value) == str(want.value)
+
+    def test_warn_substitute_matches_the_reference(self, library,
+                                                   charlib_poly_90):
+        """Under ``warn-substitute`` both passes evaluate the same
+        nearest arc for the missing rising-input traversals."""
+        gutted = _without_arcs(charlib_poly_90,
+                               lambda a: a.cell == "INV" and a.input_rising)
+        reference, calc = _calcs(_inverter(library), gutted,
+                                 missing_arc_policy="warn-substitute")
+        ft = calc.ec.tgraph.forward_arrivals(calc)
+        ft_ref = reference_forward(reference)
+        assert ft.arrivals == ft_ref.arrivals
+        assert ft.slews == ft_ref.slews
+        assert calc.arc_substitutions == reference.arc_substitutions == 1
 
 
-class TestCompileShape:
-    def test_arrays_cover_every_timing_arc(self, charlib_poly_90):
-        circuit = build_circuit("c17")
-        _, vectorized = _calcs(circuit, charlib_poly_90)
-        arrays = vectorized.tarrays
-        assert isinstance(arrays, TimingArrays)
-        ft = arrays.forward_arrivals()
-        n_nets = vectorized.ec.num_nets
-        assert len(ft.arrivals) == n_nets
-        assert len(ft.slews) == n_nets
-        # Every primary output must be reached at some polarity.
-        for net in vectorized.ec.output_ids:
-            assert any(a is not None for a in ft.arrivals[net])
+class TestForwardSabotage:
+    """A forward kernel that drops the last sensitization option of
+    each pin that has several still reaches every net, with plausible
+    numbers; the identity checks must catch it."""
+
+    @pytest.fixture
+    def skip_last_option(self, monkeypatch):
+        from repro.core.tgraph import TimingGraph
+
+        honest = TimingGraph.forward_update_net
+
+        def sabotaged(graph, calc, net, timing):
+            gate = graph.gates[graph.fanin[net][0].gate_index]
+            options = gate.options
+            gate.options = {pin: opts[:-1] if len(opts) > 1 else opts
+                            for pin, opts in options.items()}
+            try:
+                return honest(graph, calc, net, timing)
+            finally:
+                gate.options = options
+
+        monkeypatch.setattr(TimingGraph, "forward_update_net", sabotaged)
+
+    def test_fails_the_identity_check(self, charlib_poly_90,
+                                      skip_last_option):
+        with pytest.raises(AssertionError):
+            _assert_identical(build_circuit("c880a", scale=0.05),
+                              charlib_poly_90)
+
+    def test_fails_incremental_identical(self, charlib_poly_90,
+                                         skip_last_option):
+        from repro.verify.metamorphic import check_incremental_identical
+
+        result = check_incremental_identical(
+            build_circuit("c880a", scale=0.05), charlib_poly_90,
+            seed=1, edits=2)
+        assert not result.ok
+        assert "forward timing (vs reference) diverged" in result.detail
