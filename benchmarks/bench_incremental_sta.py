@@ -1,7 +1,7 @@
 """Incremental dirty-cone re-analysis vs from-scratch rebuilds.
 
 Applies a sequence of small-cone edits (pin-compatible swaps on
-endpoint drivers) to c7552 through one ``IncrementalSTA`` session that
+endpoint drivers) to c7552 through one ``TruePathSTA`` session that
 repairs only the dirty cone, and after every edit times a fresh session
 built and analyzed on the edited circuit (the from-scratch rebuild the
 repair replaces) and checks byte identity of the full timing state
@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.incremental import IncrementalSTA
+from repro.core.sta import TruePathSTA
 from repro.eval.iscas import build_circuit
 
 CIRCUIT = "c7552"
@@ -67,7 +67,7 @@ def _timed_edit(session, name, cell):
 
 def _timed_rebuild(circuit, charlib):
     start = time.perf_counter()
-    session = IncrementalSTA(circuit, charlib)
+    session = TruePathSTA(circuit, charlib)
     session.refresh()
     return session, time.perf_counter() - start
 
@@ -78,7 +78,7 @@ def test_incremental_edits_beat_scratch_rebuilds(
     targets = _swap_targets(circuit, EDITS)
     assert len(targets) == EDITS
 
-    inc = IncrementalSTA(circuit, poly90)
+    inc = TruePathSTA(circuit, poly90)
     inc.refresh()
 
     total_gates = len(circuit.instances)

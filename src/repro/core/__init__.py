@@ -10,13 +10,15 @@
 * :mod:`repro.core.delaycalc` -- vector-resolved delay accumulation;
 * :mod:`repro.core.pathfinder` -- the single-pass sensitize-while-
   traversing true-path enumeration;
-* :mod:`repro.core.sta` -- the user-facing :class:`TruePathSTA` tool;
-* :mod:`repro.core.graphsta` -- block-based (GBA) analysis for
-  pessimism comparisons;
+* :mod:`repro.core.sta` -- :class:`TruePathSTA`, the one analysis
+  session: path search, the block-based (GBA) forward pass and ECO
+  edits over one indexed circuit;
+* :mod:`repro.core.graphsta` -- the GBA result type and the pessimism
+  comparison against true paths;
 * :mod:`repro.core.report` -- slack/hold reports and JSON export;
 * :mod:`repro.core.variation` -- Monte-Carlo statistical timing;
-* :mod:`repro.core.incremental` -- the dirty-cone STA session behind
-  the gate-sizing ECO loop (:mod:`repro.opt.sizer`).
+* :mod:`repro.core.incremental` -- the dirty-cone repair behind the
+  session's edits and the gate-sizing ECO loop (:mod:`repro.opt.sizer`).
 """
 
 from repro.core.graphsta import GraphSTA

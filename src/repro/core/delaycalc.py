@@ -24,7 +24,7 @@ from typing import (
 
 import numpy as np
 
-from repro.charlib.fanout import WireLoadModel, output_load
+from repro.charlib.fanout import output_load
 from repro.charlib.model import DelayModel
 from repro.charlib.store import BLIND, CharacterizedLibrary, TimingArc
 from repro.core.engine import EngineCircuit, EngineGate
@@ -90,7 +90,6 @@ class DelayCalculator:
         vdd: Optional[float] = None,
         input_slew: float = DEFAULT_INPUT_SLEW,
         vector_blind: bool = False,
-        wire: Optional[WireLoadModel] = None,
         missing_arc_policy: str = "error",
     ):
         if missing_arc_policy not in MISSING_ARC_POLICIES:
@@ -107,7 +106,6 @@ class DelayCalculator:
         self.vdd = vdd if vdd is not None else self._nominal_vdd()
         self.input_slew = input_slew
         self.vector_blind = vector_blind
-        self.wire = wire
         self.missing_arc_policy = missing_arc_policy
         #: Model evaluations served (plain attribute -- the search loop
         #: is too hot for registry traffic; callers publish the delta
@@ -163,8 +161,7 @@ class DelayCalculator:
     def _fanout(self, gate: EngineGate) -> float:
         """Equivalent fanout of one gate: its output load over its
         cell's mean input-pin capacitance."""
-        load = output_load(self.ec.circuit, gate.inst, self.charlib,
-                           wire=self.wire)
+        load = output_load(self.ec.circuit, gate.inst, self.charlib)
         return load / self.charlib.mean_cap(gate.cell.name)
 
     # ------------------------------------------------------------------

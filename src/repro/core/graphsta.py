@@ -7,10 +7,11 @@ can actually exercise it.  It is fast -- O(gates) -- and safe, but
 pessimistic: the reported arrival can exceed the true worst path delay
 whenever the structurally-worst arcs cannot be sensitized together.
 
-This module provides GBA as a third analysis mode next to the paper's
-path-based tool, plus the pessimism measurement: ``gba_pessimism``
-compares the GBA endpoint arrivals against the true-path results, which
-quantifies exactly what the paper's single-pass tool buys.
+The pass is the analysis session's own forward timing
+(:meth:`repro.core.sta.TruePathSTA.gba`); this module holds its result
+type and the pessimism measurement: ``gba_pessimism`` compares the GBA
+endpoint arrivals against the true-path results, which quantifies
+exactly what the paper's single-pass tool buys.
 """
 
 from __future__ import annotations
@@ -18,20 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.charlib.store import CharacterizedLibrary
-from repro.core.delaycalc import DEFAULT_INPUT_SLEW, DelayCalculator
-from repro.core.engine import EngineCircuit
 from repro.core.path import TimedPath
-from repro.netlist.circuit import Circuit
+from repro.core.sta import TruePathSTA
 
 
 @dataclass
 class GbaResult:
-    """Worst-case arrivals from one topological pass."""
+    """Worst-case endpoint arrivals from one topological pass."""
 
-    #: net name -> (rise arrival, fall arrival); None = unreachable.
+    #: primary output -> (rise arrival, fall arrival); None = unreachable.
     arrivals: Dict[str, Tuple[Optional[float], Optional[float]]]
-    #: net name -> (rise slew, fall slew)
+    #: primary output -> (rise slew, fall slew)
     slews: Dict[str, Tuple[Optional[float], Optional[float]]]
 
     def worst_arrival(self, net: str) -> float:
@@ -42,45 +40,11 @@ class GbaResult:
         return max(candidates)
 
 
-class GraphSTA:
-    """One-pass block-based analysis: a thin consumer of the timing
-    graph's forward worst-arrival pass
-    (:meth:`repro.core.tgraph.TimingGraph.forward_arrivals`)."""
+class GraphSTA(TruePathSTA):
+    """The session under its old GBA-mode name, which
+    bench/workloads.py still uses: ``run()`` is :meth:`gba`."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        charlib: CharacterizedLibrary,
-        temp: float = 25.0,
-        vdd: Optional[float] = None,
-        input_slew: float = DEFAULT_INPUT_SLEW,
-        missing_arc_policy: str = "error",
-    ):
-        circuit.check()
-        self.circuit = circuit
-        self.ec = EngineCircuit(circuit)
-        self.calc = DelayCalculator(
-            self.ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
-            vector_blind=charlib.metadata.get("vector_mode") == "default",
-            missing_arc_policy=missing_arc_policy,
-        )
-
-    def run(self) -> GbaResult:
-        forward = self.ec.tgraph.forward_arrivals(self.calc)
-        names = self.ec.net_names
-        # Report primary inputs and driven nets, like the historical
-        # name-keyed traversal did (every net is one or the other in a
-        # checked circuit).
-        reported = [
-            net for net in range(self.ec.num_nets)
-            if self.ec.is_input[net] or self.ec.driver[net] >= 0
-        ]
-        return GbaResult(
-            arrivals={
-                names[net]: tuple(forward.arrivals[net]) for net in reported
-            },
-            slews={names[net]: tuple(forward.slews[net]) for net in reported},
-        )
+    run = TruePathSTA.gba
 
 
 def gba_pessimism(

@@ -100,6 +100,8 @@ class SearchStats:
     conflicts: int = 0
     justification_backtracks: int = 0
     justification_cubes: int = 0
+    #: Always 0: the search justifies without a backtrack limit.  Kept
+    #: in the published schema, which committed baselines read.
     justification_aborts: int = 0
     justify_skipped: int = 0
     states_saved: int = 0
@@ -231,9 +233,6 @@ class PathFinder:
     ----------
     ec / calc:
         Indexed circuit and its delay calculator.
-    justify_backtrack_limit:
-        Safety cap on justification backtracks per step (None =
-        complete; the developed tool runs complete).
     max_paths:
         Stop after this many recorded paths (None = exhaustive).
     n_worst:
@@ -283,7 +282,6 @@ class PathFinder:
         self,
         ec: EngineCircuit,
         calc: DelayCalculator,
-        justify_backtrack_limit: Optional[int] = None,
         max_paths: Optional[int] = None,
         n_worst: Optional[int] = None,
         single_polarity: Optional[int] = None,
@@ -295,7 +293,6 @@ class PathFinder:
     ):
         self.ec = ec
         self.calc = calc
-        self.justify_backtrack_limit = justify_backtrack_limit
         self.max_paths = max_paths
         self.n_worst = n_worst
         self.single_polarity = single_polarity
@@ -609,19 +606,12 @@ class PathFinder:
                     # a no-op.
                     self.stats.justify_skipped += 1
                 else:
-                    justifier = Justifier(
-                        state,
-                        backtrack_limit=self.justify_backtrack_limit,
-                        scan_from=pending[0],
-                    )
+                    justifier = Justifier(state, scan_from=pending[0])
                     result = justifier.justify()
                     self.stats.justification_backtracks += justifier.backtracks
                     self.stats.justification_cubes += justifier.cubes_tried
                     if self._ledger is not None:
                         self._ledger.charge_backtracks(justifier.backtracks)
-                    if result is JustifyResult.ABORTED:
-                        self.stats.justification_aborts += 1
-                        return None
                     if result is not JustifyResult.SAT:
                         return None
             sensitizable = {
@@ -680,20 +670,12 @@ class PathFinder:
                 return None
         if not scratch.propagate():
             return None
-        justifier = Justifier(
-            scratch,
-            backtrack_limit=self.justify_backtrack_limit,
-            dynamic=True,
-            origin=self._origin,
-        )
+        justifier = Justifier(scratch, dynamic=True, origin=self._origin)
         result = justifier.justify()
         self.stats.justification_backtracks += justifier.backtracks
         self.stats.justification_cubes += justifier.cubes_tried
         if self._ledger is not None:
             self._ledger.charge_backtracks(justifier.backtracks)
-        if result is JustifyResult.ABORTED:
-            self.stats.justification_aborts += 1
-            return None
         if result is not JustifyResult.SAT:
             return None
         return scratch.input_vector(comp)

@@ -1,30 +1,40 @@
-"""User-facing true-path STA tool.
+"""The analysis session: one circuit, one piece of state.
 
 :class:`TruePathSTA` wires the indexed circuit, the vector-resolved
-delay calculator and the single-pass path finder into the interface the
-examples and benchmarks use::
+delay calculator and the single-pass path finder into the one session
+every front end analyzes with::
 
     sta = TruePathSTA(circuit, charlib)
     paths = sta.enumerate_paths()
     critical = sta.n_worst_paths(10)
     result = sta.analyze(n_worst=10, budgets=SearchBudgets(...))
+    endpoints = sta.gba()                   # block-based endpoint arrivals
+    sta.replace_cell("U7", "NAND2_X2")      # an ECO edit
 
 :meth:`TruePathSTA.analyze` is the search driver of the developed tool
 (the CLI and the service call it for every request);
 :meth:`~TruePathSTA.iter_paths` is the plain stream underneath, kept as
 the reference of the equivalence tests and for library callers.
+:meth:`~TruePathSTA.gba` reads the session's forward timing, which runs
+on first use; an edit repairs that timing and both pruning bounds in
+its dirty cone (:mod:`repro.core.incremental`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DEFAULT_INPUT_SLEW, DelayCalculator
-from repro.core.engine import EngineCircuit
+from repro.core.engine import EngineCircuit, EngineGate
 from repro.core.path import TimedPath
 from repro.core.pathfinder import PathFinder, PathStream, SearchStats
+from repro.core.tgraph import ForwardTiming
+from repro.gates.cell import Cell
+from repro.gates.library import DRIVE_SUFFIX
 from repro.netlist.circuit import Circuit
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
@@ -35,6 +45,10 @@ from repro.resilience.errors import ConfigError
 # and that module imports this one back while half-initialized.
 from repro.resilience import supervisor
 
+if TYPE_CHECKING:  # both modules import this one back
+    from repro.core.graphsta import GbaResult
+    from repro.core.incremental import EditReport
+
 
 class TruePathSTA:
     """Single-pass sensitization-vector-aware static timing analysis.
@@ -42,10 +56,11 @@ class TruePathSTA:
     Parameters
     ----------
     circuit:
-        Combinational circuit to analyze.
+        Combinational circuit to analyze (edits mutate it in place).
     charlib:
-        Vector-resolved characterized library (``model="polynomial"``,
-        ``vector_mode="all"``).
+        Characterized library.  A vector-resolved one
+        (``vector_mode="all"``) gives the developed tool; on a
+        ``vector_mode="default"`` library every lookup is vector-blind.
     temp / vdd:
         Analysis corner; VDD defaults to the technology nominal.
     input_slew:
@@ -59,6 +74,10 @@ class TruePathSTA:
     :class:`~repro.core.tgraph.TimingGraph`; the grid sweeps behind the
     pruning bounds and the slew fixed point run on the
     structure-of-arrays kernels in :mod:`repro.core.tarrays`.
+
+    Every result stays byte-identical to a fresh session built on the
+    circuit's current state, however :meth:`replace_cell` /
+    :meth:`resize` edits interleave with queries.
     """
 
     def __init__(
@@ -76,12 +95,26 @@ class TruePathSTA:
         self.ec = EngineCircuit(circuit)
         self.calc = DelayCalculator(
             self.ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
+            vector_blind=charlib.metadata.get("vector_mode") == "default",
             missing_arc_policy=missing_arc_policy,
         )
         self.last_stats: Optional[SearchStats] = None
         #: Per-origin completeness of the most recent search (None
         #: until a search ran).
         self.last_completeness: Optional[CompletenessReport] = None
+        #: Bumped per edit; keys the N-worst memo.
+        self.version = 0
+        #: Forward worst-arrival timing, computed on first use and
+        #: repaired by every edit.
+        self._timing: Optional[ForwardTiming] = None
+        #: Whether the state an edit repairs is built (:meth:`refresh`).
+        self._refreshed = False
+        #: Instance name -> gate index, built on the first edit.
+        self._gate_index: Optional[Dict[str, int]] = None
+        #: (n, max_paths) -> (version, paths).
+        self._nworst_cache: Dict[
+            Tuple[int, Optional[int]], Tuple[int, List[TimedPath]]
+        ] = {}
 
     # ------------------------------------------------------------------
     def iter_paths(
@@ -89,7 +122,6 @@ class TruePathSTA:
         max_paths: Optional[int] = None,
         inputs: Optional[Sequence[str]] = None,
         n_worst: Optional[int] = None,
-        justify_backtrack_limit: Optional[int] = None,
         single_polarity: Optional[int] = None,
         complete: bool = False,
         budgets: Optional[SearchBudgets] = None,
@@ -105,7 +137,6 @@ class TruePathSTA:
         finder = PathFinder(
             self.ec,
             self.calc,
-            justify_backtrack_limit=justify_backtrack_limit,
             max_paths=max_paths,
             n_worst=n_worst,
             single_polarity=single_polarity,
@@ -135,7 +166,6 @@ class TruePathSTA:
         inputs: Optional[Sequence[str]] = None,
         max_paths: Optional[int] = None,
         n_worst: Optional[int] = None,
-        justify_backtrack_limit: Optional[int] = None,
         single_polarity: Optional[int] = None,
         complete: bool = False,
         budgets: Optional[SearchBudgets] = None,
@@ -161,8 +191,8 @@ class TruePathSTA:
         in :mod:`repro.resilience.supervisor`).  ``budgets`` give every
         origin the full extension and backtrack allowances, and the
         whole call one wall-clock deadline.  When an origin came back
-        degraded, the GBA worst endpoint arrival of this session's
-        forward pass -- a sound upper bound on every arrival the search
+        degraded, the worst endpoint arrival of this session's
+        :meth:`gba` -- a sound upper bound on every arrival the search
         did not reach -- lands on each degraded origin's
         :attr:`~repro.resilience.budgets.OriginOutcome.gba_bound`.
         """
@@ -176,7 +206,6 @@ class TruePathSTA:
             dict(
                 max_paths=max_paths,
                 n_worst=n_worst,
-                justify_backtrack_limit=justify_backtrack_limit,
                 single_polarity=single_polarity,
                 complete=complete,
                 budgets=budgets,
@@ -205,11 +234,10 @@ class TruePathSTA:
             # The GBA worst endpoint arrival is a sound upper bound on any
             # true path arrival: GBA takes the worst arc at every gate
             # without asking whether the required sensitization vectors
-            # coexist.  One forward pass on this session's calculator.
-            arrivals = self.ec.tgraph.forward_arrivals(self.calc).arrivals
-            bound = max((arrival for output in self.circuit.outputs
-                         for arrival in arrivals[self.ec.net_id[output]]
-                         if arrival is not None), default=None)
+            # coexist.
+            bound = max((arrival for pair in self.gba().arrivals.values()
+                         for arrival in pair if arrival is not None),
+                        default=None)
             for outcome in result.completeness.degraded_origins().values():
                 outcome.gba_bound = bound
         return result
@@ -220,11 +248,142 @@ class TruePathSTA:
         Because sensitization happens *during* traversal, no initial
         structural path count has to be guessed -- the single-pass
         search with bound pruning directly yields the N true paths.
+
+        A pruned, unbudgeted call whose only other argument is
+        ``max_paths`` is memoized per session :attr:`version`; any other
+        configuration (a budgeted search's result is effort-dependent,
+        not a pure function of the circuit) searches every time.
         """
+        key = None
+        if (prune and kwargs.get("budgets") is None
+                and set(kwargs) <= {"max_paths", "budgets"}):
+            key = (n, kwargs.get("max_paths"))
+            cached = self._nworst_cache.get(key)
+            if cached is not None and cached[0] == self.version:
+                obs_metrics.REGISTRY.counter(
+                    "incremental.nworst_cache_hits").inc()
+                return list(cached[1])
         kwargs.setdefault("n_worst", n if prune else None)
         paths = self.enumerate_paths(**kwargs)
         paths.sort(key=lambda p: p.worst_arrival, reverse=True)
-        return paths[:n]
+        paths = paths[:n]
+        if key is not None:
+            self._nworst_cache[key] = (self.version, list(paths))
+        return paths
+
+    def worst_path(
+        self,
+        max_paths: Optional[int] = None,
+        budgets: Optional[SearchBudgets] = None,
+    ) -> TimedPath:
+        paths = self.n_worst_paths(1, max_paths=max_paths, budgets=budgets)
+        if not paths:
+            raise ValueError("circuit has no true paths")
+        return paths[0]
+
+    # ------------------------------------------------------------------
+    # block-based timing
+    # ------------------------------------------------------------------
+    def _forward(self) -> ForwardTiming:
+        if self._timing is None:
+            self._timing = self.ec.tgraph.forward_arrivals(self.calc)
+        return self._timing
+
+    def gba(self) -> "GbaResult":
+        """Graph-based (block-based) endpoint arrivals: the worst arc
+        at every gate, with no joint-sensitizability check.  Read from
+        the session's forward timing; no backward sweep runs."""
+        from repro.core.graphsta import GbaResult
+
+        timing = self._forward()
+        ids = self.ec.net_id
+        outputs = [(name, ids[name]) for name in self.circuit.outputs]
+        return GbaResult(
+            arrivals={name: tuple(timing.arrivals[net])
+                      for name, net in outputs},
+            slews={name: tuple(timing.slews[net]) for name, net in outputs},
+        )
+
+    # ------------------------------------------------------------------
+    # edits
+    # ------------------------------------------------------------------
+    def refresh(self) -> None:
+        """Build the state an edit repairs: the slew grid, the forward
+        timing, the worst-arc table and both per-net bounds.  Lazy: the
+        first edit or edit-state query runs it, not the constructor."""
+        if self._refreshed:
+            return
+        from repro.core.incremental import full_sweep
+
+        with span("incremental.initial_analysis"):
+            full_sweep(self)
+        self._refreshed = True
+
+    def _gate(self, inst_name: str) -> EngineGate:
+        if self._gate_index is None:
+            self._gate_index = {g.inst.name: g.index for g in self.ec.gates}
+            obs_metrics.REGISTRY.gauge("incremental.graph_levels").set(
+                len(set(self.ec.tgraph.levels)))
+        index = self._gate_index.get(inst_name)
+        if index is None:
+            raise KeyError(f"unknown instance {inst_name!r}")
+        return self.ec.gates[index]
+
+    def replace_cell(
+        self, inst_name: str, new_cell: Union[str, Cell]
+    ) -> "EditReport":
+        """Swap one instance's cell for a pin-compatible variant and
+        repair the analysis state in the edit's dirty cone.  The
+        underlying ``Circuit`` is mutated in place
+        (:meth:`EngineCircuit.swap_cell`), so a fresh analysis of the
+        circuit object sees the edit too."""
+        from repro.core.incremental import repair
+
+        gate = self._gate(inst_name)
+        if isinstance(new_cell, str):
+            new_cell = self.circuit.library[new_cell]
+        if new_cell.inputs != gate.cell.inputs:
+            raise ValueError(
+                f"{new_cell.name} is not pin-compatible with {gate.cell.name}"
+            )
+        self.refresh()  # the baseline must reflect the pre-edit circuit
+        from_cell = gate.cell.name
+        self.ec.swap_cell(gate, new_cell)
+        report = repair(self, gate, from_cell)
+        self.version += 1
+        report.version = self.version
+        return report
+
+    def resize(self, inst_name: str) -> "EditReport":
+        """Drive-strength resize: swap to ``<cell>`` +
+        :data:`~repro.gates.library.DRIVE_SUFFIX` from the circuit's
+        library."""
+        variant = f"{self._gate(inst_name).cell.name}{DRIVE_SUFFIX}"
+        if variant not in self.circuit.library:
+            raise ValueError(
+                f"library has no drive variant {variant!r} for {inst_name}"
+            )
+        return self.replace_cell(inst_name, variant)
+
+    # ------------------------------------------------------------------
+    # edit-state queries
+    # ------------------------------------------------------------------
+    def arrivals(self) -> List[List[Optional[float]]]:
+        """Per-net ``[rise, fall]`` worst arrivals (GBA semantics)."""
+        self.refresh()
+        return self._timing.arrivals
+
+    def slews(self) -> List[List[Optional[float]]]:
+        self.refresh()
+        return self._timing.slews
+
+    def required_bounds(self) -> List[float]:
+        self.refresh()
+        return self.calc.required_bounds()
+
+    def suffix_bounds(self) -> List[float]:
+        self.refresh()
+        return self.calc.remaining_bounds()
 
     # ------------------------------------------------------------------
     @staticmethod

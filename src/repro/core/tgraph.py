@@ -221,7 +221,7 @@ class TimingGraph:
         order-independent and the per-record arithmetic is the same IEEE
         doubles the full pass performs, the updated slots are
         bitwise-equal to a from-scratch pass -- this is the primitive
-        :class:`~repro.core.incremental.IncrementalSTA` sweeps over the
+        an edit's repair (:mod:`repro.core.incremental`) sweeps over the
         dirty cone, and :meth:`forward_arrivals` applies it to every
         driven net in level order.  Returns True when either polarity
         slot changed (including reachability flips, which a

@@ -156,7 +156,7 @@ def main(argv=None) -> int:
             ),
         )
     if args.experiment == "gba":
-        from repro.core.graphsta import GraphSTA, gba_pessimism
+        from repro.core.graphsta import gba_pessimism
         from repro.core.sta import TruePathSTA
         from repro.eval.iscas import build_circuit
         from repro.eval.tables import render_table
@@ -164,11 +164,11 @@ def main(argv=None) -> int:
         rows = []
         for name in (args.circuits or ["c432", "c880a"]):
             circuit = build_circuit(name, scale=args.scale)
-            gba = GraphSTA(circuit, poly).run()
-            paths = TruePathSTA(circuit, poly).enumerate_paths(
+            sta = TruePathSTA(circuit, poly)
+            paths = sta.enumerate_paths(
                 max_paths=args.max_dev_paths, jobs=args.jobs
             )
-            comparison = gba_pessimism(gba, paths)
+            comparison = gba_pessimism(sta.gba(), paths)
             for endpoint, row in sorted(comparison.items()):
                 rows.append([
                     name, endpoint,

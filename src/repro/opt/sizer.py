@@ -3,8 +3,8 @@
 A small engineering-change-order loop: while the worst true path
 misses the required time, swap gates on it for their drive variants.
 :class:`TimingDrivenSizer` drives every decision through one persistent
-:class:`~repro.core.incremental.IncrementalSTA` session, so each move
-costs a dirty-cone repair plus one pruned worst-path query instead of a
+:class:`~repro.core.sta.TruePathSTA` session, so each move costs a
+dirty-cone repair plus one pruned worst-path query instead of a
 from-scratch rebuild.  Accept/reject is on the true-path delay
 (vector-resolved), never on a GBA estimate: sizing driven by a
 vector-blind tool can stop too early, thinking timing is met while a
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 from repro.charlib.store import CharacterizedLibrary
-from repro.core.incremental import IncrementalSTA
 from repro.core.path import TimedPath
+from repro.core.sta import TruePathSTA
 from repro.gates.library import DRIVE_SUFFIX
 from repro.netlist.circuit import Circuit
 from repro.obs import metrics as obs_metrics
@@ -134,7 +134,7 @@ class TimingDrivenSizer:
         self.max_moves = max_moves
         self.max_paths = max_paths
         self.budgets = budgets
-        self.sta = IncrementalSTA(circuit, charlib, temp=temp, vdd=vdd)
+        self.sta = TruePathSTA(circuit, charlib, temp=temp, vdd=vdd)
         self._deadline: Optional[float] = None
 
     # ------------------------------------------------------------------

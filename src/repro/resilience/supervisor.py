@@ -274,7 +274,7 @@ class ShardSupervisor:
         #: The corner, as the checkpoint fingerprint hashes it.
         self.calc_kwargs = dict(
             temp=calc.temp, vdd=calc.vdd, input_slew=calc.input_slew,
-            vector_blind=calc.vector_blind, wire=calc.wire,
+            vector_blind=calc.vector_blind,
             missing_arc_policy=calc.missing_arc_policy,
         )
         self.finder_kwargs = dict(finder_kwargs)

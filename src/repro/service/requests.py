@@ -152,9 +152,11 @@ class AnalysisRequest:
 
     def context_key(self) -> Tuple:
         """The subset of fields selecting the heavy cached state
-        (circuit + characterized library + compiled analysis session)."""
-        return ("analyze", self.netlist, self.no_map, self.tech, self.tool,
-                self.missing_arc_policy)
+        (circuit + characterized library + analysis session).  The
+        developed and gba tools share one session; the baseline
+        analyzes on the LUT library, so it keeps its own context."""
+        return ("analyze", self.netlist, self.no_map, self.tech,
+                self.tool == "baseline", self.missing_arc_policy)
 
     def fingerprint(self) -> str:
         """Stable digest of the *full* request -- the result-memo key."""
@@ -194,9 +196,18 @@ class AnalysisContext:
 
     circuit: Circuit
     charlib: CharacterizedLibrary
-    sta: Any = None          # TruePathSTA for the developed tool
-    gba_result: Any = None   # memoized GraphSTA run for the gba tool
+    sta: Any = None          # TruePathSTA for the developed and gba tools
+    gba_result: Any = None   # a caller-supplied GbaResult to render
     lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def session(self, missing_arc_policy: str):
+        """The context's analysis session, built on first use."""
+        if self.sta is None:
+            from repro.core.sta import TruePathSTA
+
+            self.sta = TruePathSTA(self.circuit, self.charlib,
+                                   missing_arc_policy=missing_arc_policy)
+        return self.sta
 
 
 def build_context(request: AnalysisRequest) -> AnalysisContext:
@@ -211,15 +222,9 @@ def build_context(request: AnalysisRequest) -> AnalysisContext:
             charlib = cached_charlib(library, tech, model="lut",
                                      vector_mode="default")
             return AnalysisContext(circuit=circuit, charlib=charlib)
-        charlib = cached_charlib(library, tech)
-        context = AnalysisContext(circuit=circuit, charlib=charlib)
-        if request.tool == "developed":
-            from repro.core.sta import TruePathSTA
-
-            context.sta = TruePathSTA(
-                circuit, charlib,
-                missing_arc_policy=request.missing_arc_policy,
-            )
+        context = AnalysisContext(circuit=circuit,
+                                  charlib=cached_charlib(library, tech))
+        context.session(request.missing_arc_policy)
         return context
 
 
@@ -262,13 +267,7 @@ def execute_analysis(
     outcome = AnalysisOutcome(report="")
 
     if request.tool == "developed":
-        sta = context.sta
-        if sta is None:
-            from repro.core.sta import TruePathSTA
-
-            sta = TruePathSTA(circuit, charlib,
-                              missing_arc_policy=request.missing_arc_policy)
-            context.sta = sta
+        sta = context.session(request.missing_arc_policy)
         analysis = sta.analyze(
             jobs=request.jobs,
             budgets=request.budgets(),
@@ -296,16 +295,11 @@ def execute_analysis(
         outcome.degraded = analysis.degraded
         outcome.completeness = analysis.completeness
     elif request.tool == "gba":
-        from repro.core.graphsta import GraphSTA, gba_pessimism
-        from repro.core.sta import TruePathSTA
+        from repro.core.graphsta import gba_pessimism
 
         gba = context.gba_result
         if gba is None:
-            gba = GraphSTA(
-                circuit, charlib,
-                missing_arc_policy=request.missing_arc_policy,
-            ).run()
-            context.gba_result = gba
+            gba = context.session(request.missing_arc_policy).gba()
         lines.append(f"GBA endpoint arrivals for {circuit.name} "
                      f"({charlib.tech_name}, one topological pass)")
         for endpoint in circuit.outputs:
@@ -318,8 +312,7 @@ def execute_analysis(
             lines.append(f"  {endpoint:<12s} {cells}")
         paths = []
         if request.compare:
-            sta = TruePathSTA(circuit, charlib,
-                              missing_arc_policy=request.missing_arc_policy)
+            sta = context.session(request.missing_arc_policy)
             paths = sta.enumerate_paths(max_paths=request.max_paths,
                                         jobs=request.jobs)
             comparison = gba_pessimism(gba, paths)

@@ -10,7 +10,7 @@ them on arbitrarily large random netlists.
 The catalog (see docs/TESTING.md):
 
 ``gba_bounds``
-    GraphSTA's forward worst-arrival pass maximizes per gate over every
+    The session's GBA forward pass maximizes per gate over every
     sensitization vector with no joint-sensitizability check, so its
     endpoint arrival upper-bounds every pathfinder true path at the
     same endpoint (up to model noise from slew selection at
@@ -55,7 +55,6 @@ import numpy as np
 from repro.baseline.structural import StructuralEnumerator
 from repro.charlib.store import BLIND, CharacterizedLibrary
 from repro.core.delaycalc import DelayCalculator, _model_max
-from repro.core.graphsta import GraphSTA
 from repro.core.path import TimedPath
 from repro.core.sta import TruePathSTA
 from repro.core.tgraph import ForwardTiming
@@ -212,11 +211,10 @@ def check_gba_bounds(
     max_paths: Optional[int] = 5000,
     rel_tol: float = GBA_REL_TOL,
 ) -> InvariantResult:
+    sta = TruePathSTA(circuit, charlib)
     if paths is None:
-        paths = TruePathSTA(circuit, charlib).enumerate_paths(
-            max_paths=max_paths
-        )
-    gba = GraphSTA(circuit, charlib).run()
+        paths = sta.enumerate_paths(max_paths=max_paths)
+    gba = sta.gba()
     checked = 0
     for path in paths:
         endpoint = path.nets[-1]
@@ -361,13 +359,11 @@ def check_incremental_identical(
     calculator so no batched table leaks into the reference.
     Two comparisons per edit.  Mutates and then restores the circuit in
     place."""
-    from repro.core.incremental import IncrementalSTA
-
     rng = random.Random(seed)
     pools: dict = {}
     for cell in circuit.library:
         pools.setdefault(cell.inputs, []).append(cell)
-    session = IncrementalSTA(circuit, charlib)
+    session = TruePathSTA(circuit, charlib)
     inst_names = sorted(circuit.instances)
     original = {name: circuit.instances[name].cell for name in inst_names}
     checked = 0
@@ -402,7 +398,7 @@ def check_incremental_identical(
             if (session.arrivals() != timing.arrivals
                     or session.slews() != timing.slews):
                 return diverged("session forward timing (vs scratch)")
-            swept = session.tg.forward_arrivals(session.calc)
+            swept = session.ec.tgraph.forward_arrivals(session.calc)
             if (swept.arrivals != timing.arrivals
                     or swept.slews != timing.slews):
                 return diverged("session full forward pass (vs scratch)")

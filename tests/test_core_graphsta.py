@@ -17,19 +17,35 @@ def c17_gba(charlib_poly_90):
     return circuit, gba, sta.enumerate_paths()
 
 
+@pytest.fixture(scope="module")
+def c17_session(charlib_poly_90):
+    """The GBA result keeps the primary outputs; every other net's
+    forward timing is read from the session by net id."""
+    return TruePathSTA(c17(), charlib_poly_90)
+
+
+def worst_arrival(session, net):
+    rise, fall = session.arrivals()[session.ec.net_id[net]]
+    return max(a for a in (rise, fall) if a is not None)
+
+
 class TestGba:
-    def test_inputs_at_zero(self, c17_gba):
-        _c, gba, _p = c17_gba
-        assert gba.arrivals["G1"] == (0.0, 0.0)
+    def test_inputs_at_zero(self, c17_session):
+        net = c17_session.ec.net_id["G1"]
+        assert c17_session.arrivals()[net] == [0.0, 0.0]
 
-    def test_all_nets_reached(self, c17_gba):
+    def test_all_nets_reached(self, c17_session):
+        for net in c17_session.circuit.nets:
+            assert worst_arrival(c17_session, net) >= 0.0
+
+    def test_arrivals_grow_along_levels(self, c17_session):
+        assert (worst_arrival(c17_session, "G22")
+                > worst_arrival(c17_session, "G10"))
+
+    def test_reports_the_primary_outputs(self, c17_gba):
         circuit, gba, _p = c17_gba
-        for net in circuit.nets:
-            assert gba.worst_arrival(net) >= 0.0
-
-    def test_arrivals_grow_along_levels(self, c17_gba):
-        _c, gba, _p = c17_gba
-        assert gba.worst_arrival("G22") > gba.worst_arrival("G10")
+        assert list(gba.arrivals) == list(circuit.outputs)
+        assert list(gba.slews) == list(circuit.outputs)
 
     def test_never_optimistic(self, c17_gba):
         """GBA is an upper bound on every true path arrival."""
@@ -49,6 +65,32 @@ class TestGba:
         gba = GbaResult(arrivals={"x": (None, None)}, slews={"x": (None, None)})
         with pytest.raises(ValueError):
             gba.worst_arrival("x")
+
+
+class TestOneSession:
+    def test_compare_builds_one_engine(self, monkeypatch):
+        """``--tool gba --compare`` searches the session whose forward
+        pass it rendered: one indexed circuit, not one per side."""
+        from repro.core.engine import EngineCircuit
+        from repro.service.requests import AnalysisRequest, execute_analysis
+
+        builds = []
+        honest = EngineCircuit.__init__
+
+        def spy(self, circuit):
+            builds.append(circuit.name)
+            honest(self, circuit)
+
+        monkeypatch.setattr(EngineCircuit, "__init__", spy)
+        outcome = execute_analysis(
+            AnalysisRequest("iscas:c17", tool="gba", compare=True))
+        assert "gba_pessimism vs" in outcome.report
+        assert len(builds) == 1
+
+    def test_vector_blind_follows_the_library(self, charlib_poly_90,
+                                              charlib_lut_90):
+        assert not TruePathSTA(c17(), charlib_poly_90).calc.vector_blind
+        assert TruePathSTA(c17(), charlib_lut_90).calc.vector_blind
 
 
 class TestPessimism:

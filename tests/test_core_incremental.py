@@ -23,6 +23,7 @@ def _scratch_state(circuit, charlib, n_worst=4):
         sta.calc.required_bounds(),
         sta.calc.remaining_bounds(),
         [_path_identity(p) for p in sta.n_worst_paths(n_worst)],
+        sta.gba(),
     )
 
 
@@ -33,6 +34,7 @@ def _session_state(session, n_worst=4):
         session.required_bounds(),
         session.suffix_bounds(),
         [_path_identity(p) for p in session.n_worst_paths(n_worst)],
+        session.gba(),
     )
 
 

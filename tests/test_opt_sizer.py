@@ -167,7 +167,7 @@ def use_reference(monkeypatch):
         sessions.append(ScratchSession(*args, **kwargs))
         return sessions[-1]
 
-    monkeypatch.setattr("repro.opt.sizer.IncrementalSTA", make)
+    monkeypatch.setattr("repro.opt.sizer.TruePathSTA", make)
     return sessions
 
 

@@ -228,6 +228,25 @@ def test_context_stats_count_worker_cache_hits():
     assert stats["metrics"]["service.worker_cache_hits"] == 2
 
 
+def test_developed_and_gba_share_one_context():
+    """One netlist, one session: a gba request after a developed one
+    hits the context the developed request built, and both reports
+    still equal the one-shot CLI's."""
+    handle = start_in_thread(ServiceConfig(fleet=1, heartbeat_interval=0.2))
+    try:
+        with ServiceClient(handle.host, handle.port, timeout=300.0) as c:
+            developed = c.call("analyze", {"netlist": "iscas:c17"})
+            gba = c.call("analyze", {"netlist": "iscas:c17", "tool": "gba"})
+            stats = c.call("stats")["contexts"]
+    finally:
+        handle.stop()
+    assert stats["misses"] == 1
+    assert stats["hits"] == 1
+    assert developed["report"] + "\n" == cli_stdout(["analyze", "iscas:c17"])
+    assert gba["report"] + "\n" == cli_stdout(
+        ["analyze", "iscas:c17", "--tool", "gba"])
+
+
 def test_result_memo_counters(server):
     with ServiceClient(server.host, server.port, timeout=300.0) as c:
         params = {"netlist": "iscas:c17", "top": 9}
@@ -262,8 +281,8 @@ def test_lru_eviction_under_capacity_one():
         with ServiceClient(handle.host, handle.port, timeout=300.0) as c:
             c.call("analyze", {"netlist": "iscas:c17"})
             stats1 = c.call("stats")["contexts"]
-            # A second config evicts the first (capacity 1)...
-            c.call("analyze", {"netlist": "iscas:c17", "tool": "gba"})
+            # A second netlist evicts the first (capacity 1)...
+            c.call("analyze", {"netlist": "iscas:c432@0.05"})
             stats2 = c.call("stats")["contexts"]
             # ...and re-requesting the first must rebuild it (the result
             # memo is bypassed by varying `top` so the context is used).
