@@ -5,8 +5,11 @@ forward worst-arrival pass runs the production per-net plain-float
 kernel (``TimingGraph.forward_arrivals``) against the batched reference
 (``reference_forward``: gate-major, one ``evaluate_many`` row per
 traversal).  The backward bound construction (required-time bound plus
-suffix sum) runs the structure-of-arrays grid sweeps against the
-arc-at-a-time reference loops of :mod:`repro.verify.metamorphic`.
+suffix sum) runs the production per-net kernels, whose first worst-arc
+read fills the whole table with one grid sweep (one ``evaluate_many``
+call per model), against the references of
+:mod:`repro.verify.metamorphic`: one model sweep per arc
+(``reference_worst_arcs``), then two arc-major reverse walks.
 Identity is asserted first and exactly: both pairs promise byte
 identity, so the only thing allowed to differ is the clock.  The
 snapshot carries the ``tgraph.forward_pass_ms`` /
@@ -25,6 +28,8 @@ from repro.verify.metamorphic import (
     reference_bound_slews,
     reference_forward,
     reference_required_bounds,
+    reference_suffix_bounds,
+    reference_worst_arcs,
 )
 
 CIRCUITS = ["c1355", "c7552"]
@@ -51,13 +56,16 @@ def _run_production(circuit, charlib):
     return forward, (bounds.required, bounds.suffix), fwd, bwd
 
 
+def _reference_bounds(calc):
+    worst = reference_worst_arcs(calc)
+    return (tuple(reference_required_bounds(calc, worst)),
+            tuple(reference_suffix_bounds(calc, worst)))
+
+
 def _run_reference(circuit, charlib):
     calc = _calc(circuit, charlib, reference_bound_slews)
     forward, fwd = _timed(lambda: reference_forward(calc))
-    bounds, bwd = _timed(lambda: (
-        tuple(reference_required_bounds(calc)),
-        tuple(calc.remaining_bounds()),
-    ))
+    bounds, bwd = _timed(lambda: _reference_bounds(calc))
     return forward, bounds, fwd, bwd
 
 

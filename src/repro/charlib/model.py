@@ -8,9 +8,9 @@ interchangeable behind :class:`DelayModel`:
 
 * ``evaluate(fo, t_in, temp, vdd)`` -- one point, in seconds;
 * ``evaluate_many(points)`` -- a batch of ``(fo, t_in, temp, vdd)``
-  rows (the bound sweeps in :mod:`repro.core.delaycalc` and the
-  structure-of-arrays slew-grid sweeps in :mod:`repro.core.tarrays`
-  evaluate every arc of one model over a whole slew grid in one call);
+  rows (the grid sweeps of
+  :class:`~repro.core.delaycalc.DelayCalculator` evaluate every arc of
+  one model over a whole slew grid in one call);
 * ``to_dict()`` / ``from_dict`` -- JSON persistence, dispatched through
   :data:`MODEL_KINDS`.
 
@@ -36,9 +36,9 @@ generated from the batch loop's term sequence
 the LUT pair shares one bracketing, weighting and bilinear expression
 tree.  Reassociating either side breaks the law: Horner's rule or a
 BLAS ``design @ coeffs`` product is *not* bitwise-equal to sequential
-accumulation.  ``tests/test_core_tarrays.py`` pins the law on every arc
-of the built-in libraries, and shows that it catches a reassociated
-kernel.
+accumulation.  The timing core's identity tests
+(``TestBatchEquivalenceLaw``) pin the law on every arc of the built-in
+libraries, and show that it catches a reassociated kernel.
 
 New model families register their ``kind`` tag in :data:`MODEL_KINDS`
 and automatically work everywhere: arc resolution, the arc cache, the

@@ -198,7 +198,8 @@ class PolynomialModel:
         ``evaluate(*points[i])``: the kernel replays the scalar
         evaluator's exact operation sequence (power ladder, term
         product order, term accumulation order) elementwise across
-        rows, so the grid sweeps in :mod:`repro.core.tarrays` reproduce
+        rows, so the calculator's grid sweeps
+        (:class:`~repro.core.delaycalc.DelayCalculator`) reproduce
         the scalar engines' results byte for byte (see
         :class:`repro.charlib.model.DelayModel`).
         """

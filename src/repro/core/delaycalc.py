@@ -14,12 +14,22 @@ once per evaluation.  The N-worst pruning bound maximizes each gate's
 fitted delay over the whole *achievable* slew domain: propagated slews
 on degraded chains exceed any fixed pessimistic input slew, so bounding
 the arc delay at a single slew point is not admissible.
+
+**Grid sweeps.**  The slew peaks behind that domain and the per-(gate,
+pin) worst-arc delays evaluate every arc of the circuit over a whole
+slew grid (about 20 slews).  One helper runs both: it batches the arcs
+by model, so one ``evaluate_many`` call per model does a grid's worth
+of scalar calls, and it scatter-maxes the row peaks per slot.  The
+:class:`~repro.charlib.model.DelayModel` batch-equivalence law makes
+every batched row bitwise the scalar value, and ``max`` over floats is
+exact, so the results are bitwise the arc-at-a-time reference passes
+of :mod:`repro.verify.metamorphic`.
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -32,9 +42,6 @@ from repro.core.tgraph import PruneBounds
 from repro.obs.logging import get_logger
 from repro.obs.tracing import span
 from repro.resilience.errors import ConfigError, MissingArcFailure
-
-if TYPE_CHECKING:  # tarrays imports from this module; keep the cycle lazy
-    from repro.core.tarrays import TimingArrays
 
 _log = get_logger("repro.delaycalc")
 
@@ -66,17 +73,6 @@ class MissingArcsError(MissingArcFailure, LookupError):
     Subclasses both the resilience taxonomy (for CLI exit-code mapping)
     and :class:`LookupError` (the historical base, kept for callers
     that catch it as such)."""
-
-
-def _model_max(model: DelayModel, fo: float, slews: Tuple[float, ...],
-               temp: float, vdd: float) -> float:
-    """Maximum of a fitted model over a sweep of input slews.
-
-    Goes through the :class:`~repro.charlib.model.DelayModel` batch
-    protocol, so polynomial and LUT libraries share one sweep path.
-    """
-    points = np.array([[fo, t_in, temp, vdd] for t_in in slews])
-    return float(np.max(model.evaluate_many(points)))
 
 
 class DelayCalculator:
@@ -144,8 +140,6 @@ class DelayCalculator:
         self._substitute_cache: Dict[
             Tuple[str, str, str, bool, bool], TimingArc
         ] = {}
-        self._tarrays: Optional["TimingArrays"] = None
-        self._worst_table_complete = False
 
     def _nominal_vdd(self) -> float:
         from repro.tech.presets import TECHNOLOGIES
@@ -407,13 +401,11 @@ class DelayCalculator:
         fixed point is bitwise the one a fresh calculator derives."""
         peaks = self._slew_peaks.get(samples)
         if peaks is None:
-            peaks = self.tarrays.slew_peaks(samples)
+            peaks = self.slew_peaks(samples)
             self._slew_peaks[samples] = peaks
         stale = [index for index, peak in enumerate(peaks) if peak is None]
         if stale:
-            for index, peak in zip(
-                stale, self.tarrays.slew_peaks(samples, stale)
-            ):
+            for index, peak in zip(stale, self.slew_peaks(samples, stale)):
                 peaks[index] = peak
         return max(peaks, default=0.0)
 
@@ -435,19 +427,17 @@ class DelayCalculator:
         traversed pin can exhibit contribute, which is what makes the
         timing graph's backward required-time bound dominate the
         context-free per-gate suffix sum.
+
+        Read from the (gate, pin) table; a miss fills every hole of it
+        with one grid sweep (:meth:`_fill_worst_arcs`), so a fresh
+        calculator and an edit's invalidated entries both cost one
+        batched sweep, not one per arc.
         """
         key = (gate.index, pin)
-        cached = self._worst_arc_cache.get(key)
-        if cached is not None:
-            return cached
-        worst = 0.0
-        fo = self.fo[gate.index]
-        slews = self.bound_slews()
-        for arc in self.pin_arcs(gate, pin):
-            peak = _model_max(arc.delay_model, fo, slews, self.temp, self.vdd)
-            if peak > worst:
-                worst = peak
-        self._worst_arc_cache[key] = worst
+        worst = self._worst_arc_cache.get(key)
+        if worst is None:
+            self._fill_worst_arcs()
+            worst = self._worst_arc_cache[key]
         return worst
 
     def worst_gate_delay(self, gate: EngineGate) -> float:
@@ -481,19 +471,21 @@ class DelayCalculator:
         sum.  Admissible but looser than :meth:`required_bounds`; kept
         as the baseline enumerator's ordering metric and as the
         dominance reference for ``pathfinder.bound_prunes``.
+
+        Runs :meth:`TimingGraph.suffix_through_net
+        <repro.core.tgraph.TimingGraph.suffix_through_net>`, the kernel
+        an edit's cone repair runs, over every net in descending level
+        order: every sink gate's output net sits on a higher level, so
+        its bound is final before the net reads it.
         """
-        if self._remaining_bounds is not None:
-            return self._remaining_bounds
-        with span("delaycalc.remaining_bounds"):
-            bounds = [0.0] * self.ec.num_nets
-            for gate in reversed(self.ec.gates):
-                worst = self.worst_gate_delay(gate)
-                downstream = bounds[gate.output_net] + worst
-                for net in gate.input_nets:
-                    if downstream > bounds[net]:
-                        bounds[net] = downstream
-            self._remaining_bounds = bounds
-            return bounds
+        if self._remaining_bounds is None:
+            with span("delaycalc.remaining_bounds"):
+                tg = self.ec.tgraph
+                bounds = [0.0] * self.ec.num_nets
+                for net in reversed(tg.topo_nets):
+                    bounds[net] = tg.suffix_through_net(self, net, bounds)
+                self._remaining_bounds = bounds
+        return self._remaining_bounds
 
     def required_bounds(self) -> List[float]:
         """Per-net backward required-time bound from the timing graph
@@ -517,27 +509,70 @@ class DelayCalculator:
         return self._prune_bounds
 
     # ------------------------------------------------------------------
-    @property
-    def tarrays(self) -> "TimingArrays":
-        """This calculator's grid-batched sweeps
-        (:class:`~repro.core.tarrays.TimingArrays`), built lazily."""
-        if self._tarrays is None:
-            from repro.core.tarrays import TimingArrays
+    # grid sweeps
+    # ------------------------------------------------------------------
+    def slew_peaks(
+        self, samples: Sequence[float],
+        gate_indices: Optional[Sequence[int]] = None,
+    ) -> List[float]:
+        """Worst output slew *per gate* (all gates, or ``gate_indices``)
+        over one sample grid: the max over the gate's resolvable arcs
+        of the slew model on the grid, floored at 0.0.  One fixed-point
+        round of :meth:`bound_slews` maximizes over all of them; the
+        calculator keeps them as per-gate peak tables, so an edit
+        re-sweeps only its dirty gates."""
+        gates = (self.ec.gates if gate_indices is None
+                 else [self.ec.gates[i] for i in gate_indices])
+        rows = [(slot, arc.slew_model, self.fo[gate.index])
+                for slot, gate in enumerate(gates)
+                for arc in self.gate_arcs(gate)]
+        return self._grid_peaks(rows, samples, len(gates))
 
-            self._tarrays = TimingArrays(self)
-        return self._tarrays
+    def _fill_worst_arcs(self) -> None:
+        """Fill every hole of the (gate, pin) worst-arc table: each
+        entry is the max over the pin's resolvable arcs of the delay
+        model on the bound-slew grid, floored at 0.0."""
+        slews = self.bound_slews()
+        keys: List[Tuple[int, str]] = []
+        rows = []
+        for gate in self.ec.gates:
+            fo = self.fo[gate.index]
+            for pin in gate.options:
+                key = (gate.index, pin)
+                if key in self._worst_arc_cache:
+                    continue
+                rows.extend((len(keys), arc.delay_model, fo)
+                            for arc in self.pin_arcs(gate, pin))
+                keys.append(key)
+        self._worst_arc_cache.update(
+            zip(keys, self._grid_peaks(rows, slews, len(keys))))
 
-    def ensure_worst_arc_table(self) -> None:
-        """Batch-fill the whole (gate, pin) worst-arc-delay cache now.
-
-        The ``n_worst`` search reads :meth:`worst_arc_delay` per
-        traversal; without the prefill each first read would fall back
-        to a per-arc model sweep.  The supervisor calls it before its
-        worker pool forks, so pooled shards inherit the complete table.
-        """
-        if not self._worst_table_complete:
-            self.tarrays.prefill_worst_arcs()
-            self._worst_table_complete = True
+    def _grid_peaks(
+        self, rows: Iterable[Tuple[int, DelayModel, float]],
+        grid: Sequence[float], slots: int,
+    ) -> List[float]:
+        """Per-slot maximum, floored at 0.0, of each ``(slot, model,
+        fo)`` row's model over ``grid`` at this corner: one
+        ``evaluate_many`` call per model covers all of its rows, and
+        the row peaks scatter-max into their slots."""
+        grid = np.asarray(grid, dtype=float)
+        groups: Dict[int, Tuple[DelayModel, List[int], List[float]]] = {}
+        for slot, model, fo in rows:
+            group = groups.get(id(model))
+            if group is None:
+                group = groups[id(model)] = (model, [], [])
+            group[1].append(slot)
+            group[2].append(fo)
+        peaks = np.zeros(slots)
+        for model, group_slots, fos in groups.values():
+            points = np.empty((len(fos) * grid.size, 4))
+            points[:, 0] = np.repeat(fos, grid.size)
+            points[:, 1] = np.tile(grid, len(fos))
+            points[:, 2] = self.temp
+            points[:, 3] = self.vdd
+            values = model.evaluate_many(points).reshape(len(fos), grid.size)
+            np.maximum.at(peaks, group_slots, values.max(axis=1))
+        return peaks.tolist()
 
     # ------------------------------------------------------------------
     # the edit hook (repro.core.incremental)
@@ -571,7 +606,6 @@ class DelayCalculator:
                 self._worst_arc_cache.pop((index, pin), None)
             for peaks in self._slew_peaks.values():
                 peaks[index] = None
-        self._worst_table_complete = False
         self._prune_bounds = None
         if self._bound_slews is None:
             return False

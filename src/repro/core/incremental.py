@@ -29,8 +29,13 @@ functions here repair only what the edit actually touched:
   re-propagated through the transitive fanin in descending level order
   (:meth:`TimingGraph.required_through_net` /
   :meth:`~TimingGraph.suffix_through_net`), again stopping on
-  convergence; the cached :class:`PruneBounds` snapshot is dropped on
-  every edit.
+  convergence -- the full passes
+  (:meth:`TimingGraph.backward_required_bounds`,
+  :meth:`DelayCalculator.remaining_bounds`) run the same two kernels
+  over every net, so the repaired bounds are byte-identical too.  The
+  worst-arc entries the edit hook dropped are refilled by one grid
+  sweep on their first read; the cached :class:`PruneBounds` snapshot
+  is dropped on every edit.
 
 * **Slew fixed point.**  The achievable-slew ceiling
   (:meth:`DelayCalculator.bound_slews`) is a global fixed point, but
@@ -82,13 +87,13 @@ class EditReport:
 
 def full_sweep(session: TruePathSTA) -> None:
     """The session's forward timing, plus every calculator table not
-    built yet (slew grid, worst-arc table, both per-net bounds): the
-    initial analysis, and the counted rebuild after the hook reported a
-    slew-domain move (which drops the forward timing first)."""
+    built yet (slew grid, both per-net bounds and, with them, the
+    worst-arc table): the initial analysis, and the counted rebuild
+    after the hook reported a slew-domain move (which drops the
+    forward timing first)."""
     calc = session.calc
     calc.bound_slews()
     session._forward()
-    calc.ensure_worst_arc_table()
     calc.required_bounds()
     calc.remaining_bounds()
 
@@ -168,10 +173,8 @@ def _refresh_cone(session: TruePathSTA, gate: EngineGate, from_cell: str,
     # Backward: re-propagate the required/suffix bounds from the dirty
     # gates' input nets in *descending* level order (every influence on
     # a net sits at a strictly higher level, so the max-heap finalizes
-    # all of them before the net pops).  Batch-refill the worst-arc
-    # holes the invalidation opened before the per-net sweep reads them
-    # one by one.
-    calc.ensure_worst_arc_table()
+    # all of them before the net pops).  The first read of a worst-arc
+    # hole the invalidation opened refills all of them in one sweep.
     required = calc.required_bounds()
     suffix = calc.remaining_bounds()
     bheap: List[Tuple[int, int]] = []

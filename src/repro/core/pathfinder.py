@@ -56,6 +56,7 @@ from repro.resilience.budgets import (
     OriginOutcome,
     SearchBudgets,
 )
+from repro.resilience.errors import ConfigError
 
 #: Extensions between progress-hook invocations -- a power of two so
 #: the hot loop's check is one branch on a modulo of a constant.
@@ -315,11 +316,11 @@ class PathFinder:
         #: ``delaycalc.*`` counter deltas of the last closed run.
         self.calc_deltas: Dict[str, int] = {}
         if n_worst is not None:
+            if n_worst < 1:
+                raise ConfigError(f"n_worst must be >= 1, got {n_worst}")
+            # Building the bounds fills the whole worst-arc table the
+            # pruning hot loop reads per traversal.
             self._bounds = calc.prune_bounds()
-            # The pruning hot loop reads calc.worst_arc_delay per
-            # traversal: batch-fill the whole worst-arc table now
-            # instead of one lazy per-arc sweep per first read.
-            calc.ensure_worst_arc_table()
 
     # ------------------------------------------------------------------
     def find_paths(

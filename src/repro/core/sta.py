@@ -70,10 +70,10 @@ class TruePathSTA:
         ``warn-substitute`` falls back to the nearest characterized arc
         of the same cell, counting ``delaycalc.arc_substitutions``.
 
-    The GBA forward pass runs the per-net plain-float kernel of
-    :class:`~repro.core.tgraph.TimingGraph`; the grid sweeps behind the
-    pruning bounds and the slew fixed point run on the
-    structure-of-arrays kernels in :mod:`repro.core.tarrays`.
+    The GBA forward pass and both pruning bounds run the per-net
+    kernels of :class:`~repro.core.tgraph.TimingGraph`; the grid sweeps
+    behind the worst-arc delays and the slew fixed point run on
+    :class:`~repro.core.delaycalc.DelayCalculator`.
 
     Every result stays byte-identical to a fresh session built on the
     circuit's current state, however :meth:`replace_cell` /
@@ -198,6 +198,8 @@ class TruePathSTA:
         """
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        if n_worst is not None and n_worst < 1:
+            raise ConfigError(f"n_worst must be >= 1, got {n_worst}")
         origins = list(inputs if inputs is not None else self.circuit.inputs)
         jobs = min(jobs, max(len(origins), 1))
         driver = supervisor.ShardSupervisor(

@@ -19,6 +19,13 @@ once per circuit:
   output -- maximized over the net's outgoing arcs and over the
   achievable-slew domain (:meth:`DelayCalculator.bound_slews`).
 
+Every pass here is one per-net kernel run over every net in level
+order (:meth:`TimingGraph.forward_update_net`,
+:meth:`~TimingGraph.required_through_net`,
+:meth:`~TimingGraph.suffix_through_net`); an edit's dirty-cone repair
+(:mod:`repro.core.incremental`) runs the same kernels over the cone
+only, so a repaired result is the full pass's byte for byte.
+
 The backward bound is strictly tighter than the legacy context-free
 suffix sum (per-gate worst delay maximized over *every* pin of the
 gate, regardless of which pin the path enters through): each arc
@@ -263,9 +270,10 @@ class TimingGraph:
     ) -> float:
         """One net's backward required-time bound from its (final)
         downstream values: ``max over outgoing arcs (worst_arc_delay +
-        required[dst])``, floored at 0.0 -- the per-net fixed point the
-        full reverse pass converges to, so recomputing only nets whose
-        inputs changed reproduces the full pass bitwise."""
+        required[dst])``, floored at 0.0.  The full pass
+        (:meth:`backward_required_bounds`) runs it over every net and
+        the cone repair over the nets whose inputs changed, so the
+        repaired bounds are the full pass's bitwise."""
         best = 0.0
         gates = self.gates
         for arc in self.fanout[net]:
@@ -281,10 +289,13 @@ class TimingGraph:
         self, calc: "DelayCalculator", net: int, suffix: Sequence[float]
     ) -> float:
         """One net's legacy context-free suffix bound: ``max over sink
-        gates (worst_gate_delay + suffix[gate output])``.  A gate fed
-        twice by the same net contributes once per arc, which cannot
-        change the maximum -- bitwise-equal to the full reverse pass of
-        :meth:`DelayCalculator.remaining_bounds`."""
+        gates (worst_gate_delay + suffix[gate output])``, floored at
+        0.0.  A gate fed twice by the same net contributes once per
+        arc, which cannot change the maximum.  The full pass
+        (:meth:`DelayCalculator.remaining_bounds
+        <repro.core.delaycalc.DelayCalculator.remaining_bounds>`) runs
+        it over every net and the cone repair over the nets whose
+        inputs changed."""
         best = 0.0
         gates = self.gates
         for arc in self.fanout[net]:
@@ -309,15 +320,19 @@ class TimingGraph:
         suffix sum because an arc's worst delay never exceeds its
         gate's worst delay over all pins.
 
-        Runs the structure-of-arrays sweep
-        (:meth:`TimingArrays.backward_required_bounds
-        <repro.core.tarrays.TimingArrays.backward_required_bounds>`).
-        Wall-clock is published to the ``tgraph.backward_pass_ms``
-        histogram.
+        Runs :meth:`required_through_net`, the kernel an edit's cone
+        repair runs, over every net in descending level order: every
+        arc's destination sits on a higher level than its source, so
+        each ``bound[dst]`` is final before its source reads it.  The
+        first worst-arc read fills the calculator's whole worst-arc
+        table in one grid sweep.  Wall-clock is published to the
+        ``tgraph.backward_pass_ms`` histogram.
         """
         started = time.perf_counter()
         with span("tgraph.backward_pass"):
-            bounds = calc.tarrays.backward_required_bounds()
+            bounds = [0.0] * len(self.levels)
+            for net in reversed(self.topo_nets):
+                bounds[net] = self.required_through_net(calc, net, bounds)
         obs_metrics.REGISTRY.histogram("tgraph.backward_pass_ms").observe(
             (time.perf_counter() - started) * 1e3
         )

@@ -460,9 +460,9 @@ class ShardSupervisor:
     def _run_pooled(self, pending: List[_Shard]) -> None:
         config = self.config
         if self.finder_kwargs.get("n_worst") is not None:
-            # Sweep once, here, before any worker forks from this state.
+            # Sweep once, here, before any worker forks from this state:
+            # the bounds' pass also fills the whole worst-arc table.
             self.calc.prune_bounds()
-            self.calc.ensure_worst_arc_table()
         # Pool events arrive on the slot threads; they are counted and
         # folded into the board on this thread, like everything else.
         events: "queue.SimpleQueue" = queue.SimpleQueue()

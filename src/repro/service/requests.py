@@ -257,6 +257,8 @@ def execute_analysis(
     """
     if request.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {request.jobs}")
+    if request.top < 0:
+        raise ConfigError(f"--top must be >= 0, got {request.top}")
     if request.tool not in ("developed", "gba", "baseline"):
         raise ConfigError(
             f"unknown tool {request.tool!r}; have developed, gba, baseline")

@@ -37,27 +37,34 @@ The reference passes check the production sweeps with a different
 kernel.  :func:`reference_forward` is a gate-major pass on the models'
 batch kernel (``evaluate_many``), against the production forward pass,
 which runs the per-net plain-float kernel in level order.
-:func:`reference_required_bounds`, :func:`reference_slew_peaks` and the
-:func:`reference_bound_slews` fixed point built on it are the
-arc-at-a-time counterparts of the grid-batched SoA sweeps in
-:mod:`repro.core.tarrays`, built from the per-net kernels incremental
-repair already uses.
+:func:`reference_slew_peaks`, the :func:`reference_bound_slews` fixed
+point built on it and :func:`reference_worst_arcs` sweep one arc at a
+time (:func:`_model_max`), against the calculator's grid helper, which
+batches every arc of a model into one call.
+:func:`reference_required_bounds` and :func:`reference_suffix_bounds`
+are arc-major reverse walks over those per-arc maxima, against the
+per-net kernels (:meth:`TimingGraph.required_through_net
+<repro.core.tgraph.TimingGraph.required_through_net>`,
+:meth:`~repro.core.tgraph.TimingGraph.suffix_through_net`) that both
+the full passes and the incremental repair run.  No reference reads a
+calculator table the production sweeps fill.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.baseline.structural import StructuralEnumerator
+from repro.charlib.model import DelayModel
 from repro.charlib.store import BLIND, CharacterizedLibrary
-from repro.core.delaycalc import DelayCalculator, _model_max
+from repro.core.delaycalc import DelayCalculator
 from repro.core.path import TimedPath
 from repro.core.sta import TruePathSTA
-from repro.core.tgraph import ForwardTiming
+from repro.core.tgraph import ForwardTiming, TimingArc
 from repro.netlist.circuit import Circuit
 from repro.obs import metrics as obs_metrics
 from repro.obs.logging import get_logger
@@ -140,15 +147,22 @@ def reference_forward(calc: DelayCalculator) -> ForwardTiming:
     return ForwardTiming(arrivals=arrivals, slews=slews)
 
 
+def _model_max(model: DelayModel, fo: float, slews: Sequence[float],
+               temp: float, vdd: float) -> float:
+    """Maximum of one fitted model over a sweep of input slews: one
+    ``evaluate_many`` call for this arc alone."""
+    points = np.array([[fo, t_in, temp, vdd] for t_in in slews])
+    return float(np.max(model.evaluate_many(points)))
+
+
 def reference_bound_slews(calc: DelayCalculator) -> Tuple[float, ...]:
     """The slew-ceiling fixed point of
     :meth:`DelayCalculator.bound_slews` with every round's worst slew
-    taken from :func:`reference_slew_peaks` instead of the SoA kernel.
+    taken from :func:`reference_slew_peaks` instead of the grid helper.
 
-    Installs the result as ``calc``'s sample grid, so the calculator's
-    later worst-arc reads (:func:`reference_required_bounds`,
-    :meth:`DelayCalculator.remaining_bounds`) sweep the scalar fixed
-    point.  Call it on a fresh calculator, before anything reads
+    Installs the result as ``calc``'s sample grid, so
+    :func:`reference_worst_arcs` sweeps the reference fixed point.
+    Call it on a fresh calculator, before anything reads
     :meth:`~DelayCalculator.bound_slews`."""
     samples = calc.slew_fixed_point(
         lambda grid: max(reference_slew_peaks(calc, grid), default=0.0)
@@ -157,22 +171,65 @@ def reference_bound_slews(calc: DelayCalculator) -> Tuple[float, ...]:
     return samples
 
 
-def reference_required_bounds(calc: DelayCalculator) -> List[float]:
-    """Backward required-time bound: :meth:`TimingGraph.required_through_net
-    <repro.core.tgraph.TimingGraph.required_through_net>` over every net
-    in descending level order.  Worst-arc delays are read through
-    :meth:`DelayCalculator.worst_arc_delay`; on a calculator whose
-    worst-arc table no SoA sweep has filled yet, those are the lazy
-    per-arc model sweeps over the :func:`reference_bound_slews` grid
-    (installed here when the calculator has no grid yet), independent
-    of the batched kernels."""
+def reference_worst_arcs(
+    calc: DelayCalculator,
+) -> Dict[Tuple[int, str], float]:
+    """Worst delay per (gate index, pin): the maximum of each of the
+    pin's resolvable arcs' delay model over the bound-slew grid, one
+    :func:`_model_max` sweep per arc, floored at 0.0.  Sweeps the
+    :func:`reference_bound_slews` grid, installed here when the
+    calculator has none yet; never reads the calculator's worst-arc
+    table."""
     if calc._bound_slews is None:
         reference_bound_slews(calc)
-    tg = calc.ec.tgraph
+    slews = calc._bound_slews
+    worst = {}
+    for gate in calc.ec.gates:
+        fo = calc.fo[gate.index]
+        for pin in gate.options:
+            peak = 0.0
+            for arc in calc.pin_arcs(gate, pin):
+                value = _model_max(arc.delay_model, fo, slews,
+                                   calc.temp, calc.vdd)
+                if value > peak:
+                    peak = value
+            worst[gate.index, pin] = peak
+    return worst
+
+
+def _reverse_walk(calc: DelayCalculator,
+                  through: Callable[[TimingArc], float]) -> List[float]:
+    """``bound[src] = max(bound[src], through(arc) + bound[dst])`` over
+    the timing arcs in reverse: arcs are gate-major in topological
+    order, so every arc leaving an arc's destination comes later in the
+    list and has already been walked."""
     bounds = [0.0] * calc.ec.num_nets
-    for net in reversed(tg.topo_nets):
-        bounds[net] = tg.required_through_net(calc, net, bounds)
+    for arc in reversed(calc.ec.tgraph.arcs):
+        value = through(arc) + bounds[arc.dst_net]
+        if value > bounds[arc.src_net]:
+            bounds[arc.src_net] = value
     return bounds
+
+
+def reference_required_bounds(
+    calc: DelayCalculator, worst: Dict[Tuple[int, str], float],
+) -> List[float]:
+    """Backward required-time bound as an arc-major reverse walk over
+    ``worst``, the :func:`reference_worst_arcs` table."""
+    return _reverse_walk(calc, lambda arc: worst[arc.gate_index, arc.pin])
+
+
+def reference_suffix_bounds(
+    calc: DelayCalculator, worst: Dict[Tuple[int, str], float],
+) -> List[float]:
+    """The legacy per-gate suffix sum as an arc-major reverse walk: each
+    arc contributes its gate's worst delay, the maximum of ``worst``
+    (the :func:`reference_worst_arcs` table) over the gate's pins."""
+    per_gate = [0.0] * len(calc.ec.gates)
+    for (index, _pin), value in worst.items():
+        if value > per_gate[index]:
+            per_gate[index] = value
+    return _reverse_walk(calc, lambda arc: per_gate[arc.gate_index])
 
 
 def reference_slew_peaks(
@@ -180,7 +237,7 @@ def reference_slew_peaks(
 ) -> List[float]:
     """Worst output slew per gate over one sample grid: the maximum of
     each resolvable arc's slew model over ``samples``, one
-    :func:`~repro.core.delaycalc._model_max` sweep per arc."""
+    :func:`_model_max` sweep per arc."""
     peaks = []
     for gate in calc.ec.gates:
         fo = calc.fo[gate.index]
@@ -354,8 +411,8 @@ def check_incremental_identical(
     full forward pass on the session's own calculator), backward
     required/suffix bounds, and the full N-worst path identity -- and
     the rebuild's sweeps must match the reference passes (forward
-    timing, the whole slew-ceiling fixed point, required bounds,
-    per-gate slew peaks on the final grid), computed on a fresh
+    timing, the whole slew-ceiling fixed point, required and suffix
+    bounds, per-gate slew peaks on the final grid), computed on a fresh
     calculator so no batched table leaks into the reference.
     Two comparisons per edit.  Mutates and then restores the circuit in
     place."""
@@ -422,12 +479,15 @@ def check_incremental_identical(
                 return diverged("forward timing (vs reference)")
             samples = scratch.calc.bound_slews()
             if reference_bound_slews(reference) != samples:
-                return diverged("SoA slew-ceiling fixed point (vs reference)")
-            if reference_required_bounds(reference) != want_required:
-                return diverged("SoA required bounds (vs reference)")
+                return diverged("slew-ceiling fixed point (vs reference)")
+            worst = reference_worst_arcs(reference)
+            if reference_required_bounds(reference, worst) != want_required:
+                return diverged("required bounds (vs reference)")
+            if reference_suffix_bounds(reference, worst) != want_suffix:
+                return diverged("suffix bounds (vs reference)")
             if (reference_slew_peaks(reference, samples)
-                    != scratch.calc.tarrays.slew_peaks(samples)):
-                return diverged("SoA slew peaks (vs reference)")
+                    != scratch.calc.slew_peaks(samples)):
+                return diverged("slew peaks (vs reference)")
     finally:
         for name, cell in original.items():
             if circuit.instances[name].cell is not cell:

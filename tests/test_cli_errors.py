@@ -67,6 +67,30 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--n-worst", "0"], "n_worst"),
+        (["--n-worst", "-3"], "n_worst"),
+        (["--top", "-1"], "--top"),
+    ], ids=["n-worst-0", "n-worst-negative", "top-negative"])
+    def test_out_of_range_count_is_config_error(self, flags, named,
+                                                bench_file, capsys,
+                                                charlib_poly_90):
+        """Refused before any search: no report, one error line."""
+        rc = main(["analyze", bench_file, "--no-map", *flags])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
+    def test_n_worst_zero_is_refused_before_the_pool_starts(
+            self, bench_file, capsys, clean_obs, charlib_poly_90):
+        rc = main(["analyze", bench_file, "--no-map", "--n-worst", "0",
+                   "--jobs", "2", "--log-level", "warning"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "n_worst" in err
+        assert "supervisor.shard_error" not in err
+
     def test_config_error_is_both_taxonomized_and_a_value_error(self):
         from repro.resilience.errors import ConfigError, ResilienceError
 

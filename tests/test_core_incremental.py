@@ -225,9 +225,9 @@ class TestMetricsAndLocality:
 
     def test_endpoint_cone_is_local_on_c432(self, charlib_poly_90,
                                             clean_obs, monkeypatch):
-        from repro.core.tarrays import TimingArrays
+        from repro.core.delaycalc import DelayCalculator
 
-        honest = TimingArrays.slew_peaks
+        honest = DelayCalculator.slew_peaks
         swept = []
 
         def spy(self, samples, gate_indices=None):
@@ -235,7 +235,7 @@ class TestMetricsAndLocality:
                          else list(gate_indices))
             return honest(self, samples, gate_indices)
 
-        monkeypatch.setattr(TimingArrays, "slew_peaks", spy)
+        monkeypatch.setattr(DelayCalculator, "slew_peaks", spy)
         circuit = build_circuit("c432", scale=0.25)
         session = IncrementalSTA(circuit, charlib_poly_90)
         session.refresh()
@@ -261,17 +261,17 @@ class TestMetricsAndLocality:
 class TestSessionLifetime:
     def test_finished_session_is_freed_without_the_cyclic_collector(
             self, charlib_poly_90):
-        """The engine owns its timing graph and the calculator its
-        grid-batched sweeps without strong back-references, so a finished session
-        on a shared circuit is freed by reference counting.  With the
-        cycles, every fresh session stayed in memory until a full
-        collection, and peak RSS grew with the session rate."""
+        """The engine owns its timing graph without a strong
+        back-reference, so a finished session on a shared circuit is
+        freed by reference counting.  With the cycles, every fresh
+        session stayed in memory until a full collection, and peak RSS
+        grew with the session rate."""
         circuit = build_circuit("c432", scale=0.3)
         session = IncrementalSTA(circuit, charlib_poly_90)
         session.arrivals()
         session.required_bounds()
         held = [weakref.ref(obj) for obj in (
-            session.ec, session.ec.tgraph, session.calc, session.calc.tarrays)]
+            session.ec, session.ec.tgraph, session.calc)]
         gc.disable()
         try:
             del session

@@ -3,17 +3,24 @@
 Every full sweep promises *byte identity* with its reference pass in
 :mod:`repro.verify.metamorphic`, not approximate agreement: every
 arrival, slew, slew peak, prune bound and N-worst report must be
-bitwise the same float.  The forward pass (the per-net plain-float
-kernel in level order) is checked against a gate-major pass on the
-models' batch kernel; the grid-batched sweeps of
-:mod:`repro.core.tarrays` (slew peaks, the slew-ceiling fixed point,
-the worst-arc prefill and the backward bound) against arc-at-a-time
-loops.  These tests pin that contract on the ISCAS suite, on seeded
-fuzz netlists, on degenerate graphs and on missing library arcs, show
-that it catches a forward kernel that skips sensitization options, and
-pin the batch-equivalence law of the models that the whole scheme
-rests on (``evaluate_many(batch)[i]`` bitwise-equal to
-``evaluate(*batch[i])``).
+bitwise the same float.  Each production sweep is checked against a
+reference built on a different kernel:
+
+* the forward pass (the per-net plain-float kernel in level order)
+  against a gate-major pass on the models' batch kernel;
+* the calculator's grid helper (slew peaks, the slew-ceiling fixed
+  point, the worst-arc table) against one model sweep per arc;
+* both per-net backward kernels, which the full passes and the ECO
+  repair share (required bound, suffix sum), against arc-major
+  reverse walks.
+
+These tests pin that contract on the ISCAS suite, on seeded fuzz
+netlists, on degenerate graphs and on missing library arcs, and show
+that it catches sabotaged kernels: a forward pass that skips
+sensitization options, backward kernels that skip fanout arcs, and a
+grid helper that drops a model.  They also pin the batch-equivalence
+law of the models that the whole scheme rests on
+(``evaluate_many(batch)[i]`` bitwise-equal to ``evaluate(*batch[i])``).
 """
 
 import copy
@@ -31,7 +38,6 @@ from repro.core.delaycalc import DelayCalculator
 from repro.core.engine import EngineCircuit
 from repro.core.pathfinder import PathFinder
 from repro.core.sta import TruePathSTA
-from repro.core.tarrays import TimingArrays
 from repro.core.tgraph import PruneBounds
 from repro.eval.iscas import build_circuit
 from repro.verify.fuzz import generate_case
@@ -40,6 +46,8 @@ from repro.verify.metamorphic import (
     reference_forward,
     reference_required_bounds,
     reference_slew_peaks,
+    reference_suffix_bounds,
+    reference_worst_arcs,
 )
 
 
@@ -67,11 +75,13 @@ def _assert_identical(circuit, charlib):
     samples = calc.bound_slews()
     assert reference_bound_slews(reference) == samples
     peaks = reference_slew_peaks(reference, samples)
-    assert calc.tarrays.slew_peaks(samples) == peaks
+    assert calc.slew_peaks(samples) == peaks
 
     pb = calc.prune_bounds()
-    assert pb.required == tuple(reference_required_bounds(reference))
-    assert pb.suffix == tuple(reference.remaining_bounds())
+    worst = reference_worst_arcs(reference)
+    assert calc._worst_arc_cache == worst
+    assert pb.required == tuple(reference_required_bounds(reference, worst))
+    assert pb.suffix == tuple(reference_suffix_bounds(reference, worst))
 
 
 class TestIscasEquivalence:
@@ -126,7 +136,7 @@ class TestSlewFixedPointReference:
         moves the final grid, yet agrees with the reference on it; only
         the whole-fixed-point comparison notices."""
         reference, calc = _calcs(build_circuit("c17"), charlib_poly_90)
-        honest = TimingArrays.slew_peaks
+        honest = DelayCalculator.slew_peaks
         rounds = []
 
         def first_round_inflated(self, samples, gate_indices=None):
@@ -134,10 +144,11 @@ class TestSlewFixedPointReference:
             rounds.append(samples)
             return [10.0 * p for p in peaks] if len(rounds) == 1 else peaks
 
-        monkeypatch.setattr(TimingArrays, "slew_peaks", first_round_inflated)
+        monkeypatch.setattr(DelayCalculator, "slew_peaks",
+                            first_round_inflated)
         samples = calc.bound_slews()
         assert len(rounds) >= 2
-        assert (calc.tarrays.slew_peaks(samples)
+        assert (calc.slew_peaks(samples)
                 == reference_slew_peaks(reference, samples))
         assert reference_bound_slews(reference) != samples
 
@@ -280,7 +291,7 @@ class TestBatchEquivalenceLaw:
     """``evaluate_many(batch)[i]`` must be bitwise ``evaluate(*batch[i])``.
 
     This is the law (documented in repro.charlib.model) that lets the
-    SoA sweeps batch arbitrarily while staying byte-identical to the
+    grid sweeps batch arbitrarily while staying byte-identical to the
     scalar traversal.  Checked on every arc of the polynomial, LUT and
     sized libraries, on models that vary with T and VDD, and against
     the numpy scalar evaluators the plain-float kernels replaced.
@@ -344,9 +355,10 @@ class TestNWorstEquivalence:
         circuit = build_circuit("c432", scale=0.3)
         default = TruePathSTA(circuit, charlib_poly_90)
         reference, calc = _calcs(circuit, charlib_poly_90)
+        worst = reference_worst_arcs(reference)
         calc._prune_bounds = PruneBounds(
-            required=tuple(reference_required_bounds(reference)),
-            suffix=tuple(reference.remaining_bounds()),
+            required=tuple(reference_required_bounds(reference, worst)),
+            suffix=tuple(reference_suffix_bounds(reference, worst)),
         )
         finder = PathFinder(calc.ec, calc, n_worst=5)
         with finder.find_paths() as stream:
@@ -478,3 +490,87 @@ class TestForwardSabotage:
             seed=1, edits=2)
         assert not result.ok
         assert "forward timing (vs reference) diverged" in result.detail
+
+
+def _skip_last_fanout_arc(monkeypatch, kernel):
+    """Replace the named per-net backward kernel of ``TimingGraph`` with
+    one that ignores the last fanout arc of each net that has several."""
+    from repro.core.tgraph import TimingGraph
+
+    honest = getattr(TimingGraph, kernel)
+
+    def sabotaged(graph, calc, net, bounds):
+        arcs = graph.fanout[net]
+        graph.fanout[net] = arcs[:-1] if len(arcs) > 1 else arcs
+        try:
+            return honest(graph, calc, net, bounds)
+        finally:
+            graph.fanout[net] = arcs
+
+    monkeypatch.setattr(TimingGraph, kernel, sabotaged)
+
+
+def _changed(got, want) -> int:
+    return sum(a != b for a, b in zip(got, want, strict=True))
+
+
+class TestBackwardSabotage:
+    """Backward kernels that skip the last fanout arc of each net with
+    several, and a grid helper that drops its last model group, still
+    produce plausible bounds; the identity checks must catch them.
+    c880a@0.05 has 37 gates, and each sabotage moves some of its
+    values, but not all."""
+
+    CIRCUIT = ("c880a", 0.05)
+
+    def _circuit(self):
+        return build_circuit(self.CIRCUIT[0], scale=self.CIRCUIT[1])
+
+    def _reference(self, circuit, charlib):
+        reference = DelayCalculator(EngineCircuit(circuit), charlib)
+        worst = reference_worst_arcs(reference)
+        return (worst, reference_required_bounds(reference, worst),
+                reference_suffix_bounds(reference, worst))
+
+    @pytest.mark.parametrize("kernel,field,changed", [
+        ("required_through_net", "required", 16),
+        ("suffix_through_net", "suffix", 16),
+    ])
+    def test_skipped_fanout_arc_fails_both_checks(
+            self, kernel, field, changed, charlib_poly_90, monkeypatch):
+        from repro.verify.metamorphic import check_incremental_identical
+
+        circuit = self._circuit()
+        _worst, required, suffix = self._reference(circuit, charlib_poly_90)
+        _skip_last_fanout_arc(monkeypatch, kernel)
+        bounds = DelayCalculator(
+            EngineCircuit(circuit), charlib_poly_90).prune_bounds()
+        want = required if field == "required" else suffix
+        assert _changed(getattr(bounds, field), want) == changed
+        with pytest.raises(AssertionError):
+            _assert_identical(circuit, charlib_poly_90)
+        result = check_incremental_identical(
+            circuit, charlib_poly_90, seed=1, edits=2)
+        assert not result.ok
+        assert f"{field} bounds (vs reference) diverged" in result.detail
+
+    def test_dropped_model_group_fails_the_identity_check(
+            self, charlib_poly_90, monkeypatch):
+        circuit = self._circuit()
+        worst, required, _suffix = self._reference(circuit, charlib_poly_90)
+        honest = DelayCalculator._grid_peaks
+
+        def sabotaged(calc, rows, grid, slots):
+            rows = list(rows)
+            models = list({id(model): model for _, model, _ in rows}.values())
+            kept = [row for row in rows if row[1] is not models[-1]]
+            return honest(calc, kept, grid, slots)
+
+        monkeypatch.setattr(DelayCalculator, "_grid_peaks", sabotaged)
+        calc = DelayCalculator(EngineCircuit(circuit), charlib_poly_90)
+        bounds = calc.prune_bounds()
+        assert _changed([calc._worst_arc_cache[key] for key in worst],
+                        list(worst.values())) == 1
+        assert _changed(bounds.required, required) == 1
+        with pytest.raises(AssertionError):
+            _assert_identical(circuit, charlib_poly_90)

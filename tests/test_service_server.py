@@ -373,6 +373,13 @@ def test_unknown_param_rejected_naming_it(client, op, retired, value):
     assert retired in err.value.message
 
 
+def test_n_worst_below_one_is_a_bad_request(client):
+    with pytest.raises(ServiceError) as err:
+        client.call("analyze", {"netlist": "iscas:c17", "n_worst": 0})
+    assert err.value.code == "bad-request"
+    assert "n_worst" in err.value.message
+
+
 def test_effort_capped_request_still_serves(client):
     result = client.call("analyze",
                          {"netlist": "iscas:c17", "top": 6},

@@ -124,22 +124,23 @@ class TestDetectionPower:
     def test_incremental_identical_catches_overreported_ceiling_round(
         self, charlib_poly_90, monkeypatch
     ):
-        from repro.core.tarrays import TimingArrays
+        from repro.core.delaycalc import DelayCalculator
 
-        # Sabotage the SoA slew kernel on each calculator's first
+        # Sabotage the batched slew sweep on each calculator's first
         # ceiling round only: session and scratch agree with each other,
         # and both agree with the reference on the final grid.
-        honest = TimingArrays.slew_peaks
+        honest = DelayCalculator.slew_peaks
         swept = []
 
         def first_round_inflated(self, samples, gate_indices=None):
             peaks = honest(self, samples, gate_indices)
-            if any(arrays is self for arrays in swept):
+            if any(calc is self for calc in swept):
                 return peaks
             swept.append(self)
             return [10.0 * p for p in peaks]
 
-        monkeypatch.setattr(TimingArrays, "slew_peaks", first_round_inflated)
+        monkeypatch.setattr(DelayCalculator, "slew_peaks",
+                            first_round_inflated)
         result = check_incremental_identical(
             c17(), charlib_poly_90, seed=1, edits=3
         )
