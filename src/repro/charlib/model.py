@@ -9,8 +9,9 @@ interchangeable behind :class:`DelayModel`:
 * ``evaluate(fo, t_in, temp, vdd)`` -- one point, in seconds;
 * ``evaluate_many(points)`` -- a batch of ``(fo, t_in, temp, vdd)``
   rows (the grid sweeps of
-  :class:`~repro.core.delaycalc.DelayCalculator` evaluate every arc of
-  one model over a whole slew grid in one call);
+  :class:`~repro.core.delaycalc.DelayCalculator` evaluate every row of
+  one model over a whole slew grid in one call, for families without
+  a stacked ``grid_peaks``, below);
 * ``to_dict()`` / ``from_dict`` -- JSON persistence, dispatched through
   :data:`MODEL_KINDS`.
 
@@ -39,6 +40,22 @@ BLAS ``design @ coeffs`` product is *not* bitwise-equal to sequential
 accumulation.  The timing core's identity tests
 (``TestBatchEquivalenceLaw``) pin the law on every arc of the built-in
 libraries, and show that it catches a reassociated kernel.
+
+A family may also offer the optional classmethod ``grid_peaks(models,
+fos, grid, temp, vdd)``, outside the protocol: row ``i`` is the
+maximum over ``grid`` of ``models[i]`` at ``fos[i]``, and the law
+extends to it, ``grid_peaks(...)[i] == max(models[i].evaluate(fos[i],
+t, temp, vdd) for t in grid)`` exactly, for any mix of models of the
+family in one call.  The calculator's grid sweeps then evaluate every
+(model, fanout) pair of the family in one call instead of one
+``evaluate_many`` call per model.
+:class:`~repro.charlib.polynomial.PolynomialModel` has it (one pass of
+its batch term loop per orders tuple, with per-row coefficients and
+normalization); :class:`~repro.charlib.lut.LutModel` and custom kinds
+do not, and keep the per-model path.  ``TestBatchEquivalenceLaw`` pins
+it too, and shows that it catches a stacked kernel that shares one
+normalization across a group or accumulates its terms in another
+order.
 
 New model families register their ``kind`` tag in :data:`MODEL_KINDS`
 and automatically work everywhere: arc resolution, the arc cache, the

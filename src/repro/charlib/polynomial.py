@@ -25,6 +25,12 @@ import numpy as np
 #: Variable order in every sample tuple: (Fo, t_in, T, VDD).
 VARIABLES = ("fo", "t_in", "temp", "vdd")
 
+#: Rows x slews per pass of :meth:`PolynomialModel.grid_peaks`: its
+#: term loop keeps about five (rows, grid) arrays alive, and this caps
+#: each at 64 KB, so a large circuit's sweep (thousands of rows) does
+#: not raise peak memory while a small one still runs in one pass.
+_STACKED_POINTS = 8192
+
 
 @dataclass(frozen=True)
 class Normalization:
@@ -50,12 +56,12 @@ def _scalar_kernel(orders: Tuple[int, int, int, int]) -> Callable[..., float]:
     orders tuple: ``kernel(fo, t_in, temp, vdd, c, centers, scales)``,
     with ``c`` the coefficients flattened in C order.
 
-    The generated straight-line code replays
-    :meth:`PolynomialModel.evaluate_many` on Python floats: the affine
+    The generated straight-line code replays the batch term loop
+    (:meth:`PolynomialModel._term_sum`) on Python floats: the affine
     normalization, the :meth:`~PolynomialModel._power_ladder` rungs, the
     left-to-right term products ``c * p0 * p1 * p2 * p3`` and the
-    accumulation from ``0.0`` in C order.  Only the ladder's rung 0 is
-    left out: multiplying by exactly ``1.0`` changes no bit, so a term
+    accumulation from ``0.0`` in C order.  Both leave out the ladder's
+    rung 0: multiplying by exactly ``1.0`` changes no bit, so a term
     keeps just its nonzero powers and a zero-order variable is never
     normalized.  For orders ``(1, 2, 0, 0)`` the body reads::
 
@@ -169,8 +175,9 @@ class PolynomialModel:
     # ------------------------------------------------------------------
     @staticmethod
     def _power_ladder(x, order: int) -> List:
-        """``[1.0, x, x*x, ...]`` by repeated multiplication, on a
-        column of points (the batch evaluator, :meth:`evaluate_many`).
+        """``[1.0, x, x*x, ...]`` by repeated multiplication, on an
+        array of normalized points (the batch term loop,
+        :meth:`_term_sum`).
 
         The scalar kernel (:func:`_scalar_kernel`) builds the same rungs
         on plain floats.  Repeated IEEE multiplication is one correctly
@@ -191,31 +198,105 @@ class PolynomialModel:
         return self._kernel(fo, t_in, temp, vdd, self._flat,
                             norm.centers, norm.scales)
 
+    @staticmethod
+    def _term_sum(orders: Tuple[int, int, int, int], coeffs: Sequence,
+                  xs: Sequence, shape: Tuple[int, ...]) -> np.ndarray:
+        """The batch term loop: ``sum_n coeffs[n] * x0^i * x1^j * x2^k
+        * x3^l`` over the terms of ``orders`` in C order, accumulated
+        from zeros of ``shape``.
+
+        ``xs`` holds the normalized variables (``None`` for a
+        zero-order one) and ``coeffs[n]`` term ``n``'s coefficient;
+        any operands that broadcast to ``shape`` will do, so one model
+        over a column of points (:meth:`evaluate_many`) and many
+        models stacked over a slew grid (:meth:`grid_peaks`) run the
+        same loop.  Each term multiplies its coefficient by its
+        nonzero :meth:`_power_ladder` rungs left to right and adds
+        into the accumulator: the operation sequence the scalar kernel
+        (:func:`_scalar_kernel`) replays, which also drops only the
+        rung-0 factors of exactly ``1.0``.
+        """
+        ladders = [PolynomialModel._power_ladder(x, order)
+                   for x, order in zip(xs, orders)]
+        acc = np.zeros(shape)
+        for n, term in enumerate(
+                itertools.product(*(range(o + 1) for o in orders))):
+            value = coeffs[n]
+            for ladder, power in zip(ladders, term):
+                if power:
+                    value = value * ladder[power]
+            acc += value
+        return acc
+
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Batch :meth:`evaluate` over ``(n, 4)`` rows.
 
         Row ``i`` of the result is bitwise-equal to
-        ``evaluate(*points[i])``: the kernel replays the scalar
-        evaluator's exact operation sequence (power ladder, term
-        product order, term accumulation order) elementwise across
-        rows, so the calculator's grid sweeps
-        (:class:`~repro.core.delaycalc.DelayCalculator`) reproduce
-        the scalar engines' results byte for byte (see
+        ``evaluate(*points[i])``: the term loop (:meth:`_term_sum`)
+        replays the scalar evaluator's exact operation sequence
+        (normalization, power ladder, term product order, term
+        accumulation order) elementwise across rows (see
         :class:`repro.charlib.model.DelayModel`).
         """
-        pts = self.norm.apply(np.asarray(points, dtype=float))
-        pow0 = self._power_ladder(pts[:, 0], self.orders[0])
-        pow1 = self._power_ladder(pts[:, 1], self.orders[1])
-        pow2 = self._power_ladder(pts[:, 2], self.orders[2])
-        pow3 = self._power_ladder(pts[:, 3], self.orders[3])
-        c = self.coeffs
-        acc = np.zeros(pts.shape[0])
-        for i, p0 in enumerate(pow0):
-            for j, p1 in enumerate(pow1):
-                for k, p2 in enumerate(pow2):
-                    for l, p3 in enumerate(pow3):
-                        acc += c[i, j, k, l] * p0 * p1 * p2 * p3
-        return acc
+        points = np.asarray(points, dtype=float)
+        norm = self.norm
+        xs = [(points[:, v] - norm.centers[v]) / norm.scales[v]
+              if order else None for v, order in enumerate(self.orders)]
+        return self._term_sum(self.orders, self._flat, xs,
+                              (points.shape[0],))
+
+    @classmethod
+    def grid_peaks(cls, models: Sequence["PolynomialModel"],
+                   fos: Sequence[float], grid: Sequence[float],
+                   temp: float, vdd: float) -> np.ndarray:
+        """Row ``i``: the maximum over ``grid`` of ``models[i]`` at
+        ``(fos[i], t_in, temp, vdd)``, bitwise ``max(models[i].evaluate(
+        fos[i], t_in, temp, vdd) for t_in in grid)``.
+
+        Rows whose models share an orders tuple run one pass of the
+        term loop (:meth:`_term_sum`) on a rows x grid layout, split
+        into passes of at most :data:`_STACKED_POINTS` values: each
+        row gathers its model's coefficients and normalization (read
+        from the flattened coefficients at call time, so a ``coeffs``
+        assignment reaches them); the fo, temperature and supply terms
+        are ``(rows, 1)`` columns and only the slew terms are ``(rows,
+        grid)``, so nothing is copied per slew.
+        """
+        grid = np.asarray(grid, dtype=float)
+        fos = np.asarray(fos, dtype=float)
+        # orders -> (model id -> member index, its distinct models,
+        # its rows, each row's member index)
+        groups: Dict[Tuple[int, ...],
+                     Tuple[Dict[int, int], List, List[int], List[int]]] = {}
+        for row, model in enumerate(models):
+            group = groups.get(model.orders)
+            if group is None:
+                group = groups[model.orders] = ({}, [], [], [])
+            distinct, members, rows, which = group
+            index = distinct.get(id(model))
+            if index is None:
+                index = distinct[id(model)] = len(members)
+                members.append(model)
+            rows.append(row)
+            which.append(index)
+        peaks = np.empty(len(fos))
+        step = max(1, _STACKED_POINTS // grid.size)
+        for orders, (_, members, rows, which) in groups.items():
+            tables = np.array([model._flat + model.norm.centers
+                               + model.norm.scales for model in members])
+            n_terms = tables.shape[1] - 8
+            for start in range(0, len(rows), step):
+                batch = rows[start:start + step]
+                table = tables[which[start:start + step]]
+                centers, scales = table[:, n_terms:n_terms + 4], table[:, -4:]
+                variables = (fos[batch, None], grid, temp, vdd)
+                xs = [(variables[v] - centers[:, v, None]) / scales[:, v, None]
+                      if order else None for v, order in enumerate(orders)]
+                coeffs = table[:, :n_terms, None].transpose(1, 0, 2)
+                values = cls._term_sum(orders, coeffs, xs,
+                                       (len(batch), grid.size))
+                peaks[batch] = values.max(axis=1)
+        return peaks
 
     # ------------------------------------------------------------------
     @property

@@ -17,9 +17,10 @@ the arc delay at a single slew point is not admissible.
 
 **Grid sweeps.**  The slew peaks behind that domain and the per-(gate,
 pin) worst-arc delays evaluate every arc of the circuit over a whole
-slew grid (about 20 slews).  One helper runs both: it batches the arcs
-by model, so one ``evaluate_many`` call per model does a grid's worth
-of scalar calls, and it scatter-maxes the row peaks per slot.  The
+slew grid (about 20 slews).  One helper runs both: it evaluates each
+distinct (model, fanout) pair once, stacks all pairs of a model family
+into one batch (for polynomials, one numpy pass per orders tuple), and
+scatter-maxes the pair peaks per slot.  The
 :class:`~repro.charlib.model.DelayModel` batch-equivalence law makes
 every batched row bitwise the scalar value, and ``max`` over floats is
 exact, so the results are bitwise the arc-at-a-time reference passes
@@ -73,6 +74,28 @@ class MissingArcsError(MissingArcFailure, LookupError):
     Subclasses both the resilience taxonomy (for CLI exit-code mapping)
     and :class:`LookupError` (the historical base, kept for callers
     that catch it as such)."""
+
+
+def _per_model_grid_peaks(
+    models: Sequence[DelayModel], fos: Sequence[float], grid: np.ndarray,
+    temp: float, vdd: float,
+) -> np.ndarray:
+    """``grid_peaks`` for a model family that has no stacked one: row
+    ``i`` is the maximum over ``grid`` of ``models[i]`` at ``fos[i]``,
+    with one ``evaluate_many`` call per distinct model over its rows."""
+    by_model: Dict[int, List[int]] = {}
+    for row, model in enumerate(models):
+        by_model.setdefault(id(model), []).append(row)
+    peaks = np.empty(len(models))
+    for rows in by_model.values():
+        points = np.empty((len(rows) * grid.size, 4))
+        points[:, 0] = np.repeat([fos[row] for row in rows], grid.size)
+        points[:, 1] = np.tile(grid, len(rows))
+        points[:, 2] = temp
+        points[:, 3] = vdd
+        values = models[rows[0]].evaluate_many(points)
+        peaks[rows] = values.reshape(len(rows), grid.size).max(axis=1)
+    return peaks
 
 
 class DelayCalculator:
@@ -552,26 +575,46 @@ class DelayCalculator:
         grid: Sequence[float], slots: int,
     ) -> List[float]:
         """Per-slot maximum, floored at 0.0, of each ``(slot, model,
-        fo)`` row's model over ``grid`` at this corner: one
-        ``evaluate_many`` call per model covers all of its rows, and
-        the row peaks scatter-max into their slots."""
+        fo)`` row's model over ``grid`` at this corner.
+
+        Each distinct ``(model, fo)`` pair is evaluated once.  A model
+        family with a stacked ``grid_peaks``
+        (:meth:`PolynomialModel.grid_peaks
+        <repro.charlib.polynomial.PolynomialModel.grid_peaks>`) takes
+        all of its pairs in one call; any other model (LUTs, custom
+        kinds) gets one ``evaluate_many`` call over its pairs.  The
+        pair peaks scatter-max into their slots."""
         grid = np.asarray(grid, dtype=float)
-        groups: Dict[int, Tuple[DelayModel, List[int], List[float]]] = {}
+        # model id -> fo -> pair index (no key tuple per row: a large
+        # circuit's rows would otherwise feed the cyclic collector).
+        pair_of: Dict[int, Dict[float, int]] = {}
+        models: List[DelayModel] = []
+        fos: List[float] = []
+        row_slots: List[int] = []
+        row_pairs: List[int] = []
         for slot, model, fo in rows:
-            group = groups.get(id(model))
-            if group is None:
-                group = groups[id(model)] = (model, [], [])
-            group[1].append(slot)
-            group[2].append(fo)
+            by_fo = pair_of.get(id(model))
+            if by_fo is None:
+                by_fo = pair_of[id(model)] = {}
+            pair = by_fo.get(fo)
+            if pair is None:
+                pair = by_fo[fo] = len(models)
+                models.append(model)
+                fos.append(fo)
+            row_slots.append(slot)
+            row_pairs.append(pair)
+        families: Dict[type, List[int]] = {}
+        for pair, model in enumerate(models):
+            families.setdefault(type(model), []).append(pair)
+        pair_peaks = np.empty(len(models))
+        for family, pairs in families.items():
+            sweep = getattr(family, "grid_peaks", _per_model_grid_peaks)
+            pair_peaks[pairs] = sweep(
+                [models[pair] for pair in pairs],
+                [fos[pair] for pair in pairs], grid, self.temp, self.vdd)
         peaks = np.zeros(slots)
-        for model, group_slots, fos in groups.values():
-            points = np.empty((len(fos) * grid.size, 4))
-            points[:, 0] = np.repeat(fos, grid.size)
-            points[:, 1] = np.tile(grid, len(fos))
-            points[:, 2] = self.temp
-            points[:, 3] = self.vdd
-            values = model.evaluate_many(points).reshape(len(fos), grid.size)
-            np.maximum.at(peaks, group_slots, values.max(axis=1))
+        np.maximum.at(peaks, np.array(row_slots, dtype=np.intp),
+                      pair_peaks[np.array(row_pairs, dtype=np.intp)])
         return peaks.tolist()
 
     # ------------------------------------------------------------------

@@ -315,6 +315,8 @@ class PathFinder:
         self._stream: Optional[PathStream] = None
         #: ``delaycalc.*`` counter deltas of the last closed run.
         self.calc_deltas: Dict[str, int] = {}
+        if max_paths is not None and max_paths < 0:
+            raise ConfigError(f"max_paths must be >= 0, got {max_paths}")
         if n_worst is not None:
             if n_worst < 1:
                 raise ConfigError(f"n_worst must be >= 1, got {n_worst}")

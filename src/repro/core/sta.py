@@ -200,6 +200,8 @@ class TruePathSTA:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         if n_worst is not None and n_worst < 1:
             raise ConfigError(f"n_worst must be >= 1, got {n_worst}")
+        if max_paths is not None and max_paths < 0:
+            raise ConfigError(f"max_paths must be >= 0, got {max_paths}")
         origins = list(inputs if inputs is not None else self.circuit.inputs)
         jobs = min(jobs, max(len(origins), 1))
         driver = supervisor.ShardSupervisor(

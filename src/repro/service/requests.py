@@ -259,6 +259,9 @@ def execute_analysis(
         raise ConfigError(f"--jobs must be >= 1, got {request.jobs}")
     if request.top < 0:
         raise ConfigError(f"--top must be >= 0, got {request.top}")
+    if request.max_paths is not None and request.max_paths < 0:
+        raise ConfigError(
+            f"--max-paths must be >= 0, got {request.max_paths}")
     if request.tool not in ("developed", "gba", "baseline"):
         raise ConfigError(
             f"unknown tool {request.tool!r}; have developed, gba, baseline")

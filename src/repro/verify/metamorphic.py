@@ -39,8 +39,9 @@ batch kernel (``evaluate_many``), against the production forward pass,
 which runs the per-net plain-float kernel in level order.
 :func:`reference_slew_peaks`, the :func:`reference_bound_slews` fixed
 point built on it and :func:`reference_worst_arcs` sweep one arc at a
-time (:func:`_model_max`), against the calculator's grid helper, which
-batches every arc of a model into one call.
+time on the scalar evaluator (:func:`_model_max`), against the
+calculator's grid helper, which stacks every distinct (model, fanout)
+row of a model family into one batch.
 :func:`reference_required_bounds` and :func:`reference_suffix_bounds`
 are arc-major reverse walks over those per-arc maxima, against the
 per-net kernels (:meth:`TimingGraph.required_through_net
@@ -150,9 +151,9 @@ def reference_forward(calc: DelayCalculator) -> ForwardTiming:
 def _model_max(model: DelayModel, fo: float, slews: Sequence[float],
                temp: float, vdd: float) -> float:
     """Maximum of one fitted model over a sweep of input slews: one
-    ``evaluate_many`` call for this arc alone."""
-    points = np.array([[fo, t_in, temp, vdd] for t_in in slews])
-    return float(np.max(model.evaluate_many(points)))
+    scalar ``evaluate`` call per slew, so no reference runs the batch
+    kernels the grid helper runs."""
+    return max(model.evaluate(fo, t_in, temp, vdd) for t_in in slews)
 
 
 def reference_bound_slews(calc: DelayCalculator) -> Tuple[float, ...]:

@@ -91,6 +91,43 @@ class TestExitCodes:
         assert "n_worst" in err
         assert "supervisor.shard_error" not in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_negative_max_paths_is_refused_at_every_jobs(
+            self, jobs, bench_file, capsys, clean_obs, charlib_poly_90):
+        """A negative cap used to print 0 paths serially but 4 on the
+        pool; now both refuse it before any shard runs."""
+        rc = main(["analyze", bench_file, "--no-map", "--max-paths", "-1",
+                   "--jobs", jobs, "--log-level", "warning"])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-paths" in captured.err
+        assert "supervisor.shard_error" not in captured.err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_max_paths_zero_still_reports_no_paths(
+            self, jobs, bench_file, capsys, charlib_poly_90):
+        rc = main(["analyze", bench_file, "--no-map", "--max-paths", "0",
+                   "--jobs", jobs])
+        assert rc == 0
+        assert "0 sensitizations" in capsys.readouterr().out
+
+    def test_negative_max_paths_is_refused_below_the_cli(
+            self, charlib_poly_90):
+        """The session and the finder refuse it too, so no pool starts
+        and no direct caller searches with it."""
+        from repro.core.pathfinder import PathFinder
+        from repro.core.sta import TruePathSTA
+        from repro.netlist.bench import parse_bench
+        from repro.resilience.errors import ConfigError
+
+        sta = TruePathSTA(parse_bench(C17_BENCH, name="c17"),
+                          charlib_poly_90)
+        with pytest.raises(ConfigError, match="max_paths"):
+            sta.analyze(max_paths=-1, jobs=2)
+        with pytest.raises(ConfigError, match="max_paths"):
+            PathFinder(sta.ec, sta.calc, max_paths=-1)
+
     def test_config_error_is_both_taxonomized_and_a_value_error(self):
         from repro.resilience.errors import ConfigError, ResilienceError
 

@@ -20,7 +20,9 @@ that it catches sabotaged kernels: a forward pass that skips
 sensitization options, backward kernels that skip fanout arcs, and a
 grid helper that drops a model.  They also pin the batch-equivalence
 law of the models that the whole scheme rests on
-(``evaluate_many(batch)[i]`` bitwise-equal to ``evaluate(*batch[i])``).
+(``evaluate_many(batch)[i]`` bitwise-equal to ``evaluate(*batch[i])``,
+and the stacked ``grid_peaks`` row bitwise the scalar maximum over the
+grid).
 """
 
 import copy
@@ -238,13 +240,15 @@ def charlib_drive_variants(tech90):
     )
 
 
-def _pvt_model(tech, orders) -> PolynomialModel:
+def _pvt_model(tech, orders, fo=(1.0, 2.0, 4.0, 8.0)) -> PolynomialModel:
     """A model fitted over temperature and supply as well, on a denser
     grid in the style of ``exp_pvt.PVT_GRID``.  No model of the default
     characterization varies T or VDD, so only these run kernels with
-    temperature and supply terms."""
+    temperature and supply terms.  Another ``fo`` axis gives the same
+    orders another normalization (every library model of one orders
+    tuple shares one)."""
     grid = CharacterizationGrid(
-        fo=(1.0, 2.0, 4.0, 8.0), t_in=(2e-11, 6e-11, 1.2e-10),
+        fo=fo, t_in=(2e-11, 6e-11, 1.2e-10),
         temp=(25.0, 75.0, 125.0), vdd_scale=(0.9, 1.0, 1.1),
     )
     pts = np.array(grid.points(tech))
@@ -287,6 +291,74 @@ def _reassociated_evaluate(variant):
     return evaluate
 
 
+#: A bound-slew-like sweep: 0.0, the characterization slews and an
+#: extrapolated ceiling.
+_LAW_GRID = tuple(sorted({0.0, 2e-11, 6e-11, 1.2e-10,
+                          *np.linspace(0.0, 3.1e-10, 17).tolist()}))
+
+
+def _assert_grid_law(models, tech):
+    """One shuffled :meth:`PolynomialModel.grid_peaks` call per corner,
+    holding every model at several fanouts: row ``i`` has the bits of
+    the max of ``models[i].evaluate`` over the grid."""
+    rng = np.random.default_rng(11)
+    rows = [(model, float(fo)) for model in models
+            for fo in (1.0, *rng.uniform(0.2, 10.0, 3))]
+    order = rng.permutation(len(rows))
+    rows = [rows[i] for i in order]
+    for temp, vdd in ((-40.0, 0.9 * tech.vdd), (25.0, tech.vdd),
+                      (125.0, 1.1 * tech.vdd)):
+        got = PolynomialModel.grid_peaks(
+            [model for model, _ in rows], [fo for _, fo in rows],
+            _LAW_GRID, temp, vdd)
+        want = [max(model.evaluate(fo, t_in, temp, vdd)
+                    for t_in in _LAW_GRID) for model, fo in rows]
+        assert _bits(got) == _bits(want), (temp, vdd)
+
+
+def _grid_law_models(charlib_poly_90, charlib_drive_variants, tech):
+    """Every polynomial model of the 90 nm and sized libraries, plus
+    T/VDD-order models with two normalizations per orders tuple."""
+    return [model for charlib in (charlib_poly_90, charlib_drive_variants)
+            for _, model in _library_models(charlib)] + [
+        _pvt_model(tech, orders, fo)
+        for orders in ((2, 1, 1, 1), (1, 2, 2, 2))
+        for fo in ((1.0, 2.0, 4.0, 8.0), (0.5, 1.5, 3.0, 6.0, 12.0))]
+
+
+def _first_normalization_per_orders(honest):
+    """A stacked kernel that applies each orders group's first
+    normalization to the whole group."""
+
+    def grid_peaks(cls, models, fos, grid, temp, vdd):
+        first = {}
+        for model in models:
+            first.setdefault(model.orders, model.norm)
+        shared = [PolynomialModel(model.orders, model.coeffs,
+                                  first[model.orders]) for model in models]
+        return honest(shared, fos, grid, temp, vdd)
+
+    return classmethod(grid_peaks)
+
+
+def _j_major_term_sum(orders, coeffs, xs, shape):
+    """The batch term loop with its terms accumulated j-major instead
+    of in C order."""
+    ladders = [PolynomialModel._power_ladder(x, order)
+               for x, order in zip(xs, orders)]
+    c_order = list(itertools.product(*(range(o + 1) for o in orders)))
+    acc = np.zeros(shape)
+    for j, i, k, l in itertools.product(
+            range(orders[1] + 1), range(orders[0] + 1),
+            range(orders[2] + 1), range(orders[3] + 1)):
+        value = coeffs[c_order.index((i, j, k, l))]
+        for ladder, power in zip(ladders, (i, j, k, l)):
+            if power:
+                value = value * ladder[power]
+        acc += value
+    return acc
+
+
 class TestBatchEquivalenceLaw:
     """``evaluate_many(batch)[i]`` must be bitwise ``evaluate(*batch[i])``.
 
@@ -294,7 +366,9 @@ class TestBatchEquivalenceLaw:
     grid sweeps batch arbitrarily while staying byte-identical to the
     scalar traversal.  Checked on every arc of the polynomial, LUT and
     sized libraries, on models that vary with T and VDD, and against
-    the numpy scalar evaluators the plain-float kernels replaced.
+    the numpy scalar evaluators the plain-float kernels replaced; and
+    for the stacked kernel (``PolynomialModel.grid_peaks``) and the
+    grid helper's one evaluation per distinct ``(model, fo)`` pair.
     """
 
     def test_polynomial_models(self, charlib_poly_90, tech90):
@@ -332,6 +406,73 @@ class TestBatchEquivalenceLaw:
                             _reassociated_evaluate(variant))
         with pytest.raises(AssertionError):
             _assert_law(_library_models(charlib_poly_90), _law_points(tech90))
+
+    def test_grid_peaks_equals_the_scalar_maximum(
+            self, charlib_poly_90, charlib_drive_variants, tech90):
+        """The stacked grid kernel keeps the law too: every polynomial
+        model of the 90 nm and sized libraries and the T/VDD-order
+        models, at several fanouts in one shuffled call."""
+        _assert_grid_law(_grid_law_models(
+            charlib_poly_90, charlib_drive_variants, tech90), tech90)
+
+    @pytest.mark.parametrize("sabotage", ["shared-normalization",
+                                          "j-major-accumulation"])
+    def test_grid_law_catches_a_sabotaged_stacked_kernel(
+            self, sabotage, charlib_poly_90, charlib_drive_variants,
+            tech90, monkeypatch):
+        if sabotage == "shared-normalization":
+            monkeypatch.setattr(
+                PolynomialModel, "grid_peaks",
+                _first_normalization_per_orders(PolynomialModel.grid_peaks))
+        else:
+            monkeypatch.setattr(PolynomialModel, "_term_sum",
+                                staticmethod(_j_major_term_sum))
+        with pytest.raises(AssertionError):
+            _assert_grid_law(_grid_law_models(
+                charlib_poly_90, charlib_drive_variants, tech90), tech90)
+
+    def test_grid_helper_evaluates_each_distinct_pair_once(
+            self, charlib_poly_90, charlib_lut_90, monkeypatch):
+        """``_grid_peaks`` rows repeat ``(model, fo)`` pairs across and
+        within slots: each distinct pair is evaluated once, through the
+        stacked kernel for polynomials and one ``evaluate_many`` call
+        per LUT, and every slot still gets its rows' maximum."""
+        calc = DelayCalculator(EngineCircuit(build_circuit("c17")),
+                               charlib_poly_90)
+        models = ([arc.delay_model for arc in charlib_poly_90.arcs()[:6]]
+                  + [arc.slew_model for arc in charlib_lut_90.arcs()[:3]])
+        pairs = [(model, fo) for model in models for fo in (1.0, 2.5)]
+        rng = np.random.default_rng(3)
+        rows = [(int(rng.integers(5)), model, fo)
+                for model, fo in pairs for _ in range(3)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+
+        stacked_rows, lut_points = [], []
+        honest_stacked = PolynomialModel.grid_peaks
+        honest_many = LutModel.evaluate_many
+
+        def counting_stacked(cls, models, fos, grid, temp, vdd):
+            stacked_rows.extend(zip(map(id, models), fos))
+            return honest_stacked(models, fos, grid, temp, vdd)
+
+        def counting_many(self, points):
+            lut_points.extend((id(self), fo) for fo in points[:, 0].tolist())
+            return honest_many(self, points)
+
+        monkeypatch.setattr(PolynomialModel, "grid_peaks",
+                            classmethod(counting_stacked))
+        monkeypatch.setattr(LutModel, "evaluate_many", counting_many)
+        got = calc._grid_peaks(rows, _LAW_GRID, 5)
+
+        distinct = [(id(model), fo) for model, fo in pairs]
+        assert sorted(stacked_rows) == sorted(distinct[:12])
+        assert sorted(lut_points) == sorted(distinct[12:] * len(_LAW_GRID))
+        want = [0.0] * 5
+        for slot, model, fo in rows:
+            peak = max(model.evaluate(fo, t_in, calc.temp, calc.vdd)
+                       for t_in in _LAW_GRID)
+            want[slot] = max(want[slot], peak)
+        assert _bits(got) == _bits(want)
 
     def test_coefficient_assignment_reaches_both_evaluators(
             self, charlib_poly_90, tech90):

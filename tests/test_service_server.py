@@ -380,6 +380,13 @@ def test_n_worst_below_one_is_a_bad_request(client):
     assert "n_worst" in err.value.message
 
 
+def test_negative_max_paths_is_a_bad_request(client):
+    with pytest.raises(ServiceError) as err:
+        client.call("analyze", {"netlist": "iscas:c17", "max_paths": -1})
+    assert err.value.code == "bad-request"
+    assert "--max-paths" in err.value.message
+
+
 def test_effort_capped_request_still_serves(client):
     result = client.call("analyze",
                          {"netlist": "iscas:c17", "top": 6},
