@@ -33,6 +33,7 @@ from repro.core.delaycalc import DelayCalculator
 from repro.core.engine import (
     COMPONENTS,
     EngineCircuit,
+    EngineGate,
     EngineState,
     RISING,
     VectorOption,
@@ -95,13 +96,14 @@ class TwoStepSensitizer:
 
         for gate_index, pin in spath.hops:
             gate = self.ec.gates[gate_index]
-            options = self._easiest_first(state, gate.options[pin])
+            options = self._easiest_first(state, gate, pin)
             committed = None
             for option in options:
                 mark = state.checkpoint()
                 ok = True
-                for net, bit in option.side_assignments:
-                    if not state.require_steady(net, bit):
+                for pin_index, bit in option.side_pins:
+                    if not state.require_steady(gate.input_nets[pin_index],
+                                                bit):
                         ok = False
                         break
                 if ok:
@@ -163,14 +165,16 @@ class TwoStepSensitizer:
 
     # ------------------------------------------------------------------
     def _easiest_first(
-        self, state: EngineState, options: List[VectorOption]
+        self, state: EngineState, gate: EngineGate, pin: str
     ) -> List[VectorOption]:
-        """Order vectors by how many side values still need assigning
-        (a cheap proxy for justification effort a lazy tool would use)."""
+        """Order the pin's vectors by how many side values still need
+        assigning (a cheap proxy for justification effort a lazy tool
+        would use)."""
 
         def cost(option: VectorOption) -> Tuple[int, int]:
             pending = 0
-            for net, bit in option.side_assignments:
+            for pin_index, bit in option.side_pins:
+                net = gate.input_nets[pin_index]
                 required = Value9.steady(bit)
                 already = all(
                     state.values[comp][net] == required
@@ -181,7 +185,7 @@ class TwoStepSensitizer:
                     pending += 1
             return (pending, option.vector.case)
 
-        return sorted(options, key=cost)
+        return sorted(gate.options[pin], key=cost)
 
     def _advance_timing(self, state, gate, pin, option, current_net, timing):
         out_net = gate.output_net

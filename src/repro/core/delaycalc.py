@@ -10,10 +10,13 @@ the path".
 Hot-path layout: arc *resolution* (the ``charlib.arc`` dict-chain
 lookup) is memoized per *(cell, pin, vector, edges)* with hit/miss
 counters, so each distinct arc is resolved once per search instead of
-once per evaluation.  The N-worst pruning bound maximizes each gate's
-fitted delay over the whole *achievable* slew domain: propagated slews
-on degraded chains exceed any fixed pessimistic input slew, so bounding
-the arc delay at a single slew point is not admissible.
+once per evaluation.  A pin's or a gate's full arc set depends only on
+its cell (the library, vector mode and missing-arc policy are fixed per
+calculator), so those sets are resolved once per cell, not per gate.
+The N-worst pruning bound maximizes each gate's fitted delay over the
+whole *achievable* slew domain: propagated slews on degraded chains
+exceed any fixed pessimistic input slew, so bounding the arc delay at a
+single slew point is not admissible.
 
 **Grid sweeps.**  The slew peaks behind that domain and the per-(gate,
 pin) worst-arc delays evaluate every arc of the circuit over a whole
@@ -142,10 +145,11 @@ class DelayCalculator:
         #: Pre-resolved equivalent fanout per gate index.
         self.fo: List[float] = [self._fanout(gate) for gate in ec.gates]
         self._arc_cache: Dict[Tuple[str, str, str, bool, bool], TimingArc] = {}
-        self._gate_arcs_cache: Dict[int, Tuple[TimingArc, ...]] = {}
-        #: (gate index, pin) -> (resolved arcs, missing-arc descriptions).
+        #: cell name -> every resolvable arc of the cell.
+        self._gate_arcs_cache: Dict[str, Tuple[TimingArc, ...]] = {}
+        #: (cell name, pin) -> (resolved arcs, missing-arc descriptions).
         self._pin_arcs_cache: Dict[
-            Tuple[int, str], Tuple[Tuple[TimingArc, ...], Tuple[str, ...]]
+            Tuple[str, str], Tuple[Tuple[TimingArc, ...], Tuple[str, ...]]
         ] = {}
         self._worst_delay_cache: Dict[int, float] = {}
         self._worst_arc_cache: Dict[Tuple[int, str], float] = {}
@@ -285,9 +289,11 @@ class DelayCalculator:
     def _resolve_pin(
         self, gate: EngineGate, pin: str
     ) -> Tuple[Tuple[TimingArc, ...], Tuple[str, ...]]:
-        """Resolve (and memoize) every timing arc entering through one
-        pin: (resolved arcs, descriptions of the missing ones)."""
-        key = (gate.index, pin)
+        """Resolve (and memoize per cell) every timing arc entering
+        through one pin: (resolved arcs, descriptions of the missing
+        ones)."""
+        cell = gate.cell.name
+        key = (cell, pin)
         cached = self._pin_arcs_cache.get(key)
         if cached is not None:
             return cached
@@ -299,7 +305,7 @@ class DelayCalculator:
             for input_rising in (True, False):
                 try:
                     arc = self.charlib.arc(
-                        gate.cell.name, pin, vector_id, input_rising,
+                        cell, pin, vector_id, input_rising,
                         input_rising ^ opt.inverting,
                     )
                 except KeyError:
@@ -311,7 +317,7 @@ class DelayCalculator:
                         # GBA bounds cover what arc_timing will really
                         # evaluate for this traversal.
                         arc = self._substitute_arc(
-                            gate.cell.name, pin, vector_id, input_rising,
+                            cell, pin, vector_id, input_rising,
                             input_rising ^ opt.inverting,
                         )
                         if arc is not None and arc.key not in seen:
@@ -334,7 +340,8 @@ class DelayCalculator:
 
     def gate_arcs(self, gate: EngineGate) -> Tuple[TimingArc, ...]:
         """Every resolvable timing arc of one gate (pin x vector x edge),
-        deduplicated, cached per gate index.
+        deduplicated, cached per cell (every gate of a cell has the
+        same arcs; only the fanout they are evaluated at differs).
 
         Missing arcs are reported through a structured log record once
         per cell -- vector-blind lookups miss arcs *by construction*
@@ -342,9 +349,10 @@ class DelayCalculator:
         those log at debug, anything else at warning.  A gate whose
         arcs are ALL missing would silently poison the pruning bound
         and the baseline's structural enumeration with a 0.0 worst
-        delay, so it raises :class:`MissingArcsError` instead.
+        delay, so it raises :class:`MissingArcsError`, naming the gate,
+        on every call (the failure is never cached).
         """
-        cached = self._gate_arcs_cache.get(gate.index)
+        cached = self._gate_arcs_cache.get(gate.cell.name)
         if cached is not None:
             return cached
         arcs: List[TimingArc] = []
@@ -373,7 +381,7 @@ class DelayCalculator:
                 examples=missing[:4], vector_blind=self.vector_blind,
             )
         result = tuple(arcs)
-        self._gate_arcs_cache[gate.index] = result
+        self._gate_arcs_cache[gate.cell.name] = result
         return result
 
     # ------------------------------------------------------------------
@@ -627,9 +635,10 @@ class DelayCalculator:
         A swap dirties the swapped gate (new models, new ``mean_cap``
         denominator) and the drivers of its input nets (new sink pin
         caps).  In order: their equivalent fanouts are re-derived,
-        their per-gate memos dropped (the cell-name-keyed
-        ``_arc_cache`` survives: its entries stay right for every
-        cell), and their slew peaks marked stale in every cached grid;
+        their per-gate worst-delay memos dropped, and their slew peaks
+        marked stale in every cached grid (the arc resolutions are
+        keyed by cell name and stay right for every cell, so they
+        survive: a swapped gate simply reads its new cell's entries);
         the :class:`PruneBounds` snapshot is dropped.  If bound slews
         were ever computed, the fixed point is re-derived from the peak
         tables, re-sweeping only the stale entries.  When it moved,
@@ -642,10 +651,8 @@ class DelayCalculator:
         for index in gate_indices:
             gate = self.ec.gates[index]
             self.fo[index] = self._fanout(gate)
-            self._gate_arcs_cache.pop(index, None)
             self._worst_delay_cache.pop(index, None)
             for pin in gate.options:
-                self._pin_arcs_cache.pop((index, pin), None)
                 self._worst_arc_cache.pop((index, pin), None)
             for peaks in self._slew_peaks.values():
                 peaks[index] = None

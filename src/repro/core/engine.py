@@ -1,9 +1,12 @@
 """Indexed circuit state for the path-finding search.
 
 :class:`EngineCircuit` pre-indexes a :class:`~repro.netlist.circuit.Circuit`
-(net ids, gate fan-in/fan-out tables, per-pin sensitization vectors with
-side nets resolved) so the search never touches dictionaries keyed by
-strings.
+(net ids, gate fan-in/fan-out tables) so the search never touches
+dictionaries keyed by strings.  A cell's sensitization vectors depend on
+the cell alone, so :func:`cell_options` builds its per-pin option table
+once per process and every gate of the cell shares it: options name
+their side pins by index, and a gate maps an index to its net through
+``input_nets``.
 
 :class:`EngineState` holds the paper's dual-value node assignment: one
 nine-valued entry per net **per polarity component** (component 0 traces
@@ -22,6 +25,7 @@ into its cell function's shared nine-valued table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,12 +40,37 @@ COMPONENTS = (RISING, FALLING)
 
 @dataclass(frozen=True)
 class VectorOption:
-    """A sensitization vector resolved against a placed gate."""
+    """One sensitization vector of a cell pin, shared by every gate of
+    the cell."""
 
     vector: SensitizationVector
-    #: (net_id, steady bit) for every side input.
-    side_assignments: Tuple[Tuple[int, int], ...]
+    #: (input pin index, steady bit) for every side input, in pin-name
+    #: order -- the order the search requires them in, which fixes its
+    #: justification order and witness vectors.  ``gate.input_nets[k]``
+    #: is the net of pin index ``k``.
+    side_pins: Tuple[Tuple[int, int], ...]
     inverting: bool
+
+
+@functools.cache
+def cell_options(cell: Cell) -> Dict[str, Tuple[VectorOption, ...]]:
+    """``cell``'s sensitization vectors per input pin, built once per
+    :class:`Cell` object and process (libraries are process singletons,
+    like the per-function implication tables).  Every gate of the cell
+    holds this one table, so it stores tuples: no reader may mutate it.
+    """
+    return {
+        pin: tuple(
+            VectorOption(
+                vec,
+                tuple((cell.pin_index(side), bit)
+                      for side, bit in sorted(vec.side_values.items())),
+                vec.inverting,
+            )
+            for vec in cell.sensitization_vectors(pin)
+        )
+        for pin in cell.inputs
+    }
 
 
 @dataclass
@@ -54,8 +83,8 @@ class EngineGate:
     evaluator: CellEvaluator
     input_nets: Tuple[int, ...]  # cell pin order
     output_net: int
-    #: pin name -> vector options
-    options: Dict[str, List[VectorOption]]
+    #: pin name -> vector options (the cell's shared table)
+    options: Dict[str, Tuple[VectorOption, ...]]
 
 
 class EngineCircuit:
@@ -85,7 +114,7 @@ class EngineCircuit:
             output_net = self.net_id[inst.output_net]
             gate = EngineGate(
                 gate_index, inst, cell, self._evaluator(cell), input_nets,
-                output_net, self._vector_options(inst),
+                output_net, cell_options(cell),
             )
             self.gates.append(gate)
             self.driver[output_net] = gate_index
@@ -129,34 +158,20 @@ class EngineCircuit:
             evaluator = self._evaluators[cell.name] = CellEvaluator(cell)
         return evaluator
 
-    def _vector_options(self, inst: Instance) -> Dict[str, List[VectorOption]]:
-        """``inst``'s sensitization vectors per input pin, side nets
-        resolved to ids."""
-        options: Dict[str, List[VectorOption]] = {}
-        for pin in inst.cell.inputs:
-            opts = []
-            for vec in inst.cell.sensitization_vectors(pin):
-                side = tuple(
-                    (self.net_id[inst.pins[side_pin]], bit)
-                    for side_pin, bit in sorted(vec.side_values.items())
-                )
-                opts.append(VectorOption(vec, side, vec.inverting))
-            options[pin] = opts
-        return options
-
     def swap_cell(self, gate: EngineGate, cell: Cell) -> None:
         """Rebind ``gate`` (and its circuit instance) to the
         pin-compatible ``cell`` in place, so every live reference -- the
         timing graph's gate list, the pathfinder's gate table, the
         implication kernel -- sees the new cell without re-indexing.  Pin
-        compatibility keeps ``input_nets`` and the kernel's codes and
-        weights valid; the caller checks it."""
-        inst = gate.inst
-        inst.cell = cell
+        compatibility keeps ``input_nets`` (and with it the option
+        table's side-pin indices) and the kernel's codes and weights
+        valid; the caller checks it.  The gate rebinds to the new cell's
+        shared option table; no other gate changes."""
+        gate.inst.cell = cell
         self.circuit._topo_cache = None
         gate.cell = cell
         gate.evaluator = self._evaluator(cell)
-        gate.options = self._vector_options(inst)
+        gate.options = cell_options(cell)
         if self._kernel is not None:
             self._kernel.tables[gate.index] = gate.evaluator.table
 

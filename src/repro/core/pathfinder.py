@@ -556,18 +556,23 @@ class PathFinder:
         pin: str,
         option: VectorOption,
     ) -> Optional[_Arc]:
-        for net, bit in option.side_assignments:
-            if not state.require_steady(net, bit):
+        input_nets = gate.input_nets
+        for pin_index, bit in option.side_pins:
+            if not state.require_steady(input_nets[pin_index], bit):
                 return None
         if not state.propagate():
             return None
 
-        requirements = frame.arc.requirements + option.side_assignments
+        requirements = frame.arc.requirements  # grows in complete mode only
         input_vectors: Dict[int, Dict] = {}
         if self.complete:
+            requirements += tuple(
+                (input_nets[pin_index], bit)
+                for pin_index, bit in option.side_pins
+            )
             if (
                 self.justify_skip
-                and not option.side_assignments
+                and not option.side_pins
                 and frame.arc.input_vectors
             ):
                 # The accumulated requirement set is unchanged, so the

@@ -14,7 +14,7 @@ tool computed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DEFAULT_INPUT_SLEW, DelayCalculator
@@ -47,8 +47,10 @@ def write_sdf(
     """
     circuit.check()
     ec = EngineCircuit(circuit)
-    calc = DelayCalculator(ec, charlib, temp=temp, vdd=vdd,
-                           input_slew=input_slew)
+    calc = DelayCalculator(
+        ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
+        vector_blind=charlib.metadata.get("vector_mode") == "default",
+    )
     lines = [
         "(DELAYFILE",
         '  (SDFVERSION "3.0")',
@@ -79,34 +81,30 @@ def write_sdf(
 
 
 def _arc_delays(calc: DelayCalculator, gate, pin: str):
-    """(rise delays, fall delays, per-vector detail) for one pin."""
+    """(rise delays, fall delays) over every vector of one pin."""
     rise: List[float] = []
     fall: List[float] = []
-    detail: List[Tuple[str, bool, float]] = []
     for option in gate.options[pin]:
         vector = option.vector
         for input_rising in (True, False):
             output_rising = input_rising ^ vector.inverting
-            try:
-                delay, _slew = calc.arc_timing(
-                    gate, pin, vector.vector_id, input_rising, output_rising,
-                    calc.input_slew,
-                )
-            except KeyError:
-                continue
+            delay, _slew = calc.arc_timing(
+                gate, pin, vector.vector_id, input_rising, output_rising,
+                calc.input_slew,
+            )
             (rise if output_rising else fall).append(delay)
-            detail.append((vector.vector_id, output_rising, delay))
-    return rise, fall, detail
+    return rise, fall
 
 
 def _collapsed_entry(calc: DelayCalculator, gate, pin: str) -> Optional[str]:
-    rise, fall, _detail = _arc_delays(calc, gate, pin)
-    if not rise and not fall:
+    # Each vector yields one rise and one fall delay (its two input
+    # edges), so both lists are empty only for a pin without vectors.
+    rise, fall = _arc_delays(calc, gate, pin)
+    if not rise:
         return None
-    rise_str = _triple(rise) if rise else "()"
-    fall_str = _triple(fall) if fall else "()"
     return (
-        f"      (IOPATH {pin} {gate.cell.output} {rise_str} {fall_str})"
+        f"      (IOPATH {pin} {gate.cell.output} {_triple(rise)} "
+        f"{_triple(fall)})"
     )
 
 
@@ -118,22 +116,16 @@ def _conditioned_entries(calc: DelayCalculator, gate, pin: str) -> List[str]:
         fall: List[float] = []
         for input_rising in (True, False):
             output_rising = input_rising ^ vector.inverting
-            try:
-                delay, _ = calc.arc_timing(
-                    gate, pin, vector.vector_id, input_rising, output_rising,
-                    calc.input_slew,
-                )
-            except KeyError:
-                continue
+            delay, _ = calc.arc_timing(
+                gate, pin, vector.vector_id, input_rising, output_rising,
+                calc.input_slew,
+            )
             (rise if output_rising else fall).append(delay)
-        if not rise and not fall:
-            continue
         condition = " && ".join(
             f"{p} == 1'b{v}" for p, v in sorted(vector.side_values.items())
         )
-        rise_str = _triple(rise) if rise else "()"
-        fall_str = _triple(fall) if fall else "()"
-        body = f"(IOPATH {pin} {gate.cell.output} {rise_str} {fall_str})"
+        body = (f"(IOPATH {pin} {gate.cell.output} {_triple(rise)} "
+                f"{_triple(fall)})")
         if condition:
             lines.append(f"      (COND {condition} {body})")
         else:

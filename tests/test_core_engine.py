@@ -1,9 +1,17 @@
 """Unit tests for the engine state (dual values, trail, implication)."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.engine import EngineCircuit, EngineState, FALLING, RISING
+from repro.core import engine
+from repro.core.engine import (
+    EngineCircuit, EngineState, FALLING, RISING, cell_options,
+)
 from repro.core.logic_values import Value9
+from repro.gates.cell import Cell
+from repro.gates.library import default_library, sized_library
+from repro.gates.logic import BoolFunc
 from repro.netlist.circuit import Circuit
 
 V = Value9
@@ -48,9 +56,113 @@ class TestEngineCircuit:
         gate = ec.gates[ec.driver[ec.net_id["n2"]]]
         options = gate.options["A"]
         assert len(options) == 1
-        net, bit = options[0].side_assignments[0]
-        assert net == ec.net_id["b"] and bit == 1
+        pin_index, bit = options[0].side_pins[0]
+        assert gate.input_nets[pin_index] == ec.net_id["b"] and bit == 1
         assert options[0].inverting is True
+
+
+def _reference_options(ec, inst):
+    """The per-gate option builder the shared tables replaced: every
+    vector of every pin with its side pins resolved to ``ec``'s net ids,
+    sorted by side pin *name*."""
+    return {
+        pin: [
+            (vec, tuple((ec.net_id[inst.pins[side]], bit)
+                        for side, bit in sorted(vec.side_values.items())),
+             vec.inverting)
+            for vec in inst.cell.sensitization_vectors(pin)
+        ]
+        for pin in inst.cell.inputs
+    }
+
+
+def _out_of_order_cell():
+    """AO21 with its pins declared out of name order, so that sorting
+    side pins by index and by name disagree (every library cell
+    declares its pins in name order)."""
+    return Cell("AO21_CAB", ("C", "A", "B"),
+                BoolFunc.from_callable(3, lambda c, a, b: (a & b) | c))
+
+
+def _assert_tables_match_reference(cells):
+    for cell in cells:
+        c = Circuit(f"one_{cell.name}")
+        # Input nets declared in reverse pin order: net ids follow
+        # neither the pin index nor the pin name.
+        for pin in reversed(cell.inputs):
+            c.add_input(f"n_{pin}")
+        inst = c.add_gate(cell, "z", {p: f"n_{p}" for p in cell.inputs})
+        c.add_output("z")
+        ec = EngineCircuit(c)
+        gate = ec.gates[0]
+        mapped = {
+            pin: [
+                (opt.vector,
+                 tuple((gate.input_nets[k], bit) for k, bit in opt.side_pins),
+                 opt.inverting)
+                for opt in opts
+            ]
+            for pin, opts in gate.options.items()
+        }
+        assert mapped == _reference_options(ec, inst), cell.name
+
+
+class TestCellOptionTable:
+    """Every gate of a cell shares one option table whose side pins,
+    mapped through the gate's input nets, are exactly the per-gate
+    resolution in the same (pin-name) order: that order fixes the
+    search's requirement order, hence its justification and witness
+    bytes."""
+
+    CELLS = [*default_library(), *sized_library(), _out_of_order_cell()]
+
+    def test_mapped_side_pins_equal_the_per_gate_resolution(self):
+        _assert_tables_match_reference(self.CELLS)
+
+    def test_pin_index_order_fails_the_check(self, monkeypatch):
+        def by_pin_index(cell):
+            return {
+                pin: tuple(replace(opt, side_pins=tuple(sorted(opt.side_pins)))
+                           for opt in opts)
+                for pin, opts in cell_options(cell).items()
+            }
+
+        monkeypatch.setattr(engine, "cell_options", by_pin_index)
+        with pytest.raises(AssertionError, match="AO21_CAB"):
+            _assert_tables_match_reference(self.CELLS)
+
+    def test_gates_of_one_cell_share_one_tuple_table(self, ec):
+        c = Circuit("two_nands")
+        for name in ("a", "b", "c"):
+            c.add_input(name)
+        c.add_gate("NAND2", "x", {"A": "a", "B": "b"}, name="U1")
+        c.add_gate("NAND2", "y", {"A": "c", "B": "x"}, name="U2")
+        c.add_output("y")
+        gates = EngineCircuit(c).gates + [ec.gates[ec.driver[ec.net_id["n2"]]]]
+        table = gates[0].options
+        assert all(g.cell.name == "NAND2" for g in gates)
+        assert all(g.options is table for g in gates)
+        for opts in table.values():
+            assert isinstance(opts, tuple)
+            for opt in opts:
+                assert isinstance(opt.side_pins, tuple)
+                assert all(isinstance(pair, tuple) for pair in opt.side_pins)
+
+    def test_swap_cell_rebinds_only_the_swapped_gate(self):
+        library = sized_library()
+        c = Circuit("two_nands", library)
+        for name in ("a", "b", "c"):
+            c.add_input(name)
+        c.add_gate("NAND2", "x", {"A": "a", "B": "b"}, name="U1")
+        c.add_gate("NAND2", "y", {"A": "c", "B": "x"}, name="U2")
+        c.add_output("y")
+        ec = EngineCircuit(c)
+        first, second = ec.gates
+        nand2 = first.options
+        ec.swap_cell(first, library["NAND2_X2"])
+        assert first.options is cell_options(library["NAND2_X2"])
+        assert first.options is not nand2
+        assert second.options is nand2 is cell_options(library["NAND2"])
 
 
 class TestAssignRollback:

@@ -128,7 +128,7 @@ class TestSlewCeilingFixedPoint:
         ec = EngineCircuit(_single_gate(library))
         calc = DelayCalculator(ec, charlib)
         for gate in ec.gates:
-            calc._gate_arcs_cache[gate.index] = (_FakeArc(model),)
+            calc._gate_arcs_cache[gate.cell.name] = (_FakeArc(model),)
         return calc
 
     def test_multi_round_convergence(self, charlib_small_90, library):

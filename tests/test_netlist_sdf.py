@@ -64,3 +64,15 @@ class TestVectorHandling:
     def test_design_name_override(self, charlib_poly_90):
         text = write_sdf(c17(), charlib_poly_90, design_name="TOP")
         assert '(DESIGN "TOP")' in text
+
+
+class TestVectorBlindLibrary:
+    def test_lut_library_writes_every_iopath(self, charlib_lut_90):
+        """A vector-blind library stores one arc per pin and edge; the
+        writer must look those up instead of vector-resolved arcs it
+        does not have."""
+        text = write_sdf(c17(), charlib_lut_90)
+        cells = text.split("  (CELL\n")[1:]
+        assert len(cells) == 6
+        for cell in cells:
+            assert cell.count("(IOPATH") == 2

@@ -10,6 +10,7 @@ bound provably returned wrong answers.
 from __future__ import annotations
 
 import io
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.delaycalc import DelayCalculator, MissingArcsError
 from repro.core.engine import EngineCircuit
 from repro.core.pathfinder import PathFinder
 from repro.core.sta import TruePathSTA
+from repro.eval.iscas import build_circuit
 from repro.netlist.circuit import Circuit
 from repro.netlist.generate import random_dag
 from repro.netlist.techmap import techmap
@@ -216,6 +218,73 @@ class TestMissingArcs:
         obs.configure_logging(level="warning", stream=buf)
         assert calc.worst_gate_delay(nand) > 0.0
         assert "gate.arcs_missing" not in buf.getvalue()
+
+
+class TestPerCellArcResolution:
+    """Every gate of a cell reads one resolved arc set, which must equal
+    what resolving that gate alone gives, under both missing-arc
+    policies and after a cell swap."""
+
+    POLICIES = ("error", "warn-substitute")
+
+    @pytest.fixture(scope="class")
+    def partial(self, charlib_poly_90):
+        """NAND2 and AND2 lose their rising-input arcs on pin A."""
+        return _drop_arcs(
+            charlib_poly_90,
+            lambda a: a.cell in ("NAND2", "AND2") and a.pin == "A"
+            and a.input_rising,
+        )
+
+    @staticmethod
+    def _assert_per_gate(calc, charlib, policy):
+        """Each gate's arcs from ``calc`` (shared per cell) equal those
+        of a fresh calculator that resolves that gate alone."""
+        def keys(arcs):
+            return [arc.key for arc in arcs]
+
+        for gate in calc.ec.gates:
+            alone = DelayCalculator(calc.ec, charlib,
+                                    missing_arc_policy=policy)
+            for pin in gate.options:
+                assert (keys(calc.pin_arcs(gate, pin))
+                        == keys(alone.pin_arcs(gate, pin))), (
+                    gate.inst.name, pin)
+            assert keys(calc.gate_arcs(gate)) == keys(alone.gate_arcs(gate))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_shared_resolution_equals_per_gate(self, partial, policy):
+        sta = TruePathSTA(build_circuit("c432", scale=0.3), partial,
+                          missing_arc_policy=policy)
+        assert sum(g.cell.name == "NAND2" for g in sta.ec.gates) > 1
+        self._assert_per_gate(sta.calc, partial, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_swapped_gate_reads_its_new_cell(self, partial, policy):
+        sta = TruePathSTA(build_circuit("c432", scale=0.3), partial,
+                          missing_arc_policy=policy)
+        sta.calc.prune_bounds()  # resolve every gate before the edit
+        gate = next(g for g in sta.ec.gates if g.cell.name == "NAND2")
+        # The edit's two hooks, without the forward repair: under the
+        # error policy that repair raises on the first missing traversal.
+        sta.ec.swap_cell(gate, sta.circuit.library["AND2"])
+        sta.calc.invalidate_gates([gate.index])
+        self._assert_per_gate(sta.calc, partial, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_hopeless_cell_raises_for_each_gate_on_every_call(
+        self, charlib_poly_90, policy
+    ):
+        hopeless = _drop_arcs(charlib_poly_90, lambda a: a.cell == "NOR3")
+        sta = TruePathSTA(build_circuit("c432", scale=0.3), hopeless,
+                          missing_arc_policy=policy)
+        gates = [g for g in sta.ec.gates if g.cell.name == "NOR3"]
+        assert len(gates) > 1
+        for _ in range(2):
+            for gate in gates:
+                with pytest.raises(MissingArcsError,
+                                   match=re.escape(repr(gate.inst.name))):
+                    sta.calc.gate_arcs(gate)
 
 
 class TestEarlyAbandonPublication:
