@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -136,17 +137,12 @@ class TimingGraph:
         self.fanout: List[List[TimingArc]] = [[] for _ in range(n_nets)]
         #: net id -> incoming arcs (what the forward pass relaxes over).
         self.fanin: List[List[TimingArc]] = [[] for _ in range(n_nets)]
-        #: net id -> list of (gate index, pin) -- the exact ``sinks``
-        #: table the search hot loop indexes (kept materialized so the
-        #: substrate swap costs the hot path nothing).
-        self.sinks: List[List[Tuple[int, str]]] = [[] for _ in range(n_nets)]
         for gate in ec.gates:  # already topological
             for pin, src in zip(gate.cell.inputs, gate.input_nets):
                 arc = TimingArc(gate.index, pin, src, gate.output_net)
                 self.arcs.append(arc)
                 self.fanout[src].append(arc)
                 self.fanin[gate.output_net].append(arc)
-                self.sinks[src].append((gate.index, pin))
 
         #: net id -> level (primary inputs at 0).
         name_levels = net_levels(ec.circuit)
@@ -159,6 +155,14 @@ class TimingGraph:
         self.topo_nets: List[int] = sorted(
             range(n_nets), key=self.levels.__getitem__
         )
+
+    @cached_property
+    def sinks(self) -> List[List[Tuple[int, str]]]:
+        """net id -> list of (gate index, pin), in ``fanout`` order: the
+        table the search hot loop indexes (plain tuples, which it unpacks
+        faster than arcs).  Built on first read, so GBA and ECO requests,
+        which never search, never build it."""
+        return [[arc[:2] for arc in arcs] for arcs in self.fanout]
 
     # ------------------------------------------------------------------
     def forward_arrivals(self, calc: "DelayCalculator") -> ForwardTiming:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.gates.logic import BoolFunc
 
@@ -131,6 +131,16 @@ class Cell:
             return self._pin_index[pin]
         except KeyError:
             raise KeyError(f"{self.name} has no input pin {pin!r}") from None
+
+    def check_pins(self, connections: Mapping[str, str]) -> None:
+        """Raise :class:`ValueError` unless ``connections`` is keyed by
+        exactly this cell's input pins."""
+        if connections.keys() != self._pin_index.keys():
+            missing = set(self.inputs) - set(connections)
+            extra = set(connections) - set(self.inputs)
+            raise ValueError(
+                f"{self.name}: bad pin set (missing={sorted(missing)}, extra={sorted(extra)})"
+            )
 
     def evaluate(self, values: Dict[str, int]) -> int:
         """Evaluate the cell under a full pin-name -> 0/1 assignment."""

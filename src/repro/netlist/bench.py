@@ -16,13 +16,16 @@ feeding a final NAND; the logic function is preserved exactly).
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import Callable, Dict, List, Optional, TextIO, Tuple, Union
 
 from repro.gates.library import Library, default_library
 from repro.netlist.circuit import Circuit
 
-_LINE_RE = re.compile(r"^\s*(\w+)\s*=\s*(\w+)\s*\(([^)]*)\)\s*$")
-_IO_RE = re.compile(r"^\s*(INPUT|OUTPUT)\s*\(\s*([\w.\[\]]+)\s*\)\s*$", re.IGNORECASE)
+#: Net names: what an ``INPUT``/``OUTPUT`` line declares and what a gate
+#: line drives (``[\w.\[\]]+``, the names structural Verilog ports take).
+_NET = r"[\w.\[\]]+"
+_LINE_RE = re.compile(rf"^\s*({_NET})\s*=\s*(\w+)\s*\(([^)]*)\)\s*$")
+_IO_RE = re.compile(rf"^\s*(INPUT|OUTPUT)\s*\(\s*({_NET})\s*\)\s*$", re.IGNORECASE)
 
 #: bench keyword -> (library family prefix, wide-tree combiner family,
 #: whether the final stage inverts)
@@ -38,6 +41,11 @@ _FAMILIES = {
 _MAX_FANIN = 4
 _PIN_NAMES = "ABCD"
 
+#: One gate line: (line number, output net, upper-case keyword, operands).
+GateLine = Tuple[int, str, str, List[str]]
+#: Where emitted primitive gates go: ``add_gate(cell name, output, pins)``.
+AddGate = Callable[[str, str, Dict[str, str]], object]
+
 
 class BenchParseError(ValueError):
     """Raised on malformed ``.bench`` input."""
@@ -49,14 +57,33 @@ def parse_bench(
     library: Optional[Library] = None,
 ) -> Circuit:
     """Parse ``.bench`` text (a string or a file object) into a Circuit."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
-    library = library or default_library()
-    circuit = Circuit(name, library)
-    gate_lines: List[Tuple[int, str, str, List[str]]] = []
+    declarations, gate_lines = scan_bench(source)
+    circuit = Circuit(name, library or default_library())
+    for is_input, net in declarations:
+        if is_input:
+            circuit.add_input(net)
+        else:
+            circuit.add_output(net)
+    for gate_line in gate_lines:
+        emit_gate(circuit.add_gate, *gate_line)
+    circuit.check()
+    return circuit
 
+
+def scan_bench(
+    source: Union[str, TextIO],
+) -> Tuple[List[Tuple[bool, str]], List[GateLine]]:
+    """Split ``.bench`` text into its ``(is_input, net)`` declarations and
+    its gate lines, both in file order.
+
+    Raises :class:`BenchParseError` on the first line that is neither.
+    Readers replay every declaration before the first gate line, so a
+    gate that drives a declared input fails wherever the declaration
+    stands.
+    """
+    text = source.read() if hasattr(source, "read") else source
+    declarations: List[Tuple[bool, str]] = []
+    gate_lines: List[GateLine] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,37 +91,36 @@ def parse_bench(
         io_match = _IO_RE.match(line)
         if io_match:
             kind, net = io_match.groups()
-            if kind.upper() == "INPUT":
-                circuit.add_input(net)
-            else:
-                circuit.add_output(net)
+            declarations.append((kind.upper() == "INPUT", net))
             continue
         gate_match = _LINE_RE.match(line)
         if not gate_match:
             raise BenchParseError(f"line {lineno}: cannot parse {raw!r}")
         out, kind, args = gate_match.groups()
-        operands = [a.strip() for a in args.split(",") if a.strip()]
+        operands = [a.strip() for a in args.split(",")] if args.strip() else []
+        if "" in operands:
+            raise BenchParseError(f"line {lineno}: empty operand in {raw!r}")
         gate_lines.append((lineno, out, kind.upper(), operands))
-
-    for lineno, out, kind, operands in gate_lines:
-        _emit_gate(circuit, out, kind, operands, lineno)
-
-    circuit.check()
-    return circuit
+    return declarations, gate_lines
 
 
-def _emit_gate(
-    circuit: Circuit, out: str, kind: str, operands: List[str], lineno: int
+def emit_gate(
+    add_gate: AddGate, lineno: int, out: str, kind: str, operands: List[str]
 ) -> None:
+    """Emit one gate line as library primitives through ``add_gate``.
+
+    Fan-in beyond the library's widest cell becomes a balanced tree whose
+    internal nets are named ``<out>__w<k>``; the tree's gates go first.
+    """
     if kind in ("NOT", "INV"):
         if len(operands) != 1:
             raise BenchParseError(f"line {lineno}: NOT takes one operand")
-        circuit.add_gate("INV", out, {"A": operands[0]})
+        add_gate("INV", out, {"A": operands[0]})
         return
     if kind in ("BUFF", "BUF"):
         if len(operands) != 1:
             raise BenchParseError(f"line {lineno}: BUFF takes one operand")
-        circuit.add_gate("BUF", out, {"A": operands[0]})
+        add_gate("BUF", out, {"A": operands[0]})
         return
     family = _FAMILIES.get(kind)
     if family is None:
@@ -104,9 +130,7 @@ def _emit_gate(
         raise BenchParseError(f"line {lineno}: {kind} needs >= 2 operands")
     max_width = 2 if combiner == "XOR" else _MAX_FANIN
     if len(operands) <= max_width:
-        cell = f"{prefix}{len(operands)}"
-        pins = {p: n for p, n in zip(_PIN_NAMES, operands)}
-        circuit.add_gate(cell, out, pins)
+        add_gate(f"{prefix}{len(operands)}", out, dict(zip(_PIN_NAMES, operands)))
         return
     # Decompose a wide gate: reduce with the non-inverting combiner and
     # finish with one final (possibly inverting) stage.
@@ -121,13 +145,11 @@ def _emit_gate(
                 continue
             mid = f"{out}__w{counter}"
             counter += 1
-            cell = f"{combiner}{len(chunk)}"
-            circuit.add_gate(cell, mid, dict(zip(_PIN_NAMES, chunk)))
+            add_gate(f"{combiner}{len(chunk)}", mid, dict(zip(_PIN_NAMES, chunk)))
             next_stage.append(mid)
         stage = next_stage
     final_prefix = prefix if inverting else combiner
-    cell = f"{final_prefix}{len(stage)}"
-    circuit.add_gate(cell, out, dict(zip(_PIN_NAMES, stage)))
+    add_gate(f"{final_prefix}{len(stage)}", out, dict(zip(_PIN_NAMES, stage)))
 
 
 # ----------------------------------------------------------------------

@@ -129,12 +129,7 @@ class Circuit:
         """
         if isinstance(cell, str):
             cell = self.library[cell]
-        missing = set(cell.inputs) - set(connections)
-        extra = set(connections) - set(cell.inputs)
-        if missing or extra:
-            raise ValueError(
-                f"{cell.name}: bad pin set (missing={sorted(missing)}, extra={sorted(extra)})"
-            )
+        cell.check_pins(connections)
         if name is None:
             k = len(self.instances)
             while f"U{k}" in self.instances:

@@ -7,10 +7,15 @@ AO / OA / AOI / OAI cells, and inverter pairs merge.  This mirrors what
 a synthesis tool does and is what puts multi-sensitization-vector gates
 onto circuit paths, the situation the paper studies.
 
-:func:`unmap` is the inverse: every complex gate is decomposed back into
-primitives following its declared pull-down network structure.  The
-paper cites decomposition-before-analysis as a known source of timing
-inaccuracy; ``unmap`` lets the benchmarks quantify that (ablation).
+:func:`techmap_bench` maps ``.bench`` text in one step: the reader's
+primitive gates go straight into the rewrite passes' node table, so
+only the mapped circuit is built.
+
+:func:`unmap` is the inverse of :func:`techmap`: every complex gate is
+decomposed back into primitives following its declared pull-down
+network structure.  The paper cites decomposition-before-analysis as a
+known source of timing inaccuracy; ``unmap`` lets the benchmarks
+quantify that (ablation).
 
 Both directions preserve the boolean function of every primary output;
 :func:`equivalent` spot-checks this.
@@ -18,12 +23,14 @@ Both directions preserve the boolean function of every primary output;
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, TextIO, Tuple, Union
 
 from repro.gates.cell import NetworkExpr
-from repro.gates.library import Library
+from repro.gates.library import Library, default_library
+from repro.netlist.bench import emit_gate, scan_bench
 from repro.netlist.circuit import Circuit
 
 #: Internal mutable netlist node: output net -> (cell name, pin -> net).
@@ -87,17 +94,87 @@ def techmap(circuit: Circuit, library: Optional[Library] = None) -> Circuit:
     fanout internal nets: inverter absorption (``INV(AND2) -> NAND2``)
     and two-level cluster collapse (``OR2(AND2, AND2) -> AO22``).
     """
-    library = library or circuit.library
     nodes, fanout = _extract(circuit)
+    return _map(circuit.name, circuit.inputs, circuit.outputs, nodes, fanout,
+                library or circuit.library)
+
+
+def techmap_bench(
+    source: Union[str, TextIO],
+    name: str = "bench",
+    library: Optional[Library] = None,
+) -> Circuit:
+    """``techmap(parse_bench(source, name, library))``, building one circuit.
+
+    The reader's primitive gates go straight into the node table the
+    rewrite passes work on, so no primitive :class:`Circuit` is built.
+    The table gets the structural checks :meth:`Circuit.add_gate` and
+    :meth:`Circuit.check` would make, with the same errors in the same
+    order, and the mapped circuit equals the two-step one: name, ports,
+    net order, instance names, cells, pins and topological order.
+    """
+    library = library or default_library()
+    declarations, gate_lines = scan_bench(source)
+    inputs = list(dict.fromkeys(net for is_in, net in declarations if is_in))
+    outputs = list(dict.fromkeys(net for is_in, net in declarations if not is_in))
+    input_set = set(inputs)
+    # Keyed in the order ``parse_bench``'s circuit creates its nets.
+    fanout: Dict[str, int] = dict.fromkeys((net for _, net in declarations), 0)
+    nodes: Dict[str, _Node] = {}
+    # Nets read before the line that drives them (or never driven).
+    reads_ahead: List[str] = []
+
+    def add_gate(cell_name: str, out: str, pins: Dict[str, str]) -> None:
+        library[cell_name].check_pins(pins)
+        if out in nodes:
+            raise ValueError(f"net {out} has two drivers")
+        if out in input_set:
+            raise ValueError(f"net {out} is a primary input; cannot be driven")
+        fanout.setdefault(out, 0)
+        for net in pins.values():
+            fanout[net] = fanout.get(net, 0) + 1
+            if net not in nodes and net not in input_set:
+                reads_ahead.append(net)
+        nodes[out] = (cell_name, pins)
+
+    for gate_line in gate_lines:
+        emit_gate(add_gate, *gate_line)
+    for net in fanout:
+        if net not in nodes and net not in input_set:
+            raise ValueError(f"net {net} has no driver and is not an input")
+    # A table whose gates read only inputs and earlier gates is in
+    # topological order, so only one with a read ahead can hold a loop.
+    if reads_ahead:
+        graph = {out: [net for net in pins.values() if net in nodes]
+                 for out, (_cell, pins) in nodes.items()}
+        try:
+            graphlib.TopologicalSorter(graph).prepare()
+        except graphlib.CycleError:
+            raise ValueError(f"{name}: combinational loop detected") from None
+    return _map(name, inputs, outputs, nodes, fanout, library)
+
+
+def _map(name: str, inputs: List[str], outputs: List[str], nodes, fanout,
+         library: Library) -> Circuit:
+    """Run the rewrite passes to a fixpoint and build the mapped circuit."""
+    po = set(outputs)
     changed = True
     while changed:
-        changed = _pass_inv_merge(circuit, nodes, fanout, library)
-        changed = _pass_two_level(circuit, nodes, fanout, library) or changed
+        changed = _pass_inv_merge(nodes, fanout, po, library)
+        changed = _pass_two_level(nodes, fanout, po, library) or changed
         # Bubble absorption runs last so it only eats inverters the
         # higher-value cluster patterns left behind.
         if not changed:
-            changed = _pass_bubble(circuit, nodes, fanout, library)
-    return _rebuild(circuit, nodes, library, suffix="mapped")
+            changed = _pass_bubble(nodes, fanout, po, library)
+    out = Circuit(f"{name}_mapped", library)
+    for net in inputs:
+        out.add_input(net)
+    for net in outputs:
+        out.add_output(net)
+    for out_net, (cell_name, pins) in nodes.items():
+        out.add_gate(cell_name, out_net, pins)
+    out.check()
+    return out
 
 
 def unmap(circuit: Circuit, library: Optional[Library] = None) -> Circuit:
@@ -174,13 +251,9 @@ def _extract(circuit: Circuit):
     return nodes, fanout
 
 
-def _absorbable(circuit: Circuit, nodes, fanout, net: str) -> bool:
+def _absorbable(nodes, fanout, outputs: Set[str], net: str) -> bool:
     """Whether the gate driving ``net`` can be swallowed by its one sink."""
-    return (
-        net in nodes
-        and fanout.get(net, 0) == 1
-        and not circuit.nets[net].is_output
-    )
+    return net in nodes and fanout.get(net, 0) == 1 and net not in outputs
 
 
 def _remove(nodes, fanout, net: str) -> None:
@@ -189,7 +262,7 @@ def _remove(nodes, fanout, net: str) -> None:
         fanout[src] -= 1
 
 
-def _pass_inv_merge(circuit: Circuit, nodes, fanout, library: Library) -> bool:
+def _pass_inv_merge(nodes, fanout, outputs: Set[str], library: Library) -> bool:
     changed = False
     for out_net in list(nodes):
         if out_net not in nodes:
@@ -198,7 +271,7 @@ def _pass_inv_merge(circuit: Circuit, nodes, fanout, library: Library) -> bool:
         if cell_name != "INV":
             continue
         src = pins["A"]
-        if not _absorbable(circuit, nodes, fanout, src):
+        if not _absorbable(nodes, fanout, outputs, src):
             continue
         inner_cell, inner_pins = nodes[src]
         replacement = _INV_MERGE.get(inner_cell)
@@ -223,7 +296,7 @@ _BUBBLE = {
 }
 
 
-def _pass_bubble(circuit: Circuit, nodes, fanout, library: Library) -> bool:
+def _pass_bubble(nodes, fanout, outputs: Set[str], library: Library) -> bool:
     """Absorb a fanout-1 inverter into a bubbled-input gate variant."""
     changed = False
     for out_net in list(nodes):
@@ -235,7 +308,7 @@ def _pass_bubble(circuit: Circuit, nodes, fanout, library: Library) -> bool:
             continue
         for pin in ("A", "B"):
             src = pins[pin]
-            if not _absorbable(circuit, nodes, fanout, src):
+            if not _absorbable(nodes, fanout, outputs, src):
                 continue
             inner_cell, inner_pins = nodes[src]
             if inner_cell != "INV":
@@ -254,7 +327,7 @@ def _pass_bubble(circuit: Circuit, nodes, fanout, library: Library) -> bool:
     return changed
 
 
-def _pass_two_level(circuit: Circuit, nodes, fanout, library: Library) -> bool:
+def _pass_two_level(nodes, fanout, outputs: Set[str], library: Library) -> bool:
     changed = False
     for out_net in list(nodes):
         if out_net not in nodes:
@@ -263,9 +336,9 @@ def _pass_two_level(circuit: Circuit, nodes, fanout, library: Library) -> bool:
         if cell_name not in ("AND2", "OR2", "NAND2", "NOR2"):
             continue
         in_a, in_b = pins["A"], pins["B"]
-        match = _match_cluster(circuit, nodes, fanout, cell_name, in_a, in_b, library)
+        match = _match_cluster(nodes, fanout, outputs, cell_name, in_a, in_b, library)
         if match is None:
-            match = _match_cluster(circuit, nodes, fanout, cell_name, in_b, in_a, library)
+            match = _match_cluster(nodes, fanout, outputs, cell_name, in_b, in_a, library)
         if match is None:
             continue
         replacement, new_pins, absorbed = match
@@ -279,47 +352,29 @@ def _pass_two_level(circuit: Circuit, nodes, fanout, library: Library) -> bool:
     return changed
 
 
-def _match_cluster(circuit, nodes, fanout, outer: str, first: str, second: str,
-                   library: Library):
+def _match_cluster(nodes, fanout, outputs: Set[str], outer: str, first: str,
+                   second: str, library: Library):
     """Try to collapse ``outer(first, second)`` with ``first`` (and
     possibly ``second``) being absorbable inner AND2/OR2 gates."""
-    if not _absorbable(circuit, nodes, fanout, first):
+    if not _absorbable(nodes, fanout, outputs, first):
         return None
     inner_cell, inner_pins = nodes[first]
     both = None
-    if _absorbable(circuit, nodes, fanout, second):
+    if _absorbable(nodes, fanout, outputs, second):
         second_cell, second_pins = nodes[second]
         key = (outer, inner_cell, second_cell)
         both = _TWO_LEVEL.get(key)
         if both is not None and both in library:
-            if outer in ("AND2", "NAND2"):
-                new_pins = {
-                    "A": inner_pins["A"], "B": inner_pins["B"],
-                    "C": second_pins["A"], "D": second_pins["B"],
-                }
-            else:
-                new_pins = {
-                    "A": inner_pins["A"], "B": inner_pins["B"],
-                    "C": second_pins["A"], "D": second_pins["B"],
-                }
+            new_pins = {
+                "A": inner_pins["A"], "B": inner_pins["B"],
+                "C": second_pins["A"], "D": second_pins["B"],
+            }
             return both, new_pins, [first, second]
     single = _TWO_LEVEL.get((outer, inner_cell, None))
     if single is not None and single in library:
         new_pins = {"A": inner_pins["A"], "B": inner_pins["B"], "C": second}
         return single, new_pins, [first]
     return None
-
-
-def _rebuild(circuit: Circuit, nodes, library: Library, suffix: str) -> Circuit:
-    out = Circuit(f"{circuit.name}_{suffix}", library)
-    for net in circuit.inputs:
-        out.add_input(net)
-    for net in circuit.outputs:
-        out.add_output(net)
-    for out_net, (cell_name, pins) in nodes.items():
-        out.add_gate(cell_name, out_net, pins)
-    out.check()
-    return out
 
 
 def _decompose(out: Circuit, pin_map: Dict[str, str], target: str,

@@ -37,7 +37,7 @@ from repro.core.report import format_slack_report, slack_report
 from repro.gates.library import default_library
 from repro.netlist.bench import parse_bench
 from repro.netlist.circuit import Circuit
-from repro.netlist.techmap import techmap
+from repro.netlist.techmap import techmap_bench
 from repro.netlist.verilog import parse_verilog
 from repro.resilience.budgets import CompletenessReport, SearchBudgets
 from repro.resilience.errors import ConfigError
@@ -67,8 +67,9 @@ def load_circuit(path: str, map_to_complex: bool = True) -> Circuit:
     text = file_path.read_text()
     if file_path.suffix == ".v":
         return parse_verilog(text)
-    circuit = parse_bench(text, name=file_path.stem)
-    return techmap(circuit) if map_to_complex else circuit
+    if map_to_complex:
+        return techmap_bench(text, name=file_path.stem)
+    return parse_bench(text, name=file_path.stem)
 
 
 def cached_charlib(

@@ -87,6 +87,31 @@ class TestOneSession:
         assert "gba_pessimism vs" in outcome.report
         assert len(builds) == 1
 
+    def test_gba_and_edits_never_build_sinks(self, charlib_poly_90):
+        """The search's ``(gate index, pin)`` table is built on its first
+        read; a GBA pass and an ECO edit never read it, and the built
+        table lists every arc's pair in fanout order."""
+        from repro.eval.iscas import build_circuit
+
+        session = TruePathSTA(build_circuit("c432", scale=0.1),
+                              charlib_poly_90)
+        session.gba()
+        gate = next(i for i in session.circuit.instances.values()
+                    if i.cell.name == "NAND2")
+        session.replace_cell(gate.name, "NOR2")
+        session.gba()
+        tgraph = session.ec.tgraph
+        assert "sinks" not in tgraph.__dict__
+        session.n_worst_paths(3)
+        assert "sinks" in tgraph.__dict__
+        eager = [[] for _ in range(session.ec.num_nets)]
+        for g in session.ec.gates:
+            for pin, src in zip(g.cell.inputs, g.input_nets):
+                eager[src].append((g.index, pin))
+        assert tgraph.sinks == eager
+        assert {type(pair) for sinks in tgraph.sinks for pair in sinks} \
+            == {tuple}
+
     def test_vector_blind_follows_the_library(self, charlib_poly_90,
                                               charlib_lut_90):
         assert not TruePathSTA(c17(), charlib_poly_90).calc.vector_blind
