@@ -534,9 +534,11 @@ def main(argv: Optional[list] = None) -> int:
                       help="stop the sizing loop after this much "
                            "wall-clock time")
     size.add_argument("--extension-budget", type=int, default=None,
-                      metavar="N", help="cap extensions per path search")
+                      metavar="N",
+                      help="cap extensions per origin of each path search")
     size.add_argument("--backtrack-budget", type=int, default=None,
-                      metavar="N", help="cap backtracks per path search")
+                      metavar="N",
+                      help="cap backtracks per origin of each path search")
     size.add_argument("--json", default=None, metavar="PATH",
                       help="write the move-by-move sizing report to PATH")
     size.add_argument("--log-level", default=None,

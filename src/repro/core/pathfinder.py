@@ -20,6 +20,10 @@ flow.  Paths with the same course but different vectors are kept
 distinct.  On reaching an output the path is recorded and the search
 returns to the last saved state.
 
+One :meth:`PathFinder.search` call walks one origin; the supervised
+driver (:mod:`repro.resilience.supervisor`) is the loop over origins and
+the one place a search's counters are published.
+
 Hot-path shortcut: an extension whose vector adds no *new* unjustified
 requirement beyond the already-justified prefix needs no justification
 re-solve -- forward implication alone proves it -- which the search
@@ -32,7 +36,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.delaycalc import DelayCalculator
 from repro.core.engine import (
@@ -50,20 +54,15 @@ from repro.core.path import PathStep, PolarityTiming, TimedPath
 from repro.core.tgraph import PruneBounds
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
-from repro.resilience.budgets import (
-    BudgetLedger,
-    CompletenessReport,
-    OriginOutcome,
-    SearchBudgets,
-)
+from repro.resilience.budgets import BudgetLedger, OriginOutcome, SearchBudgets
 from repro.resilience.errors import ConfigError
 
 #: Extensions between progress-hook invocations -- a power of two so
 #: the hot loop's check is one branch on a modulo of a constant.
 PROGRESS_EXTENSION_INTERVAL = 1024
 
-#: The delay-calculator counters a run publishes as deltas (and a shard
-#: of the supervised driver ships home).
+#: The delay-calculator counters an origin's search measures as deltas
+#: (and the supervised driver publishes).
 DELTA_KEYS = (
     "delaycalc.arc_evaluations",
     "delaycalc.arc_cache_hits",
@@ -89,11 +88,10 @@ def keep_worst(best: List[float], n_worst: int, arrival: float) -> None:
 class SearchStats:
     """Counters exposed by one search run.
 
-    The hot loop updates plain attributes (free); :meth:`publish`
-    mirrors them into the process-wide :mod:`repro.obs.metrics`
-    registry as ``pathfinder.*`` counters, both unlabeled and labeled
-    with the circuit name, publishing only the delta since the last
-    call so repeated searches accumulate correctly.
+    The hot loop updates plain attributes (free); :meth:`publish` adds
+    them to the process-wide :mod:`repro.obs.metrics` registry as
+    ``pathfinder.*`` counters, both unlabeled and labeled with the
+    circuit name.
     """
 
     paths_found: int = 0
@@ -110,35 +108,41 @@ class SearchStats:
     #: Prunes only the backward required-time bound achieved -- the
     #: legacy context-free suffix sum would have kept the extension.
     bound_prunes: int = 0
-    #: Runs (or shards) whose search budget tripped before exhaustion;
-    #: the path list is partial and tagged with per-origin completeness.
+    #: Origins whose search budget tripped before exhaustion; their
+    #: path lists are partial and tagged with per-origin completeness.
     budget_trips: int = 0
     cpu_seconds: float = 0.0
-    _published: Dict[str, float] = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> Dict[str, float]:
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+        return dict(vars(self))
 
-    def merge(self, other: Dict[str, float]) -> None:
-        """Fold another run's counter dict (:meth:`as_dict`) into this
-        one -- how the supervised driver combines per-shard stats."""
-        for name, value in other.items():
-            if name.startswith("_"):
-                continue
-            setattr(self, name, getattr(self, name, 0) + value)
+    def merge(self, other: "SearchStats") -> None:
+        """Add another run's counters to this one's -- how the
+        supervised driver combines per-shard stats."""
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
     def publish(self, circuit: Optional[str] = None) -> None:
         registry = obs_metrics.REGISTRY
         for name, value in self.as_dict().items():
-            delta = value - self._published.get(name, 0)
             # Register even zero-valued counters so a snapshot always
             # shows the full pathfinder effort schema.
-            registry.counter(f"pathfinder.{name}").inc(max(delta, 0))
+            registry.counter(f"pathfinder.{name}").inc(value)
             if circuit:
                 registry.counter(f"pathfinder.{name}", circuit=circuit).inc(
-                    max(delta, 0)
+                    value
                 )
-            self._published[name] = value
+
+
+class OriginSearch(NamedTuple):
+    """One origin's search (:meth:`PathFinder.search`), and what a
+    supervised shard ships home."""
+
+    paths: List[TimedPath]
+    outcome: OriginOutcome
+    stats: SearchStats
+    #: ``delaycalc.*`` counter deltas (:data:`DELTA_KEYS`).
+    calc_deltas: Dict[str, int]
 
 
 @dataclass
@@ -169,73 +173,17 @@ class _Frame:
     justified: int = 0
 
 
-class PathStream:
-    """Iterator over one search run with deterministic stats publication.
-
-    Wraps the finder's generator so that abandoning the iteration early
-    (e.g. stopping after N paths) still publishes :class:`SearchStats`
-    and the ``delaycalc.*`` counter deltas the moment :meth:`close` runs
-    -- instead of whenever the garbage collector finalizes the
-    generator, which leaves metric snapshots taken in between silently
-    incomplete.  Exhausting the iterator publishes as well; ``close``
-    is idempotent.  Usable as a context manager::
-
-        with finder.find_paths() as stream:
-            for path in stream:
-                ...
-    """
-
-    def __init__(self, finder: "PathFinder", inputs: Optional[Sequence[str]]):
-        self._finder = finder
-        self._gen = finder._iter_paths(inputs)
-        self._started = time.perf_counter()
-        self._counters_before = _calc_counters(finder.calc)
-        self._published = False
-
-    def __iter__(self) -> "PathStream":
-        return self
-
-    def __next__(self) -> TimedPath:
-        try:
-            return next(self._gen)
-        except StopIteration:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Stop the search (if still running) and publish its stats."""
-        if self._published:
-            return
-        self._published = True
-        self._gen.close()
-        elapsed = time.perf_counter() - self._started
-        self._finder._publish_run(elapsed, self._counters_before)
-        # The finder points back at this stream; dropping the other half
-        # lets a finished search be freed by reference counting.
-        self._finder = None
-
-    def __enter__(self) -> "PathStream":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
 class PathFinder:
-    """Enumerates true paths with exhaustive vector exploration.
+    """Enumerates the true paths of one origin at a time, with
+    exhaustive vector exploration (:meth:`search`).
 
     Parameters
     ----------
     ec / calc:
         Indexed circuit and its delay calculator.
     max_paths:
-        Stop after this many recorded paths (None = exhaustive).
+        Stop an origin's search after this many recorded paths (None =
+        exhaustive).
     n_worst:
         When set, prune extensions that provably cannot reach the
         current N-th worst arrival, using the timing graph's backward
@@ -244,9 +192,10 @@ class PathFinder:
         sum).
     best:
         The top-N heap (see :func:`keep_worst`) to prune against and
-        record into.  The supervised driver hands one list to every
-        in-process origin shard, so they prune exactly like one serial
-        run; None starts an empty heap.
+        record into, shared by every search of this finder.  The
+        supervised driver hands one list to every in-process origin
+        shard, so they prune exactly like one serial run; None starts
+        an empty heap.
     single_polarity:
         Restrict the trace to one input polarity (``RISING`` or
         ``FALLING``).  The default (None) is the paper's dual-value
@@ -270,13 +219,14 @@ class PathFinder:
         A/B effort measurements in the benchmarks).
     budgets:
         Optional :class:`~repro.resilience.budgets.SearchBudgets`
-        (wall-clock / extension / backtrack caps).  An exhausted budget
-        stops the search *cleanly*: recorded paths are kept, and
-        :attr:`completeness` tags every origin ``complete`` /
-        ``partial`` / ``skipped`` so callers can attach sound GBA
-        bounds to the unfinished ones (anytime degraded mode).  The
-        ``max_paths`` stop tags the origin it cut and every later one
-        ``capped`` instead, which is not a degradation.
+        (wall-clock / extension / backtrack caps), one ledger per
+        search: every origin gets the full extension and backtrack
+        allowances.  An exhausted budget stops the search *cleanly*:
+        recorded paths are kept, and the origin's outcome is
+        ``partial`` (``skipped`` when the wall deadline had passed
+        before it started) so callers can attach sound GBA bounds to
+        it (anytime degraded mode).  The ``max_paths`` stop tags the
+        origin ``capped`` instead, which is not a degradation.
     """
 
     def __init__(
@@ -304,17 +254,15 @@ class PathFinder:
         #: :data:`PROGRESS_EXTENSION_INTERVAL` extensions and on every
         #: recorded path); the hook throttles itself on wall clock.
         self.progress = progress
-        #: Worst arrival recorded so far (the live "best bound").
+        #: Worst arrival the current search recorded (the live "best
+        #: bound").
         self.best_arrival: Optional[float] = None
-        self.completeness = CompletenessReport()
         self._ledger: Optional[BudgetLedger] = None
         self._origin: int = -1
+        #: The current search's counters (the progress hook reads them).
         self.stats = SearchStats()
         self._bounds: Optional[PruneBounds] = None
         self._best: List[float] = best if best is not None else []
-        self._stream: Optional[PathStream] = None
-        #: ``delaycalc.*`` counter deltas of the last closed run.
-        self.calc_deltas: Dict[str, int] = {}
         if max_paths is not None and max_paths < 0:
             raise ConfigError(f"max_paths must be >= 0, got {max_paths}")
         if n_worst is not None:
@@ -325,102 +273,41 @@ class PathFinder:
             self._bounds = calc.prune_bounds()
 
     # ------------------------------------------------------------------
-    def find_paths(
-        self, inputs: Optional[Sequence[str]] = None
-    ) -> PathStream:
-        """Stream every true path (x vector combination) of the circuit.
-
-        ``inputs`` restricts the origins (default: all primary inputs,
-        in declaration order).  The returned :class:`PathStream` is a
-        plain iterator that additionally supports ``close()`` and the
-        context-manager protocol for deterministic stats publication.
-        """
-        stream = PathStream(self, inputs)
-        self._stream = stream
-        return stream
-
-    def close(self) -> None:
-        """Close (and publish) the most recent :meth:`find_paths` run."""
-        if self._stream is not None:
-            self._stream.close()
-
-    def __enter__(self) -> "PathFinder":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def _publish_run(
-        self, elapsed: float, counters_before: Tuple[int, int, int, int]
-    ) -> None:
-        self.stats.cpu_seconds += elapsed
-        name = self.ec.circuit.name
-        self.stats.publish(name)
-        self.calc_deltas = {
+    def search(self, origin: str) -> OriginSearch:
+        """Every true path (x vector combination) from primary input
+        ``origin``, in search order, with the origin's completeness
+        outcome, counters and ``delaycalc.*`` deltas.  Publishes
+        nothing: the supervised driver folds and publishes them."""
+        stats = self.stats = SearchStats()
+        self.best_arrival = None
+        ledger = self._ledger = (
+            BudgetLedger(self.budgets)
+            if self.budgets is not None and self.budgets.bounded() else None
+        )
+        started = time.perf_counter()
+        counters_before = _calc_counters(self.calc)
+        outcome = OriginOutcome(origin, "complete")
+        paths: List[TimedPath] = []
+        if self._done():
+            outcome.status = "capped"
+        elif ledger is not None and not ledger.admits_origin():
+            # The shared wall deadline passed before this origin's turn.
+            outcome.status = "skipped"
+            stats.budget_trips = 1
+        else:
+            self._search_from(self.ec.net_id[origin], paths)
+            outcome.paths_found = len(paths)
+            if self._done():
+                outcome.status = "capped"
+            elif ledger is not None and ledger.exhausted:
+                outcome.status = "partial"
+                stats.budget_trips = 1
+        stats.cpu_seconds = time.perf_counter() - started
+        deltas = {
             key: after - before for key, after, before
             in zip(DELTA_KEYS, _calc_counters(self.calc), counters_before)
         }
-        registry = obs_metrics.REGISTRY
-        for key, delta in self.calc_deltas.items():
-            # Register even a zero delta so the snapshot schema is stable.
-            registry.counter(key).inc(delta)
-            registry.counter(key, circuit=name).inc(delta)
-
-    def _iter_paths(
-        self, inputs: Optional[Sequence[str]]
-    ) -> Iterator[TimedPath]:
-        origin_ids = list(
-            self.ec.input_ids
-            if inputs is None
-            else [self.ec.net_id[name] for name in inputs]
-        )
-        if self.budgets is not None and self.budgets.bounded():
-            self._ledger = BudgetLedger(self.budgets)
-        outcomes = self.completeness.origins
-        outcomes.clear()
-        names = self.ec.net_names
-        tripped = False
-        try:
-            for index, origin in enumerate(origin_ids):
-                name = names[origin]
-                if self._ledger is not None \
-                        and not self._ledger.admits_origin():
-                    if not tripped:  # the shared deadline passed first
-                        tripped = True
-                        self.stats.budget_trips += 1
-                    outcomes[name] = OriginOutcome(name, "skipped")
-                    continue
-                before = self.stats.paths_found
-                # Pre-registered as partial so an abandoned iteration
-                # (early close, SIGINT) still reports truthfully.
-                outcome = OriginOutcome(name, "partial")
-                outcomes[name] = outcome
-                yield from self._search_from(origin)
-                outcome.paths_found = self.stats.paths_found - before
-                if self._done():
-                    # The max_paths cap stopped the run in this origin;
-                    # the rest are never visited.
-                    outcome.status = "capped"
-                    self._mark_unvisited(origin_ids[index + 1:], "capped")
-                    return
-                if self._ledger is not None and self._ledger.exhausted:
-                    if not tripped:
-                        tripped = True
-                        self.stats.budget_trips += 1
-                else:
-                    outcome.status = "complete"
-        except GeneratorExit:
-            self._mark_unvisited(origin_ids)
-            raise
-
-    def _mark_unvisited(self, origin_ids: Sequence[int],
-                        status: str = "skipped") -> None:
-        """Tag origins never searched this run with ``status``."""
-        outcomes = self.completeness.origins
-        names = self.ec.net_names
-        for origin in origin_ids:
-            outcomes.setdefault(names[origin],
-                                OriginOutcome(names[origin], status))
+        return OriginSearch(paths, outcome, stats, deltas)
 
     def _done(self) -> bool:
         return self.max_paths is not None and self.stats.paths_found >= self.max_paths
@@ -434,7 +321,9 @@ class PathFinder:
                 out.append((gate, pin, option))
         return out
 
-    def _search_from(self, origin: int) -> Iterator[TimedPath]:
+    def _search_from(self, origin: int, paths: List[TimedPath]) -> None:
+        """Depth-first search from ``origin``, appending each recorded
+        path to ``paths``."""
         self._origin = origin
         state = EngineState(self.ec)
         state.assign(origin, Value9.RISE, RISING)
@@ -511,7 +400,7 @@ class PathFinder:
                         self.best_arrival = path.worst_arrival
                     if progress is not None:
                         progress(self)
-                    yield path
+                    paths.append(path)
                     if self._done():
                         return
 

@@ -11,13 +11,13 @@ every front end analyzes with::
     endpoints = sta.gba()                   # block-based endpoint arrivals
     sta.replace_cell("U7", "NAND2_X2")      # an ECO edit
 
-:meth:`TruePathSTA.analyze` is the search driver of the developed tool
-(the CLI and the service call it for every request);
-:meth:`~TruePathSTA.iter_paths` is the plain stream underneath, kept as
-the reference of the equivalence tests and for library callers.
-:meth:`~TruePathSTA.gba` reads the session's forward timing, which runs
-on first use; an edit repairs that timing and both pruning bounds in
-its dirty cone (:mod:`repro.core.incremental`).
+:meth:`TruePathSTA.analyze` is the session's one search: the CLI and
+the service call it for every request, and
+:meth:`~TruePathSTA.enumerate_paths`, :meth:`~TruePathSTA.n_worst_paths`
+and :meth:`~TruePathSTA.worst_path` read it.  :meth:`~TruePathSTA.gba`
+reads the session's forward timing, which runs on first use; an edit
+repairs that timing and both pruning bounds in its dirty cone
+(:mod:`repro.core.incremental`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DEFAULT_INPUT_SLEW, DelayCalculator
 from repro.core.engine import EngineCircuit, EngineGate
 from repro.core.path import TimedPath
-from repro.core.pathfinder import PathFinder, PathStream, SearchStats
+from repro.core.pathfinder import SearchStats
 from repro.core.tgraph import ForwardTiming
 from repro.gates.cell import Cell
 from repro.gates.library import DRIVE_SUFFIX
@@ -117,48 +117,12 @@ class TruePathSTA:
         ] = {}
 
     # ------------------------------------------------------------------
-    def iter_paths(
-        self,
-        max_paths: Optional[int] = None,
-        inputs: Optional[Sequence[str]] = None,
-        n_worst: Optional[int] = None,
-        single_polarity: Optional[int] = None,
-        complete: bool = False,
-        budgets: Optional[SearchBudgets] = None,
-    ) -> PathStream:
-        """Stream true paths as the single-pass search finds them.
-
-        The returned :class:`PathStream` is a plain iterator that also
-        supports ``close()`` and the context-manager protocol: closing
-        it (or exhausting it) publishes the run's :class:`SearchStats`
-        and ``delaycalc.*`` counters immediately, so metric snapshots
-        taken after an early stop are complete.
-        """
-        finder = PathFinder(
-            self.ec,
-            self.calc,
-            max_paths=max_paths,
-            n_worst=n_worst,
-            single_polarity=single_polarity,
-            complete=complete,
-            budgets=budgets,
-        )
-        self.last_stats = finder.stats
-        self.last_completeness = finder.completeness
-        return finder.find_paths(inputs=inputs)
-
     def enumerate_paths(self, jobs: Optional[int] = None, **kwargs) -> List[TimedPath]:
-        """All true paths x sensitization-vector combinations.
-
-        ``jobs`` > 1 shards the search across primary inputs on
-        supervised worker processes (:meth:`analyze`) and merges the
-        per-origin streams in declaration order.
-        """
-        if jobs is not None and jobs > 1:
-            return self.analyze(jobs=jobs, **kwargs).paths
-        with span("pathfinder.search"):
-            with self.iter_paths(**kwargs) as stream:
-                return list(stream)
+        """All true paths x sensitization-vector combinations, in
+        origin declaration order: :meth:`analyze`'s paths (``jobs`` > 1
+        shards the search across primary inputs on supervised worker
+        processes)."""
+        return self.analyze(jobs=jobs or 1, **kwargs).paths
 
     def analyze(
         self,
@@ -178,17 +142,16 @@ class TruePathSTA:
         progress: bool = False,
         heartbeat_timeout: Optional[float] = None,
     ) -> supervisor.AnalysisResult:
-        """The search driver: supervised anytime analysis that always
+        """The session's search: supervised anytime analysis that always
         returns a report.
 
         Runs one shard per origin under
         :class:`~repro.resilience.supervisor.ShardSupervisor`.  With
         ``jobs=1`` the shards search in-process on this session's
-        ``ec``/``calc``, sharing one top-N heap and one ``max_paths``
-        count, so the paths, their order and every work counter equal
-        the plain :meth:`iter_paths` stream's; ``jobs > 1`` runs them on
-        worker processes that search this same session (merge semantics
-        in :mod:`repro.resilience.supervisor`).  ``budgets`` give every
+        ``ec``/``calc``, in origin order, sharing one top-N heap and one
+        ``max_paths`` count; ``jobs > 1`` runs them on worker processes
+        that search this same session (merge semantics in
+        :mod:`repro.resilience.supervisor`).  ``budgets`` give every
         origin the full extension and backtrack allowances, and the
         whole call one wall-clock deadline.  When an origin came back
         degraded, the worst endpoint arrival of this session's
@@ -268,9 +231,7 @@ class TruePathSTA:
                     "incremental.nworst_cache_hits").inc()
                 return list(cached[1])
         kwargs.setdefault("n_worst", n if prune else None)
-        paths = self.enumerate_paths(**kwargs)
-        paths.sort(key=lambda p: p.worst_arrival, reverse=True)
-        paths = paths[:n]
+        paths = self.analyze(**kwargs).worst(n)
         if key is not None:
             self._nworst_cache[key] = (self.version, list(paths))
         return paths
@@ -279,8 +240,13 @@ class TruePathSTA:
         self,
         max_paths: Optional[int] = None,
         budgets: Optional[SearchBudgets] = None,
-    ) -> TimedPath:
+    ) -> Optional[TimedPath]:
+        """The slowest true path.  None when ``budgets`` cut the search
+        short: a partial search's worst path need not be the
+        circuit's."""
         paths = self.n_worst_paths(1, max_paths=max_paths, budgets=budgets)
+        if budgets is not None and not self.last_completeness.complete:
+            return None
         if not paths:
             raise ValueError("circuit has no true paths")
         return paths[0]

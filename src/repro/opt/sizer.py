@@ -26,7 +26,9 @@ Two strategies:
 Both honor :class:`~repro.resilience.budgets.SearchBudgets`: the wall
 cap bounds the whole loop (checked before every move, and the remaining
 wall is forwarded to each per-move path search), the extension /
-backtrack caps bound each per-move search.
+backtrack caps bound each origin of each per-move search.  A search the
+budget cut short decides nothing: the loop stops with ``budget``, and a
+trial swap whose search was cut is reverted and not recorded.
 """
 
 from __future__ import annotations
@@ -67,8 +69,10 @@ class SizerMove:
 class SizerResult:
     met: bool
     required_time: float
-    initial_arrival: float
-    final_arrival: float
+    #: None when the budget cut the first search short (then so is
+    #: ``final_arrival``).
+    initial_arrival: Optional[float]
+    final_arrival: Optional[float]
     strategy: str
     #: Why the loop ended: ``met`` | ``budget`` | ``no_candidate`` |
     #: ``converged`` | ``max_moves``.
@@ -81,9 +85,13 @@ class SizerResult:
 
     def describe(self) -> str:
         accepted = self.accepted_moves
+        if self.initial_arrival is None:
+            arrivals = "no complete search within the budget"
+        else:
+            arrivals = (f"{self.initial_arrival * 1e12:.1f} ps -> "
+                        f"{self.final_arrival * 1e12:.1f} ps")
         lines = [
-            f"sizing: {self.initial_arrival * 1e12:.1f} ps -> "
-            f"{self.final_arrival * 1e12:.1f} ps "
+            f"sizing: {arrivals} "
             f"(required {self.required_time * 1e12:.1f} ps, "
             f"{'MET' if self.met else 'NOT MET'})"
         ]
@@ -143,6 +151,12 @@ class TimingDrivenSizer:
         if self.budgets is not None and self.budgets.wall_seconds is not None:
             self._deadline = time.monotonic() + self.budgets.wall_seconds
         worst = self._worst_path()
+        if worst is None:
+            return SizerResult(
+                met=False, required_time=self.required_time,
+                initial_arrival=None, final_arrival=None,
+                strategy=self.strategy, stop_reason="budget",
+            )
         initial = worst.worst_arrival
         result = SizerResult(
             met=initial <= self.required_time,
@@ -194,7 +208,9 @@ class TimingDrivenSizer:
             max_backtracks=self.budgets.max_backtracks,
         )
 
-    def _worst_path(self) -> TimedPath:
+    def _worst_path(self) -> Optional[TimedPath]:
+        """The worst true path, or None when the budget cut the search
+        short (:meth:`~repro.core.sta.TruePathSTA.worst_path`)."""
         return self.sta.worst_path(
             max_paths=self.max_paths, budgets=self._move_budgets()
         )
@@ -239,6 +255,10 @@ class TimingDrivenSizer:
                 before = result.final_arrival
                 self.sta.replace_cell(step.gate_name, variant_name)
                 worst = self._worst_path()
+                if worst is None:
+                    self.sta.replace_cell(step.gate_name, step.cell_name)
+                    result.stop_reason = "budget"
+                    return
                 after = worst.worst_arrival
                 if after >= before:  # upsizing hurt (self-loading); revert
                     result.moves.append(SizerMove(
@@ -251,6 +271,9 @@ class TimingDrivenSizer:
                     ))
                     self.sta.replace_cell(step.gate_name, step.cell_name)
                     worst = self._worst_path()
+                    if worst is None:
+                        result.stop_reason = "budget"
+                        return
                     continue
                 result.moves.append(SizerMove(
                     gate_name=step.gate_name,
@@ -311,6 +334,10 @@ class TimingDrivenSizer:
             before = result.final_arrival
             self.sta.replace_cell(gate_name, to_cell)
             worst_new = self._worst_path()
+            if worst_new is None:
+                self.sta.replace_cell(gate_name, from_cell)
+                result.stop_reason = "budget"
+                return
             after = worst_new.worst_arrival
             temperature = t0 * (alpha ** move_index)
             delta = after - before
@@ -331,6 +358,9 @@ class TimingDrivenSizer:
             else:
                 self.sta.replace_cell(gate_name, from_cell)
                 worst = self._worst_path()
+                if worst is None:
+                    result.stop_reason = "budget"
+                    return
         result.stop_reason = (
             "met" if result.final_arrival <= self.required_time
             else "max_moves"

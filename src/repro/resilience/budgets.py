@@ -4,9 +4,11 @@ The exhaustive single-pass search has no intrinsic stopping point short
 of completion, which on large circuits means hours.  A
 :class:`SearchBudgets` caps the effort along three axes -- wall-clock
 seconds, extensions tried, justification backtracks -- and the search
-checks the ledger (:class:`BudgetLedger`) at each choice point.  When
-any axis is exhausted the search *returns* instead of dying: every
-path recorded so far is kept, and each origin is tagged with a
+checks the ledger (:class:`BudgetLedger`) at each choice point.  Every
+origin gets the full extension and backtrack allowances; the wall axis
+is one deadline per search call.  When any axis is exhausted the
+search *returns* instead of dying: every path recorded so far is kept,
+and each origin is tagged with a
 :data:`completeness <ORIGIN_STATUSES>` status so the report can say
 exactly which parts of the answer are exact and which are bounded.
 
@@ -24,9 +26,8 @@ The statuses:
     but more may exist.  The report attaches the GBA forward-pass
     arrival as a sound upper bound on anything that was missed.
 ``skipped``
-    The budget was already exhausted, or the wall deadline had passed,
-    when the origin's turn came (or a checkpoint resume marked it
-    pending); no extension was tried.
+    The wall deadline had passed when the origin's turn came (or a
+    checkpoint resume marked it pending); no extension was tried.
 ``failed``
     A parallel shard for this origin kept crashing after retries and
     the serial fallback; only the GBA bound is available.
@@ -93,14 +94,12 @@ class SearchBudgets:
 class BudgetLedger:
     """Mutable effort ledger charged by the search loop.
 
-    One ledger covers one whole run: all origins of a plain
-    :meth:`~repro.core.sta.TruePathSTA.iter_paths` stream, or one
-    origin shard of the supervised driver
-    (:meth:`~repro.core.sta.TruePathSTA.analyze`), which gives every
-    origin the full extension and backtrack allowances but one shared
-    wall deadline (:meth:`SearchBudgets.started`).  Origins finished
-    before exhaustion stay ``complete``, the origin in flight when the
-    ledger trips is ``partial``, later ones are ``skipped``.
+    One ledger covers one origin's search
+    (:meth:`~repro.core.pathfinder.PathFinder.search`): every origin
+    gets the full extension and backtrack allowances, and all of them
+    share the search call's one wall deadline
+    (:meth:`SearchBudgets.started`).  An origin whose ledger trips is
+    ``partial``.
     """
 
     __slots__ = ("budgets", "extensions", "backtracks", "deadline",
@@ -137,8 +136,8 @@ class BudgetLedger:
         origin can come up long after it was pinned (queued behind other
         shards, or retried), so this reads the clock now and an origin
         whose turn comes after the deadline is skipped before its first
-        extension.  A ledger's own clock starts with its run's first
-        origin and is only polled."""
+        extension.  A ledger's own clock (unstarted budgets) starts with
+        it and is only polled."""
         if (not self.exhausted and self.budgets.deadline is not None
                 and time.monotonic() > self.budgets.deadline):
             self._trip("wall_seconds")

@@ -2,10 +2,12 @@
 
 :class:`ShardSupervisor` runs the search of one
 :class:`~repro.core.sta.TruePathSTA` session as one shard per origin,
-always on that session's circuit and calculator.  With ``jobs == 1`` the
-shards run in-process, in origin order, sharing one top-N heap and one
-``max_paths`` count: exactly the work of the plain serial search, with
-budgets, checkpoints and progress on top.  With ``jobs > 1`` they run on
+always on that session's circuit and calculator.  It is the only loop
+over origins (a shard is one
+:meth:`~repro.core.pathfinder.PathFinder.search`) and the only place a
+search's counters are published.  With
+``jobs == 1`` the shards run in-process, in origin order, sharing one
+top-N heap and one ``max_paths`` count.  With ``jobs > 1`` they run on
 the supervised worker pool (:mod:`repro.resilience.workers`), one shard
 per worker at a time, so every failure is blamed on the shard that
 caused it and no other shard is re-run:
@@ -49,23 +51,28 @@ completion, retry, or resume order.  Merge semantics under the search
 limits:
 
 * ``jobs=1``: the shards share one top-N heap and one ``max_paths``
-  count, so the paths, their order and every work counter equal the
-  plain serial stream's.
+  count; once the count is reached no further shard starts.
 * ``max_paths`` (``jobs > 1``): each pooled shard is capped at
   ``max_paths`` (a single origin can never contribute more), and the
   merged stream is truncated after concatenation -- byte-identical to
-  the serial early stop.  The origin holding the last kept path and
+  the in-process early stop.  The origin holding the last kept path and
   every later origin are tagged ``capped``, which is not a degradation.
 * ``n_worst`` (``jobs > 1``): each pooled shard prunes against its
-  *own* top-N heap, which is at most as aggressive as the serial shared
-  heap, so the merged stream is a superset of the serial one that
-  provably contains the true top-N set; callers keep the N worst of the
-  merge exactly as they would keep the N worst of a serial run.
+  *own* top-N heap, which is at most as aggressive as the in-process
+  shared heap, so the merged stream is a superset of the ``jobs=1`` one
+  that provably contains the true top-N set; callers keep the N worst
+  of either (:meth:`AnalysisResult.worst`).
 * ``budgets``: the wall axis is one deadline per run
   (:meth:`~repro.resilience.budgets.SearchBudgets.started`), shared by
   in-process shards, pooled shards and the serial fallback; a shard
   whose turn comes after it is ``skipped`` without a single extension.
   The extension and backtrack axes apply per shard.
+
+Every shard's :class:`~repro.core.pathfinder.SearchStats` and
+``delaycalc.*`` deltas travel in its result, and the merge publishes the
+folded totals once, whether the shard ran in-process, pooled, resumed
+from a checkpoint or failed.  A shard that raises or is interrupted
+mid-search has no result and publishes nothing, at any ``jobs``.
 
 ``repro.resilience.__init__`` does not import this module, because it
 imports the core search, which itself uses
@@ -86,6 +93,7 @@ from repro.core.engine import EngineCircuit
 from repro.core.path import TimedPath
 from repro.core.pathfinder import (
     DELTA_KEYS,
+    OriginSearch,
     PathFinder,
     SearchStats,
     keep_worst,
@@ -122,13 +130,6 @@ _POLL_SECONDS = 0.05
 #: resubmitted (``RETRY_BACKOFF * 2**attempt`` seconds).
 RETRY_BACKOFF = 0.05
 
-#: One shard's wire format: paths, SearchStats.as_dict(), delaycalc
-#: counter deltas, per-origin completeness outcome dicts.
-ShardResult = Tuple[
-    List[TimedPath], Dict[str, float], Dict[str, int], Dict[str, Dict]
-]
-
-
 def _shard_worker(ec: EngineCircuit, calc: DelayCalculator,
                   finder_kwargs: Dict, fault_plan: object,
                   beats: bool) -> Callable:
@@ -138,21 +139,21 @@ def _shard_worker(ec: EngineCircuit, calc: DelayCalculator,
     shipper absorbs everything recorded before the first shard.  Faults
     fire only here, in workers."""
 
-    def search(origin: str, attempt: int, beat: Callable) -> ShardResult:
+    def search(origin: str, attempt: int, beat: Callable) -> OriginSearch:
         if fault_plan is not None:
             fault_plan.before_shard(origin, attempt)
         publisher = HeartbeatPublisher(beat, origin) if beats else None
         if publisher is not None:
             publisher.started()
-        result = run_shard(ec, calc, finder_kwargs, [origin],
+        result = run_shard(ec, calc, finder_kwargs, origin,
                            progress=publisher)
         record_resource_usage()
         if publisher is not None:
-            paths, stats = result[0], result[1]
             publisher.done(
-                extensions=int(stats.get("extensions_tried", 0)),
-                paths=len(paths),
-                best=max((p.worst_arrival for p in paths), default=None),
+                extensions=result.stats.extensions_tried,
+                paths=len(result.paths),
+                best=max((p.worst_arrival for p in result.paths),
+                         default=None),
             )
         return result
 
@@ -160,19 +161,12 @@ def _shard_worker(ec: EngineCircuit, calc: DelayCalculator,
 
 
 def run_shard(ec: EngineCircuit, calc: DelayCalculator, finder_kwargs: Dict,
-              origins: Sequence[str], progress: object = None,
-              best: Optional[List[float]] = None) -> ShardResult:
-    """One shard's search, in whatever process this runs in (``best``:
+              origin: str, progress: object = None,
+              best: Optional[List[float]] = None) -> OriginSearch:
+    """One origin's search, in whatever process this runs in (``best``:
     the shared top-N heap of in-process shards)."""
-    finder = PathFinder(ec, calc, progress=progress, best=best,
-                        **finder_kwargs)
-    with finder.find_paths(inputs=origins) as stream:
-        paths = list(stream)
-    outcomes = {
-        name: outcome.as_dict()
-        for name, outcome in finder.completeness.origins.items()
-    }
-    return paths, finder.stats.as_dict(), finder.calc_deltas, outcomes
+    return PathFinder(ec, calc, progress=progress, best=best,
+                      **finder_kwargs).search(origin)
 
 
 @dataclass(frozen=True)
@@ -223,6 +217,12 @@ class AnalysisResult:
     def degraded(self) -> bool:
         return not self.completeness.complete
 
+    def worst(self, n: int) -> List[TimedPath]:
+        """The ``n`` slowest paths, worst first (ties keep search
+        order)."""
+        return sorted(self.paths, key=lambda p: p.worst_arrival,
+                      reverse=True)[:n]
+
     def describe_completeness(self) -> str:
         lines = [f"origin completeness: {self.completeness.summary()}"]
         for name, outcome in self.completeness.degraded_origins().items():
@@ -243,12 +243,8 @@ class _Shard:
 
     origin: str
     attempts: int = 0
-    result: Optional[ShardResult] = None
+    result: Optional[OriginSearch] = None
     status: str = "pending"
-    #: Metrics for this shard already landed in the parent registry
-    #: (telemetry merge for pooled shards, direct publication for
-    #: in-process ones); the merge must not publish them again.
-    published: bool = False
 
 
 class ShardSupervisor:
@@ -301,11 +297,13 @@ class ShardSupervisor:
         if self.config.progress or self.config.heartbeat_timeout is not None:
             renderer = ProgressRenderer() if self.config.progress else None
             self._board = ProgressBoard(len(shards), renderer=renderer)
-        fingerprint = config_fingerprint(
-            self.circuit.name, list(origins),
-            {**self.finder_kwargs, **self.calc_kwargs,
-             "budgets": self._budget_dict()},
-        )
+        fingerprint = None
+        if self.config.checkpoint_path or self.config.resume_path:
+            fingerprint = config_fingerprint(
+                self.circuit.name, list(origins),
+                {**self.finder_kwargs, **self.calc_kwargs,
+                 "budgets": self._budget_dict()},
+            )
         resumed = self._adopt_resume(shards, fingerprint)
         if self.config.checkpoint_path:
             self._writer = CheckpointWriter(
@@ -318,7 +316,7 @@ class ShardSupervisor:
                 self._record_checkpoint(shard)
                 if self._board is not None:
                     self._board.mark_done(shard.origin,
-                                          paths=len(shard.result[0]))
+                                          paths=len(shard.result.paths))
         pending = [s for s in shards if s.result is None]
         interrupted = False
         try:
@@ -349,7 +347,8 @@ class ShardSupervisor:
         return budgets.as_dict() if budgets is not None else None
 
     # ------------------------------------------------------------------
-    def _adopt_resume(self, shards: List[_Shard], fingerprint: str) -> int:
+    def _adopt_resume(self, shards: List[_Shard],
+                      fingerprint: Optional[str]) -> int:
         if not self.config.resume_path:
             return 0
         checkpoint = load_checkpoint(self.config.resume_path, fingerprint)
@@ -360,9 +359,9 @@ class ShardSupervisor:
             if shard is None:
                 continue
             status, paths, stats, deltas = checkpoint.shard_result(origin)
-            outcome = OriginOutcome(origin, status,
-                                    paths_found=len(paths)).as_dict()
-            shard.result = (paths, stats, deltas, {origin: outcome})
+            shard.result = OriginSearch(
+                paths, OriginOutcome(origin, status, paths_found=len(paths)),
+                SearchStats(**stats), deltas)
             shard.status = status
             adopted += 1
         _log.info("supervisor.resumed", path=self.config.resume_path,
@@ -372,29 +371,28 @@ class ShardSupervisor:
     def _record_checkpoint(self, shard: _Shard) -> None:
         if self._writer is None or shard.result is None:
             return
-        paths, stats, deltas, outcomes = shard.result
-        self._writer.record(shard.origin, shard.status, paths, stats, deltas)
+        result = shard.result
+        self._writer.record(shard.origin, shard.status, result.paths,
+                            result.stats.as_dict(), result.calc_deltas)
         obs_export.instant("resilience.checkpoint_write",
                            origin=shard.origin, status=shard.status)
 
     # ------------------------------------------------------------------
-    def _finish_shard(self, shard: _Shard, result: ShardResult,
+    def _finish_shard(self, shard: _Shard, result: OriginSearch,
                       telemetry: Optional[ShardTelemetry] = None) -> None:
-        """Record a searched shard.  Its metrics reach this registry
-        exactly once: an in-process search published them at stream
-        close, a pooled shard's telemetry merges here (counters add,
-        histograms merge, gauges keep a shard label, trace events land
-        on the worker's lane)."""
+        """Record a searched shard.  Its search counters ride in
+        ``result`` to the merge; a pooled shard's telemetry merges here
+        (counters add, histograms merge, gauges keep a shard label,
+        trace events land on the worker's lane)."""
         shard.result = result
-        shard.published = True
         if telemetry is not None:
             merge_shard_telemetry(telemetry)
         elif self._board is not None:
             self._board.mark_done(
-                shard.origin, paths=len(result[0]),
-                extensions=int(result[1].get("extensions_tried", 0)),
+                shard.origin, paths=len(result.paths),
+                extensions=result.stats.extensions_tried,
             )
-        shard.status = result[3][shard.origin]["status"]
+        shard.status = result.outcome.status
         self._completed_count += 1
         self._record_checkpoint(shard)
         if (self.fault_plan is not None
@@ -408,10 +406,9 @@ class ShardSupervisor:
     def _fail_shard(self, shard: _Shard, reason: str) -> None:
         """Retries and fallback exhausted: degrade, don't die."""
         shard.status = "failed"
-        shard.result = (
-            [], SearchStats().as_dict(), {key: 0 for key in DELTA_KEYS},
-            {shard.origin: OriginOutcome(shard.origin, "failed").as_dict()},
-        )
+        shard.result = OriginSearch(
+            [], OriginOutcome(shard.origin, "failed"), SearchStats(),
+            dict.fromkeys(DELTA_KEYS, 0))
         self._completed_count += 1
         if self._board is not None:
             self._board.mark_done(shard.origin)
@@ -423,9 +420,8 @@ class ShardSupervisor:
     def _run_serial(self, shards: List[_Shard]) -> None:
         """Search the pending shards in-process, in origin order.  They
         share one top-N heap and one ``max_paths`` count, which adopted
-        resume shards feed too, so the work is exactly one plain serial
-        search's; once the cap is reached no shard is scheduled (the
-        merge tags the rest ``capped``)."""
+        resume shards feed too; once the cap is reached no shard is
+        scheduled (the merge tags the rest ``capped``)."""
         n_worst = self.finder_kwargs.get("n_worst")
         max_paths = self.finder_kwargs.get("max_paths")
         best: List[float] = []
@@ -442,13 +438,13 @@ class ShardSupervisor:
                 self._finish_shard(
                     shard,
                     run_shard(self.ec, self.calc, finder_kwargs,
-                              [shard.origin],
+                              shard.origin,
                               progress=self._local_progress(shard.origin),
                               best=best))
             elif n_worst is not None:
-                for path in shard.result[0]:
+                for path in shard.result.paths:
                     keep_worst(best, n_worst, path.worst_arrival)
-            found += len(shard.result[0])
+            found += len(shard.result.paths)
 
     def _local_progress(self, origin: str) -> Optional[HeartbeatPublisher]:
         """In-process shards beat straight into the board, no queue."""
@@ -576,7 +572,7 @@ class ShardSupervisor:
                 self._finish_shard(
                     shard,
                     run_shard(self.ec, self.calc, self.finder_kwargs,
-                              [shard.origin],
+                              shard.origin,
                               progress=self._local_progress(shard.origin)))
             except ResilienceError:
                 raise
@@ -589,32 +585,26 @@ class ShardSupervisor:
     def _merge(self, shards: List[_Shard], resumed: int,
                interrupted: bool) -> AnalysisResult:
         """Fold shard results in origin declaration order and publish
-        the merged totals plus completeness and resilience accounting.
-        The stream is truncated at ``max_paths`` like the serial early
+        the merged totals -- every shard's search counters and
+        ``delaycalc.*`` deltas, once, unlabeled and labeled with the
+        circuit -- plus completeness and resilience accounting.  The
+        stream is truncated at ``max_paths`` like the in-process early
         stop; the origin holding the last kept path and every origin
         after it are ``capped``."""
         max_paths = self.finder_kwargs.get("max_paths")
         paths: List[TimedPath] = []
         merged = SearchStats()
-        # Shards whose metrics never reached this registry -- adopted
-        # from a resume checkpoint, or recorded as failed -- are
-        # published here from their checkpointed stats/deltas; pooled
-        # (telemetry) and in-process (stream close) shards already were.
-        unpublished = SearchStats()
-        totals: Dict[str, int] = {key: 0 for key in DELTA_KEYS}
+        totals: Dict[str, int] = dict.fromkeys(DELTA_KEYS, 0)
         completeness = CompletenessReport()
         capped = False
         for shard in shards:
             outcome = OriginOutcome(shard.origin, "skipped")
             if shard.result is not None:
-                shard_paths, stats_dict, deltas, outcomes = shard.result
-                paths.extend(shard_paths)
-                merged.merge(stats_dict)
-                if not shard.published:
-                    unpublished.merge(stats_dict)
-                    for key, value in deltas.items():
-                        totals[key] = totals.get(key, 0) + value
-                outcome = OriginOutcome.from_dict(outcomes[shard.origin])
+                paths.extend(shard.result.paths)
+                merged.merge(shard.result.stats)
+                for key, value in shard.result.calc_deltas.items():
+                    totals[key] = totals.get(key, 0) + value
+                outcome = shard.result.outcome
             capped = capped or (max_paths is not None
                                 and len(paths) >= max_paths)
             if capped:
@@ -624,10 +614,9 @@ class ShardSupervisor:
             del paths[max_paths:]
 
         name = self.circuit.name
-        unpublished.publish(name)
+        merged.publish(name)
         registry = obs_metrics.REGISTRY
-        for key in DELTA_KEYS:
-            value = totals.get(key, 0)
+        for key, value in totals.items():
             registry.counter(key).inc(value)
             registry.counter(key, circuit=name).inc(value)
         for key, value in self.metrics.items():

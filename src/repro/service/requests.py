@@ -288,10 +288,8 @@ def execute_analysis(
             serial_fallback=request.serial_fallback,
             fault_plan=fault_plan,
         )
-        paths = analysis.paths
-        if request.n_worst is not None:
-            paths = sorted(paths, key=lambda p: p.worst_arrival,
-                           reverse=True)[:request.n_worst]
+        paths = (analysis.paths if request.n_worst is None
+                 else analysis.worst(request.n_worst))
         lines.append(sta.report(paths, limit=request.top))
         if analysis.degraded:
             lines.append("")
@@ -462,8 +460,11 @@ def execute_size(
         "stop_reason": result.stop_reason,
         "met": result.met,
         "required_ps": result.required_time * 1e12,
-        "initial_ps": result.initial_arrival * 1e12,
-        "final_ps": result.final_arrival * 1e12,
+        # Both null when the budget cut the first search short.
+        "initial_ps": (None if result.initial_arrival is None
+                       else result.initial_arrival * 1e12),
+        "final_ps": (None if result.final_arrival is None
+                     else result.final_arrival * 1e12),
         "moves": [
             {
                 "gate": m.gate_name,

@@ -70,6 +70,30 @@ class TestAnalyzeCommand:
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
 
+    def test_zero_max_paths_compare_identical_at_every_width(
+            self, capsys, charlib_poly_90):
+        """``--max-paths 0`` keeps no path at any ``--jobs``, through
+        ``--compare`` too."""
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["analyze", "iscas:c17", "--tech", "90nm",
+                         "--tool", "gba", "--compare", "--max-paths", "0",
+                         "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "gba_pessimism vs 0 true paths" in outputs[0]
+        assert outputs[1] == outputs[0]
+
+    def test_zero_max_paths_is_zero_paths_in_the_library(
+            self, charlib_poly_90):
+        from repro.core.sta import TruePathSTA
+
+        sta = TruePathSTA(load_circuit("iscas:c17"), charlib_poly_90)
+        assert sta.enumerate_paths(max_paths=0) == []
+        result = sta.analyze(max_paths=0)
+        assert result.paths == []
+        assert {o.status for o in result.completeness.origins.values()} \
+            == {"capped"}
+
     def test_baseline(self, bench_file, capsys, charlib_lut_90):
         assert main([
             "analyze", bench_file, "--no-map", "--tool", "baseline",

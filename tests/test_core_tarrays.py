@@ -502,8 +502,8 @@ class TestNWorstEquivalence:
             suffix=tuple(reference_suffix_bounds(reference, worst)),
         )
         finder = PathFinder(calc.ec, calc, n_worst=5)
-        with finder.find_paths() as stream:
-            paths_ref = list(stream)
+        paths_ref = [path for origin in circuit.inputs
+                     for path in finder.search(origin).paths]
         paths = default.enumerate_paths(n_worst=5)
         assert [(p.worst_arrival, tuple(p.nets)) for p in paths_ref] == \
                [(p.worst_arrival, tuple(p.nets)) for p in paths]

@@ -42,6 +42,74 @@ WORK_KEYS = EXACT_KEYS + (
 )
 
 
+_CAPPED_KEYS = [
+    (("I1", "n0", "n17", "n20"), ("A:0", "A:1", "C:10")),
+    (("I1", "n0", "n17", "n20"), ("A:0", "A:1", "C:11")),
+    (("I6", "n0", "n17", "n20"), ("B:0", "A:1", "C:10")),
+]
+_ALL_KEYS = _CAPPED_KEYS + [
+    (("I6", "n0", "n17", "n20"), ("B:0", "A:1", "C:11")),
+    (("I9", "n6", "n17", "n20"), ("A:0", "B:1", "C:10")),
+    (("I9", "n6", "n17", "n20"), ("A:0", "B:1", "C:11")),
+]
+
+#: The single-loop serial search on c432@0.1 (a multi-origin stream over
+#: one finder), measured before the per-origin shard became the only
+#: unit of search.  11 origins I0..I10, 6 paths in all.
+PLAIN_SERIAL = {
+    (): {
+        "keys": _ALL_KEYS,
+        "statuses": ["complete"] * 11,
+        "counters": {
+            "pathfinder.extensions_tried": 94,
+            "pathfinder.paths_found": 6,
+            "pathfinder.conflicts": 41,
+            "pathfinder.justification_backtracks": 18,
+            "delaycalc.arc_evaluations": 106,
+            "pathfinder.justification_cubes": 62,
+            "pathfinder.justify_skipped": 33,
+            "pathfinder.states_saved": 64,
+            "pathfinder.pruned": 0,
+            "pathfinder.bound_prunes": 0,
+        },
+    },
+    (("n_worst", 2),): {
+        "keys": _ALL_KEYS,
+        "statuses": ["complete"] * 11,
+        "counters": {
+            "pathfinder.extensions_tried": 94,
+            "pathfinder.paths_found": 6,
+            "pathfinder.conflicts": 39,
+            "pathfinder.justification_backtracks": 6,
+            "delaycalc.arc_evaluations": 106,
+            "pathfinder.justification_cubes": 52,
+            "pathfinder.justify_skipped": 33,
+            "pathfinder.states_saved": 64,
+            "pathfinder.pruned": 2,
+            "pathfinder.bound_prunes": 0,
+        },
+    },
+    # Half the paths: the cap binds in I6, past the first productive
+    # origin I1, so the shards share the count.
+    (("max_paths", 3),): {
+        "keys": _CAPPED_KEYS,
+        "statuses": ["complete"] * 6 + ["capped"] * 5,
+        "counters": {
+            "pathfinder.extensions_tried": 37,
+            "pathfinder.paths_found": 3,
+            "pathfinder.conflicts": 16,
+            "pathfinder.justification_backtracks": 5,
+            "delaycalc.arc_evaluations": 42,
+            "pathfinder.justification_cubes": 32,
+            "pathfinder.justify_skipped": 11,
+            "pathfinder.states_saved": 28,
+            "pathfinder.pruned": 0,
+            "pathfinder.bound_prunes": 0,
+        },
+    },
+}
+
+
 def exact_counters(snapshot, keys=EXACT_KEYS):
     return {key: value for key, value in snapshot.items()
             if key.split("{")[0] in keys}
@@ -54,8 +122,8 @@ def c432():
 
 @pytest.fixture()
 def serial_baseline(c432, charlib_poly_90, clean_obs):
-    """Counters of a plain (unsupervised) serial enumeration."""
-    TruePathSTA(c432, charlib_poly_90).enumerate_paths()
+    """Counters of an in-process (``jobs=1``) search."""
+    TruePathSTA(c432, charlib_poly_90).analyze(jobs=1)
     baseline = exact_counters(obs.snapshot())
     assert baseline["pathfinder.extensions_tried"] > 0
     obs.reset()
@@ -69,45 +137,31 @@ class TestSerialParallelEquivalence:
         assert exact_counters(obs.snapshot()) == serial_baseline
 
     def test_supervised_jobs1_matches_plain_serial(
-            self, c432, charlib_poly_90, serial_baseline):
-        """Regression: the supervised in-process path used to publish
-        shard stats twice (at stream close and again in the merge),
-        doubling every counter of a ``--wall-budget``-style serial run.
-
-        Under ``n_worst`` and a binding ``max_paths`` too: in-process
-        shards share the serial search's top-N heap and path count, so
-        the paths, their order, the per-origin statuses and every work
-        counter equal the plain stream's."""
-        TruePathSTA(c432, charlib_poly_90).analyze(jobs=1)
-        assert exact_counters(obs.snapshot()) == serial_baseline
-
-        everything = TruePathSTA(c432, charlib_poly_90).enumerate_paths()
-        cap = len(everything) // 2
-        # The cap binds past the first productive origin, so shards share
-        # the count; a top-2 heap fills, so plain pruning fires.
-        assert cap > max(sum(p.nets[0] == origin for p in everything)
-                         for origin in c432.inputs)
-        for limits in ({"n_worst": 2}, {"max_paths": cap}):
-            obs.reset()
-            plain_sta = TruePathSTA(c432, charlib_poly_90)
-            plain = plain_sta.enumerate_paths(**limits)
-            want = exact_counters(obs.snapshot(), WORK_KEYS)
-            obs.reset()
-            result = TruePathSTA(c432, charlib_poly_90).analyze(jobs=1,
-                                                                **limits)
-            assert [p.key for p in result.paths] == \
-                [p.key for p in plain], limits
-            assert exact_counters(obs.snapshot(), WORK_KEYS) == want, limits
-            if "n_worst" in limits:
-                assert want["pathfinder.pruned"] > 0
-            statuses = {n: o.status
-                        for n, o in result.completeness.origins.items()}
-            assert statuses == {
-                n: o.status
-                for n, o in plain_sta.last_completeness.origins.items()}
-        assert not result.degraded
-        assert "capped" in {o.status for o
-                            in result.completeness.origins.values()}
+            self, c432, charlib_poly_90, clean_obs):
+        """The in-process driver reproduces the single-loop serial
+        search (:data:`PLAIN_SERIAL`): paths, their order, the
+        per-origin statuses and every work counter, unlimited, under
+        ``n_worst`` and under a binding ``max_paths``.  In-process
+        shards must share one top-N heap (a per-shard heap prunes less)
+        and one path count (a per-shard count searches on past the
+        cap).  Regression too: the in-process path once published
+        shard stats twice, doubling every counter."""
+        for limits, want in PLAIN_SERIAL.items():
+            clean_obs.reset()
+            result = TruePathSTA(c432, charlib_poly_90).analyze(
+                jobs=1, **dict(limits))
+            assert [p.key for p in result.paths] == want["keys"], limits
+            snap = exact_counters(clean_obs.snapshot(), WORK_KEYS)
+            assert snap == {
+                **want["counters"],
+                **{f"{key}{{circuit=c432_mapped}}": value
+                   for key, value in want["counters"].items()},
+            }, limits
+            statuses = [o.status
+                        for o in result.completeness.origins.values()]
+            assert statuses == want["statuses"], limits
+            assert list(result.completeness.origins) == list(c432.inputs)
+            assert not result.degraded
 
     def test_worker_retry_path_ships_each_shard_once(
             self, c432, charlib_poly_90, serial_baseline):

@@ -134,6 +134,46 @@ class TestBudgets:
         assert result.stop_reason == "budget"
         assert not result.moves
 
+    @pytest.mark.parametrize("strategy", ["greedy", "anneal"])
+    def test_cut_trial_search_reverts_the_swap_unrecorded(
+            self, strategy, sized_lib, charlib_sized, monkeypatch):
+        """A trial swap whose search the budget cut short (the session
+        answers None) is undone and recorded nowhere, and the loop
+        stops with ``budget``."""
+        circuit = chain_circuit(sized_lib)
+        cells = {name: inst.cell.name
+                 for name, inst in circuit.instances.items()}
+        sizer = TimingDrivenSizer(
+            circuit, charlib_sized, required_time=1e-12,
+            strategy=strategy, seed=11, max_moves=6,
+        )
+        searches = []
+        first_search = sizer.sta.worst_path
+
+        def worst_path(**kwargs):
+            searches.append(kwargs)
+            return first_search(**kwargs) if len(searches) == 1 else None
+
+        monkeypatch.setattr(sizer.sta, "worst_path", worst_path)
+        result = sizer.run()
+        assert len(searches) == 2  # the first search, then the trial's
+        assert result.stop_reason == "budget"
+        assert not result.moves
+        assert result.final_arrival == result.initial_arrival
+        assert {name: inst.cell.name
+                for name, inst in circuit.instances.items()} == cells
+
+    def test_budget_cut_search_decides_nothing(self):
+        """On c432@0.3 an extension budget of 50 cuts one origin of the
+        first search short; its worst path is not the circuit's, so the
+        loop stops there instead of sizing against it."""
+        outcome = execute_size("iscas:c432@0.3", 1.0, seed=7, max_moves=3,
+                               extension_budget=50)
+        assert outcome.payload["stop_reason"] == "budget"
+        assert not outcome.payload["moves"]
+        assert outcome.payload["initial_ps"] is None
+        assert "stop: budget" in outcome.report
+
 
 class ScratchSession:
     """From-scratch stand-in for the sizer's incremental session: every

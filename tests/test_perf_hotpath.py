@@ -1,4 +1,5 @@
-"""Hot-path layer: pruning soundness, arc cache, justify-skip, streams.
+"""Hot-path layer: pruning soundness, arc cache, justify-skip, arc
+resolution.
 
 The headline regression here is N-worst admissibility: the pruning
 bound used to cap arc delay at a fixed input slew, but propagated slews
@@ -18,7 +19,7 @@ from repro import obs
 from repro.charlib.store import CharacterizedLibrary
 from repro.core.delaycalc import DelayCalculator, MissingArcsError
 from repro.core.engine import EngineCircuit
-from repro.core.pathfinder import PathFinder
+from repro.core.pathfinder import PathFinder, SearchStats
 from repro.core.sta import TruePathSTA
 from repro.eval.iscas import build_circuit
 from repro.netlist.circuit import Circuit
@@ -40,9 +41,15 @@ def _key(path):
     )
 
 
-def _run(finder, inputs=None):
-    with finder.find_paths(inputs=inputs) as stream:
-        return list(stream)
+def _run(finder):
+    """Search every origin on ``finder``, in declaration order: the
+    paths and the summed stats."""
+    paths, stats = [], SearchStats()
+    for origin in finder.ec.circuit.inputs:
+        found = finder.search(origin)
+        paths += found.paths
+        stats.merge(found.stats)
+    return paths, stats
 
 
 class TestNWorstAdmissibility:
@@ -116,7 +123,7 @@ class TestArcCache:
             return result
 
         cached.arc_timing = recording
-        assert _run(PathFinder(ec, cached))
+        assert _run(PathFinder(ec, cached))[0]
         assert len(served) == cached.arc_evaluations
         for gate, pin, vector_id, ir, orr, t_in, (delay, slew) in served:
             arc = charlib_poly_90.arc(gate.cell.name, pin, vector_id, ir, orr)
@@ -140,18 +147,18 @@ class TestJustifySkip:
         calc = DelayCalculator(ec, charlib_poly_90)
         fast = PathFinder(ec, calc, complete=complete)
         slow = PathFinder(ec, calc, complete=complete, justify_skip=False)
-        fast_paths = _run(fast)
-        slow_paths = _run(slow)
+        fast_paths, fast_stats = _run(fast)
+        slow_paths, slow_stats = _run(slow)
         assert [_key(p) for p in fast_paths] == [_key(p) for p in slow_paths]
         assert [p.worst_arrival for p in fast_paths] == pytest.approx(
             [p.worst_arrival for p in slow_paths]
         )
-        assert fast.stats.justify_skipped > 0
-        assert slow.stats.justify_skipped == 0
+        assert fast_stats.justify_skipped > 0
+        assert slow_stats.justify_skipped == 0
         # Skipping elides whole justification solves, so the skipping
         # search can only do less justification work.
         assert (
-            fast.stats.justification_cubes <= slow.stats.justification_cubes
+            fast_stats.justification_cubes <= slow_stats.justification_cubes
         )
 
 
@@ -285,42 +292,3 @@ class TestPerCellArcResolution:
                 with pytest.raises(MissingArcsError,
                                    match=re.escape(repr(gate.inst.name))):
                     sta.calc.gate_arcs(gate)
-
-
-class TestEarlyAbandonPublication:
-    def test_close_publishes_immediately(self, charlib_poly_90, clean_obs):
-        sta = TruePathSTA(_degraded_circuit(3), charlib_poly_90)
-        stream = sta.iter_paths()
-        first = next(stream)
-        assert first is not None
-        # Abandon the search after one path; the snapshot taken right
-        # after close() must already carry this run's effort.
-        stream.close()
-        snap = obs.metrics.snapshot()
-        assert snap["pathfinder.paths_found"] == 1
-        assert snap["pathfinder.extensions_tried"] > 0
-        assert snap["delaycalc.arc_evaluations"] > 0
-        assert snap["pathfinder.cpu_seconds"] > 0
-        # close() is idempotent: a second close publishes nothing more.
-        stream.close()
-        assert obs.metrics.snapshot()["pathfinder.paths_found"] == 1
-
-    def test_context_manager_publishes_on_break(
-        self, charlib_poly_90, clean_obs
-    ):
-        sta = TruePathSTA(_degraded_circuit(3), charlib_poly_90)
-        with sta.iter_paths() as stream:
-            for _ in stream:
-                break
-        assert obs.metrics.snapshot()["pathfinder.paths_found"] == 1
-
-    def test_exhaustion_publishes_once(self, charlib_poly_90, clean_obs):
-        sta = TruePathSTA(_degraded_circuit(3), charlib_poly_90)
-        stream = sta.iter_paths()
-        paths = list(stream)
-        snap = obs.metrics.snapshot()
-        assert snap["pathfinder.paths_found"] == len(paths)
-        stream.close()
-        assert (
-            obs.metrics.snapshot()["pathfinder.paths_found"] == len(paths)
-        )

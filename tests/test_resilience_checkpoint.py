@@ -40,6 +40,17 @@ class TestFingerprint:
         assert base != config_fingerprint("c", ["b"], {"max_paths": 10})
         assert base != config_fingerprint("c", ["a"], {"max_paths": 11})
 
+    def test_built_only_for_a_checkpoint_or_a_resume(
+            self, charlib_poly_90, monkeypatch):
+        from repro.resilience import supervisor
+
+        def refuse(*_args):
+            raise AssertionError("fingerprint built without a reader")
+
+        monkeypatch.setattr(supervisor, "config_fingerprint", refuse)
+        sta = TruePathSTA(_circuit(), charlib_poly_90)
+        assert sta.analyze(n_worst=3, max_paths=50).paths
+
 
 class TestPathRoundTrip:
     def test_json_round_trip_is_bit_exact(self, charlib_poly_90):

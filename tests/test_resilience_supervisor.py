@@ -128,13 +128,13 @@ class TestBlame:
         searches = tmp_path / "searches.txt"
         real_run_shard = supervisor.run_shard
 
-        def run_shard(ec, calc, finder_kwargs, origins, progress=None):
+        def run_shard(ec, calc, finder_kwargs, origin, progress=None):
             with open(searches, "a") as log:
-                log.write(f"{origins[0]}\n")
+                log.write(f"{origin}\n")
             # The bystander starts 1.5 s in and is still searching when
             # the victim's 3 s deadline trips, well inside its own.
-            time.sleep({first: 1.5, bystander: 2.5}.get(origins[0], 0.0))
-            return real_run_shard(ec, calc, finder_kwargs, origins,
+            time.sleep({first: 1.5, bystander: 2.5}.get(origin, 0.0))
+            return real_run_shard(ec, calc, finder_kwargs, origin,
                                   progress=progress)
 
         monkeypatch.setattr(supervisor, "run_shard", run_shard)
