@@ -115,14 +115,12 @@ class TwoStepSTA:
         self.charlib = charlib
         self.backtrack_limit = backtrack_limit
         self.ec = EngineCircuit(circuit)
-        vector_blind = charlib.metadata.get("vector_mode") == "default"
         self.calc = DelayCalculator(
             self.ec,
             charlib,
             temp=temp,
             vdd=vdd,
             input_slew=input_slew,
-            vector_blind=vector_blind,
             missing_arc_policy=missing_arc_policy,
         )
         self.enumerator = StructuralEnumerator(self.ec, self.calc)

@@ -32,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Optional
 
@@ -52,7 +53,10 @@ from repro.resilience.errors import (
 # (tests and scripts import them from repro.cli).
 from repro.service.requests import (  # noqa: F401
     _CHARLIB_MEMO,
+    REQUEST_TYPES,
     AnalysisRequest,
+    SizeRequest,
+    VerifyRequest,
     cached_charlib,
     execute_analysis,
     execute_size,
@@ -115,38 +119,19 @@ def _finish_obs(args) -> int:
     return 0
 
 
-def _analyze_params(args) -> dict:
-    """The result-affecting ``analyze`` flags as
-    :class:`~repro.service.requests.AnalysisRequest` fields -- the one
-    mapping both the one-shot path and ``repro client analyze`` use."""
-    return {
-        "netlist": args.netlist,
-        "tech": args.tech,
-        "tool": args.tool,
-        "top": args.top,
-        "n_worst": args.n_worst,
-        "compare": args.compare,
-        "max_paths": args.max_paths,
-        "backtrack_limit": args.backtrack_limit,
-        "required_ps": args.required,
-        "no_map": args.no_map,
-        "jobs": args.jobs,
-        "missing_arc_policy": args.missing_arc_policy,
-        "wall_budget": args.wall_budget,
-        "extension_budget": args.extension_budget,
-        "backtrack_budget": args.backtrack_budget,
-        "shard_timeout": args.shard_timeout,
-        "shard_retries": args.shard_retries,
-        "checkpoint": args.checkpoint,
-        "resume": args.resume,
-        "progress": args.progress,
-        "heartbeat_timeout": args.heartbeat_timeout,
-    }
+def _request(request_type, args):
+    """The parsed flags as a ``request_type`` -- the one mapping the
+    one-shot commands and ``repro client`` share: one value per
+    dataclass field, and an absent flag keeps the field's default."""
+    values = {f.name: getattr(args, f.name, None)
+              for f in fields(request_type)}
+    return request_type(**{name: value for name, value in values.items()
+                           if value is not None})
 
 
 def _analyze(args) -> int:
     _setup_obs(args)
-    outcome = execute_analysis(AnalysisRequest(**_analyze_params(args)))
+    outcome = execute_analysis(_request(AnalysisRequest, args))
     print(outcome.report)
     if args.json:
         _write_artifact(args.json, paths_to_json(outcome.paths, indent=2),
@@ -157,19 +142,7 @@ def _analyze(args) -> int:
 
 def _size(args) -> int:
     _setup_obs(args)
-    outcome = execute_size(
-        args.netlist,
-        args.required,
-        tech=args.tech,
-        strategy=args.strategy,
-        seed=args.seed,
-        max_moves=args.max_moves,
-        max_paths=args.max_paths,
-        no_map=args.no_map,
-        wall_budget=args.wall_budget,
-        extension_budget=args.extension_budget,
-        backtrack_budget=args.backtrack_budget,
-    )
+    outcome = execute_size(_request(SizeRequest, args))
     print(outcome.report)
     if args.json:
         _write_artifact(args.json, json.dumps(outcome.payload, indent=2),
@@ -181,27 +154,25 @@ def _size(args) -> int:
 def _verify(args) -> int:
     _setup_obs(args)
     failed = False
+    request = _request(VerifyRequest, args)
 
-    if args.oracle or args.metamorphic:
-        specs = args.circuit or ["iscas:c17", "iscas:c432@0.05"]
-        outcome = execute_verify(
-            specs, oracle=args.oracle, metamorphic=args.metamorphic,
-            max_inputs=args.max_inputs, jobs=args.jobs, tech=args.tech,
-        )
+    if request.oracle or request.metamorphic:
+        outcome = execute_verify(request)
         print(outcome.report)
         failed = failed or not outcome.ok
 
+    # The fault batteries default to one larger circuit.
+    fault_specs = args.circuits or ["iscas:c432@0.1"]
     if args.faults:
         from repro.verify import run_faults
 
         charlib = cached_charlib(default_library(),
-                                 TECHNOLOGIES[args.tech])
-        specs = args.circuit or ["iscas:c432@0.1"]
-        for spec in specs:
+                                 TECHNOLOGIES[request.tech])
+        for spec in fault_specs:
             circuit = load_circuit(spec)
             report = run_faults(
                 circuit, charlib, seed=args.seed,
-                jobs=max(args.jobs, 2), max_paths=args.max_paths,
+                jobs=max(request.jobs, 2), max_paths=args.max_paths,
             )
             print(report.describe())
             failed = failed or not report.ok
@@ -209,10 +180,9 @@ def _verify(args) -> int:
     if args.server_faults:
         from repro.verify import run_server_faults
 
-        specs = args.circuit or ["iscas:c432@0.1"]
-        for spec in specs:
+        for spec in fault_specs:
             report = run_server_faults(
-                spec, seed=args.seed, jobs=max(args.jobs, 2),
+                spec, seed=args.seed, jobs=max(request.jobs, 2),
                 max_paths=args.max_paths,
             )
             print(report.describe())
@@ -222,9 +192,9 @@ def _verify(args) -> int:
         from repro.verify import run_fuzz
 
         charlib = cached_charlib(default_library(),
-                                 TECHNOLOGIES[args.tech])
+                                 TECHNOLOGIES[request.tech])
         report = run_fuzz(charlib, n=args.fuzz, seed=args.seed,
-                          jobs=args.jobs)
+                          jobs=request.jobs)
         print(report.summary())
         for failure in report.failures:
             print(f"  {failure.describe()}")
@@ -340,50 +310,24 @@ def _client(args) -> int:
         raise ConfigError(f"server must be HOST:PORT, got {args.server!r}")
     command = args.client_command
     with ServiceClient(host, int(port), timeout=args.timeout) as client:
-
-        def _call(op, params, **kwargs):
-            retries = getattr(args, "retries", 0) or 0
-            if retries > 0:
-                return client.call_with_retry(op, params, retries=retries,
-                                              **kwargs)
-            return client.call(op, params, **kwargs)
-
-        if command == "analyze":
-            result = _call(
-                "analyze", _analyze_params(args),
-                deadline_s=args.deadline, effort=args.effort,
-            )
+        if command in REQUEST_TYPES:
+            params = asdict(_request(REQUEST_TYPES[command], args))
+            qos = dict(deadline_s=args.deadline,
+                       effort=getattr(args, "effort", None))
+            if args.retries > 0:
+                result = client.call_with_retry(
+                    command, params, retries=args.retries, **qos)
+            else:
+                result = client.call(command, params, **qos)
             print(result["report"])
-            if args.metrics_json:
+            if getattr(args, "metrics_json", None):
                 _write_artifact(
                     args.metrics_json,
                     json.dumps(result.get("metrics", {}), indent=2),
                     "request metrics")
                 print(f"\nwrote request metrics to {args.metrics_json}")
-            return 0
-        if command == "verify":
-            specs = args.circuit or ["iscas:c17", "iscas:c432@0.05"]
-            result = _call("verify", {
-                "circuits": specs,
-                "oracle": args.oracle,
-                "metamorphic": args.metamorphic,
-                "max_inputs": args.max_inputs,
-                "jobs": args.jobs,
-                "tech": args.tech,
-            }, deadline_s=args.deadline)
-            print(result["report"])
-            return 0 if result.get("ok") else 1
-        if command == "size":
-            result = _call("size", {
-                "netlist": args.netlist,
-                "required_ps": args.required,
-                "tech": args.tech,
-                "strategy": args.strategy,
-                "seed": args.seed,
-                "max_moves": args.max_moves,
-            }, deadline_s=args.deadline)
-            print(result["report"])
-            return 0
+            # Only a verify result carries a pass/fail verdict.
+            return 0 if result.get("ok", True) else 1
         if command == "stats":
             result = client.call("stats")
             payload = {key: value for key, value in result.items()
@@ -406,83 +350,191 @@ def _client(args) -> int:
         return 0
 
 
-def _add_analyze_flags(parser) -> None:
-    """The result-affecting ``analyze`` flags, shared verbatim between
-    ``repro analyze`` and ``repro client HOST:PORT analyze`` so a served
-    request is specified exactly like a one-shot run."""
-    parser.add_argument("netlist")
-    parser.add_argument("--tech", default="90nm", choices=list(TECHNOLOGIES))
-    parser.add_argument("--tool", default="developed",
-                        choices=["developed", "baseline", "gba"])
-    parser.add_argument("--top", type=int, default=10)
-    parser.add_argument("--n-worst", type=int, default=None, metavar="N",
-                        help="developed tool only: report the N worst "
-                             "true paths using the backward required-time "
-                             "bound to prune the search")
-    parser.add_argument("--compare", action="store_true",
-                        help="with --tool gba: also run the true-path "
-                             "search and print the per-endpoint "
-                             "gba_pessimism delta")
-    parser.add_argument("--max-paths", type=int, default=20000)
-    parser.add_argument("--backtrack-limit", type=int, default=1000)
-    parser.add_argument("--required", type=float, default=None,
-                        help="required time in ps for a slack report")
-    parser.add_argument("--no-map", action="store_true",
-                        help="skip technology mapping of .bench input")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="shard the developed tool's search across "
-                             "primary inputs in N worker processes")
+#: One argparse definition per request field, shared by every op whose
+#: request type has the field, in ``repro <op>`` and ``repro client
+#: HOST:PORT <op>`` alike, so a served request is specified exactly
+#: like a one-shot run.  No argparse defaults: an absent flag keeps the
+#: field's dataclass default, which ``{default}`` in a help text names.
+_REQUEST_FLAGS = {
+    "netlist": ("netlist", {}),
+    "circuits": ("--circuit", dict(
+        action="append", metavar="SPEC",
+        help="netlist file or iscas:<name>[@scale] spec (repeatable; "
+             "default: {default})")),
+    "oracle": ("--oracle", dict(
+        action="store_true",
+        help="exhaustively sweep each --circuit through event "
+             "simulation and cross-check the pathfinder's "
+             "delay/course/vector")),
+    "metamorphic": ("--metamorphic", dict(
+        action="store_true",
+        help="check the cross-engine invariant catalog on each "
+             "--circuit")),
+    "max_inputs": ("--max-inputs", dict(
+        type=int, metavar="N",
+        help="refuse oracle sweeps beyond this many primary inputs "
+             "(n * 2**n simulations; default {default})")),
+    "tech": ("--tech", dict(choices=list(TECHNOLOGIES),
+                            help="technology (default {default})")),
+    "tool": ("--tool", dict(choices=["developed", "baseline", "gba"],
+                            help="default {default}")),
+    "top": ("--top", dict(type=int, metavar="N",
+                          help="report rows (default {default})")),
+    "n_worst": ("--n-worst", dict(
+        type=int, metavar="N",
+        help="developed tool only: report the N worst true paths using "
+             "the backward required-time bound to prune the search")),
+    "compare": ("--compare", dict(
+        action="store_true",
+        help="with --tool gba: also run the true-path search and print "
+             "the per-endpoint gba_pessimism delta")),
+    "required_ps": ("--required", dict(
+        type=float, metavar="PS",
+        help="required time in ps (analyze: for a slack report)")),
+    "strategy": ("--strategy", dict(choices=["greedy", "anneal"],
+                                    help="default {default}")),
+    "seed": ("--seed", dict(
+        type=int, help="anneal move-selection seed (default {default})")),
+    "max_moves": ("--max-moves", dict(
+        type=int, metavar="N",
+        help="greedy: sizing rounds; anneal: attempted moves "
+             "(default {default})")),
+    "max_paths": ("--max-paths", dict(
+        type=int, metavar="N",
+        help="path cap per search (default {default})")),
+    "backtrack_limit": ("--backtrack-limit", dict(
+        type=int, metavar="N",
+        help="baseline tool: backtracks per sensitization "
+             "(default {default})")),
+    "no_map": ("--no-map", dict(
+        action="store_true",
+        help="skip technology mapping of .bench input")),
+    "jobs": ("--jobs", dict(
+        type=int, metavar="N",
+        help="worker processes: analyze shards the developed tool's "
+             "search across primary inputs, verify the "
+             "parallel-identical invariant (1 = in-process; "
+             "default {default})")),
     # No argparse choices=: an unknown policy must exit through the
     # resilience taxonomy (ConfigError, EX_CONFIG=78) with a one-line
     # message naming the valid values, not argparse's usage dump.
-    parser.add_argument("--missing-arc-policy", default="error",
-                        metavar="POLICY",
-                        help="on a library gap: abort (error) or fall "
-                             "back to the nearest characterized arc of "
-                             "the same cell (warn-substitute)")
-    parser.add_argument("--wall-budget", type=float, default=None,
+    "missing_arc_policy": ("--missing-arc-policy", dict(
+        metavar="POLICY",
+        help="on a library gap: abort (error) or fall back to the "
+             "nearest characterized arc of the same cell "
+             "(warn-substitute; default {default})")),
+    "wall_budget": ("--wall-budget", dict(
+        type=float, metavar="SECONDS",
+        help="anytime mode: stop after this much wall-clock time (one "
+             "deadline for all origins and workers; size: for the "
+             "whole sizing loop) and report partial results, with "
+             "per-origin completeness + GBA bounds for analyze")),
+    "extension_budget": ("--extension-budget", dict(
+        type=int, metavar="N",
+        help="anytime mode: cap search extensions per origin of each "
+             "path search")),
+    "backtrack_budget": ("--backtrack-budget", dict(
+        type=int, metavar="N",
+        help="anytime mode: cap justification backtracks per origin of "
+             "each path search")),
+    "checkpoint": ("--checkpoint", dict(
+        metavar="PATH",
+        help="stream completed origins to this JSON snapshot (atomic "
+             "writes; survives crashes and Ctrl-C)")),
+    "resume": ("--resume", dict(
+        metavar="PATH",
+        help="adopt completed origins from a checkpoint written by an "
+             "identical configuration")),
+    "shard_timeout": ("--shard-timeout", dict(
+        type=float, metavar="SECONDS",
+        help="wall-clock deadline per parallel shard attempt (hung "
+             "workers are terminated and the shard retried)")),
+    "shard_retries": ("--shard-retries", dict(
+        type=int, metavar="N",
+        help="retry attempts per failed shard before the in-process "
+             "serial fallback (default {default})")),
+    "progress": ("--progress", dict(
+        action="store_true",
+        help="developed tool: live per-origin progress line on stderr "
+             "(heartbeats from worker processes under --jobs)")),
+    "heartbeat_timeout": ("--heartbeat-timeout", dict(
+        type=float, metavar="SECONDS",
+        help="treat a parallel shard as stalled when its workers send "
+             "no heartbeat for this long (terminate + retry, like "
+             "--shard-timeout but distinguishing silent hangs from "
+             "slow progress)")),
+}
+
+
+def _add_request_flags(parser, request_type, names=None) -> None:
+    """One flag per ``request_type`` field (:data:`_REQUEST_FLAGS`), or
+    per field in ``names``; fields without one are service-only knobs."""
+    for f in fields(request_type):
+        if f.name not in _REQUEST_FLAGS or (names and f.name not in names):
+            continue
+        flag, kwargs = _REQUEST_FLAGS[f.name]
+        kwargs = dict(kwargs)
+        if "help" in kwargs:
+            default = f.default
+            if isinstance(default, tuple):
+                default = " ".join(default)
+            kwargs["help"] = kwargs["help"].format(default=default)
+        if flag.startswith("--"):
+            kwargs.update(dest=f.name, default=None,
+                          required=f.default is MISSING)
+        parser.add_argument(flag, **kwargs)
+
+
+#: The observability flags, defined once for every command taking them.
+_OBS_FLAGS = {
+    "--log-level": dict(choices=["debug", "info", "warning", "error"],
+                        help="enable structured logging at this level"),
+    "--log-json": dict(metavar="PATH",
+                       help="also write JSONL log records to PATH"),
+    "--profile": dict(action="store_true",
+                      help="trace spans and print a span/metric tree"),
+    "--metrics-json": dict(metavar="PATH",
+                           help="write the metrics+span snapshot to PATH"),
+    "--trace-json": dict(metavar="PATH",
+                         help="write a Chrome trace-event / Perfetto "
+                              "timeline (one lane per worker process, "
+                              "instant markers for resilience incidents) "
+                              "to PATH"),
+}
+
+
+def _add_obs_flags(parser, *flags: str) -> None:
+    for flag in flags or _OBS_FLAGS:
+        parser.add_argument(flag, **_OBS_FLAGS[flag])
+
+
+def _add_client_flags(parser, op: str) -> None:
+    """``repro client HOST:PORT <op>``'s own flags: the socket timeout,
+    plus QoS and retries for the compute ops."""
+    compute = op in REQUEST_TYPES
+    parser.add_argument("--timeout", type=float,
+                        default=600.0 if compute else 60.0,
+                        help="client socket timeout (default %(default)g)")
+    if not compute:
+        return
+    parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
-                        help="anytime mode: stop searching after this "
-                             "much wall-clock time (one deadline for "
-                             "all origins and workers) and report "
-                             "partial paths with per-origin "
-                             "completeness + GBA bounds")
-    parser.add_argument("--extension-budget", type=int, default=None,
-                        metavar="N",
-                        help="anytime mode: cap search extensions "
-                             "per origin")
-    parser.add_argument("--backtrack-budget", type=int, default=None,
-                        metavar="N",
-                        help="anytime mode: cap justification "
-                             "backtracks per origin")
-    parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="stream completed origins to this JSON "
-                             "snapshot (atomic writes; survives crashes "
-                             "and Ctrl-C)")
-    parser.add_argument("--resume", default=None, metavar="PATH",
-                        help="adopt completed origins from a checkpoint "
-                             "written by an identical configuration")
-    parser.add_argument("--shard-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock deadline per parallel shard "
-                             "attempt (hung workers are terminated and "
-                             "the shard retried)")
-    parser.add_argument("--shard-retries", type=int, default=2,
-                        metavar="N",
-                        help="retry attempts per failed shard before "
-                             "the in-process serial fallback "
-                             "(default 2)")
-    parser.add_argument("--progress", action="store_true",
-                        help="developed tool: live per-origin progress "
-                             "line on stderr (heartbeats from worker "
-                             "processes under --jobs)")
-    parser.add_argument("--heartbeat-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="treat a parallel shard as stalled when its "
-                             "workers send no heartbeat for this long "
-                             "(terminate + retry, like --shard-timeout "
-                             "but distinguishing silent hangs from slow "
-                             "progress)")
+                        help="QoS: wall-clock deadline; a request "
+                             "still queued when it passes is refused "
+                             "(analyze: also the search's wall budget, "
+                             "net of the queue wait)")
+    parser.add_argument("--retries", type=int, default=0, metavar="N",
+                        help="retry 'overloaded'/'unavailable' refusals "
+                             "and transport failures up to N times with "
+                             "jittered exponential backoff (idempotent "
+                             "re-send; default 0)")
+    if op == "analyze":
+        parser.add_argument("--effort", default=None,
+                            choices=["low", "medium", "high", "exhaustive"],
+                            help="QoS: named extension-budget tier")
+        parser.add_argument("--metrics-json", default=None, metavar="PATH",
+                            help="write the request's server-side counter "
+                                 "deltas to PATH")
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -490,23 +542,10 @@ def main(argv: Optional[list] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="run STA on a netlist")
-    _add_analyze_flags(analyze)
+    _add_request_flags(analyze, AnalysisRequest)
     analyze.add_argument("--json", default=None,
                          help="dump the path list to this JSON file")
-    analyze.add_argument("--log-level", default=None,
-                         choices=["debug", "info", "warning", "error"],
-                         help="enable structured logging at this level")
-    analyze.add_argument("--log-json", default=None, metavar="PATH",
-                         help="also write JSONL log records to PATH")
-    analyze.add_argument("--profile", action="store_true",
-                         help="trace spans and print a span/metric tree")
-    analyze.add_argument("--metrics-json", default=None, metavar="PATH",
-                         help="write the metrics+span snapshot to PATH")
-    analyze.add_argument("--trace-json", default=None, metavar="PATH",
-                         help="write a Chrome trace-event / Perfetto "
-                              "timeline (one lane per worker process, "
-                              "instant markers for resilience incidents) "
-                              "to PATH")
+    _add_obs_flags(analyze)
     analyze.set_defaults(func=_analyze)
 
     size = sub.add_parser(
@@ -514,42 +553,10 @@ def main(argv: Optional[list] = None) -> int:
         help="timing-driven gate sizing against the incremental STA "
              "session (repro.opt.sizer)",
     )
-    size.add_argument("netlist")
-    size.add_argument("--tech", default="90nm", choices=list(TECHNOLOGIES))
-    size.add_argument("--required", type=float, required=True,
-                      metavar="PS", help="required time in ps")
-    size.add_argument("--strategy", default="greedy",
-                      choices=["greedy", "anneal"])
-    size.add_argument("--seed", type=int, default=0,
-                      help="anneal move-selection seed (default 0)")
-    size.add_argument("--max-moves", type=int, default=20,
-                      help="greedy: sizing rounds; anneal: attempted "
-                           "moves (default 20)")
-    size.add_argument("--max-paths", type=int, default=5000,
-                      help="cap per worst-path query (default 5000)")
-    size.add_argument("--no-map", action="store_true",
-                      help="skip technology mapping of .bench input")
-    size.add_argument("--wall-budget", type=float, default=None,
-                      metavar="SECONDS",
-                      help="stop the sizing loop after this much "
-                           "wall-clock time")
-    size.add_argument("--extension-budget", type=int, default=None,
-                      metavar="N",
-                      help="cap extensions per origin of each path search")
-    size.add_argument("--backtrack-budget", type=int, default=None,
-                      metavar="N",
-                      help="cap backtracks per origin of each path search")
+    _add_request_flags(size, SizeRequest)
     size.add_argument("--json", default=None, metavar="PATH",
                       help="write the move-by-move sizing report to PATH")
-    size.add_argument("--log-level", default=None,
-                      choices=["debug", "info", "warning", "error"])
-    size.add_argument("--log-json", default=None, metavar="PATH")
-    size.add_argument("--profile", action="store_true",
-                      help="trace spans and print a span/metric tree")
-    size.add_argument("--metrics-json", default=None, metavar="PATH",
-                      help="write the metrics+span snapshot to PATH")
-    size.add_argument("--trace-json", default=None, metavar="PATH",
-                      help="write a Chrome trace-event timeline to PATH")
+    _add_obs_flags(size)
     size.set_defaults(func=_size)
 
     verify = sub.add_parser(
@@ -557,13 +564,7 @@ def main(argv: Optional[list] = None) -> int:
         help="differential verification: exhaustive oracle, metamorphic "
              "invariants, seeded fuzzing (repro.verify)",
     )
-    verify.add_argument("--oracle", action="store_true",
-                        help="exhaustively sweep each --circuit through "
-                             "event simulation and cross-check the "
-                             "pathfinder's delay/course/vector")
-    verify.add_argument("--metamorphic", action="store_true",
-                        help="check the cross-engine invariant catalog "
-                             "on each --circuit")
+    _add_request_flags(verify, VerifyRequest)
     verify.add_argument("--fuzz", type=int, default=None, metavar="N",
                         help="fuzz N random mapped circuits, shrinking "
                              "any failure to a minimal counterexample")
@@ -581,27 +582,12 @@ def main(argv: Optional[list] = None) -> int:
     verify.add_argument("--max-paths", type=int, default=None, metavar="N",
                         help="cap paths per fault-scenario run (keeps "
                              "--faults cheap on large circuits)")
-    verify.add_argument("--circuit", action="append", default=None,
-                        metavar="SPEC",
-                        help="netlist file or iscas:<name>[@scale] spec "
-                             "for --oracle/--metamorphic (repeatable; "
-                             "default: iscas:c17 iscas:c432@0.05)")
     verify.add_argument("--seed", type=int, default=0,
                         help="fuzz batch seed (default 0)")
-    verify.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the parallel-identical "
-                             "invariant (1 = in-process shard/merge)")
-    verify.add_argument("--max-inputs", type=int, default=18,
-                        help="refuse oracle sweeps beyond this many "
-                             "primary inputs (n * 2**n simulations)")
     verify.add_argument("--artifact-dir", default=None, metavar="DIR",
                         help="write shrunk fuzz counterexamples (.v) here")
-    verify.add_argument("--tech", default="90nm", choices=list(TECHNOLOGIES))
-    verify.add_argument("--log-level", default=None,
-                        choices=["debug", "info", "warning", "error"])
-    verify.add_argument("--log-json", default=None, metavar="PATH")
-    verify.add_argument("--profile", action="store_true")
-    verify.add_argument("--metrics-json", default=None, metavar="PATH")
+    _add_obs_flags(verify, "--log-level", "--log-json", "--profile",
+                   "--metrics-json")
     verify.set_defaults(func=_verify)
 
     serve = sub.add_parser(
@@ -661,9 +647,7 @@ def main(argv: Optional[list] = None) -> int:
                             "(default: no horizon)")
     serve.add_argument("--port-file", default=None, metavar="PATH",
                        help="write the bound port to PATH once listening")
-    serve.add_argument("--log-level", default=None,
-                       choices=["debug", "info", "warning", "error"])
-    serve.add_argument("--log-json", default=None, metavar="PATH")
+    _add_obs_flags(serve, "--log-level", "--log-json")
     serve.set_defaults(func=_serve)
 
     client = sub.add_parser(
@@ -671,80 +655,26 @@ def main(argv: Optional[list] = None) -> int:
         help="send one request to a running `repro serve` daemon",
     )
     client.add_argument("server", metavar="HOST:PORT")
+    client.set_defaults(func=_client)
     client_sub = client.add_subparsers(dest="client_command", required=True)
-
-    c_analyze = client_sub.add_parser(
-        "analyze", help="served STA run (byte-identical to `repro "
-                        "analyze` for the same flags)")
-    _add_analyze_flags(c_analyze)
-    c_analyze.add_argument("--deadline", type=float, default=None,
-                           metavar="SECONDS",
-                           help="QoS: whole-request wall-clock promise; "
-                                "maps onto SearchBudgets.wall_seconds "
-                                "net of queue wait")
-    c_analyze.add_argument("--effort", default=None,
-                           choices=["low", "medium", "high", "exhaustive"],
-                           help="QoS: named extension-budget tier")
-    c_analyze.add_argument("--timeout", type=float, default=600.0,
-                           help="client socket timeout (default 600)")
-    c_analyze.add_argument("--retries", type=int, default=0, metavar="N",
-                           help="retry 'overloaded'/'unavailable' "
-                                "refusals and transport failures up to N "
-                                "times with jittered exponential backoff "
-                                "(idempotent re-send; default 0)")
-    c_analyze.add_argument("--metrics-json", default=None, metavar="PATH",
-                           help="write the server-side per-request "
-                                "counter delta to PATH")
-    c_analyze.set_defaults(func=_client)
-
-    c_verify = client_sub.add_parser("verify", help="served verification")
-    c_verify.add_argument("--circuit", action="append", default=None,
-                          metavar="SPEC")
-    c_verify.add_argument("--oracle", action="store_true")
-    c_verify.add_argument("--metamorphic", action="store_true")
-    c_verify.add_argument("--max-inputs", type=int, default=18)
-    c_verify.add_argument("--jobs", type=int, default=1, metavar="N")
-    c_verify.add_argument("--tech", default="90nm",
-                          choices=list(TECHNOLOGIES))
-    c_verify.add_argument("--deadline", type=float, default=None,
-                          metavar="SECONDS")
-    c_verify.add_argument("--timeout", type=float, default=600.0)
-    c_verify.add_argument("--retries", type=int, default=0, metavar="N")
-    c_verify.set_defaults(func=_client)
-
-    c_size = client_sub.add_parser("size", help="served gate sizing")
-    c_size.add_argument("netlist")
-    c_size.add_argument("--required", type=float, required=True,
-                        metavar="PS")
-    c_size.add_argument("--tech", default="90nm",
-                        choices=list(TECHNOLOGIES))
-    c_size.add_argument("--strategy", default="greedy",
-                        choices=["greedy", "anneal"])
-    c_size.add_argument("--seed", type=int, default=0)
-    c_size.add_argument("--max-moves", type=int, default=20)
-    c_size.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS")
-    c_size.add_argument("--timeout", type=float, default=600.0)
-    c_size.add_argument("--retries", type=int, default=0, metavar="N")
-    c_size.set_defaults(func=_client)
-
-    c_stats = client_sub.add_parser(
-        "stats", help="server uptime, request counts, cache and metrics "
-                      "state")
-    c_stats.add_argument("--json", default=None, metavar="PATH",
-                         help="write the stats payload to PATH instead "
-                              "of stdout")
-    c_stats.add_argument("--timeout", type=float, default=60.0)
-    c_stats.set_defaults(func=_client)
-
-    c_ping = client_sub.add_parser("ping", help="liveness check")
-    c_ping.add_argument("--timeout", type=float, default=60.0)
-    c_ping.set_defaults(func=_client)
-
-    c_shutdown = client_sub.add_parser("shutdown",
-                                       help="stop the server cleanly")
-    c_shutdown.add_argument("--timeout", type=float, default=60.0)
-    c_shutdown.set_defaults(func=_client)
+    client_help = {
+        "analyze": "served STA run (byte-identical to `repro analyze` for "
+                   "the same flags)",
+        "size": "served gate sizing (byte-identical to `repro size`)",
+        "verify": "served --oracle/--metamorphic verification",
+        "stats": "server uptime, request counts, cache and metrics state",
+        "ping": "liveness check",
+        "shutdown": "stop the server cleanly",
+    }
+    for op, text in client_help.items():
+        c_op = client_sub.add_parser(op, help=text)
+        if op in REQUEST_TYPES:
+            _add_request_flags(c_op, REQUEST_TYPES[op])
+        _add_client_flags(c_op, op)
+        if op == "stats":
+            c_op.add_argument("--json", default=None, metavar="PATH",
+                              help="write the stats payload to PATH "
+                                   "instead of stdout")
 
     obs_parser = sub.add_parser(
         "obs",
@@ -770,8 +700,7 @@ def main(argv: Optional[list] = None) -> int:
     obs_diff.set_defaults(func=_obs_diff)
 
     stats = sub.add_parser("stats", help="print netlist statistics")
-    stats.add_argument("netlist")
-    stats.add_argument("--no-map", action="store_true")
+    _add_request_flags(stats, AnalysisRequest, ("netlist", "no_map"))
     stats.set_defaults(func=_stats)
 
     args = parser.parse_args(argv)

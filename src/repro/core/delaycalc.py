@@ -111,7 +111,6 @@ class DelayCalculator:
         temp: float = 25.0,
         vdd: Optional[float] = None,
         input_slew: float = DEFAULT_INPUT_SLEW,
-        vector_blind: bool = False,
         missing_arc_policy: str = "error",
     ):
         if missing_arc_policy not in MISSING_ARC_POLICIES:
@@ -127,7 +126,9 @@ class DelayCalculator:
         self.temp = temp
         self.vdd = vdd if vdd is not None else self._nominal_vdd()
         self.input_slew = input_slew
-        self.vector_blind = vector_blind
+        #: A default-vector library (one arc per pin and polarity, the
+        #: baseline's LUT models) is looked up without vector ids.
+        self.vector_blind = charlib.metadata.get("vector_mode") == "default"
         self.missing_arc_policy = missing_arc_policy
         #: Model evaluations served (plain attribute -- the search loop
         #: is too hot for registry traffic; callers publish the delta

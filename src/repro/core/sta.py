@@ -95,7 +95,6 @@ class TruePathSTA:
         self.ec = EngineCircuit(circuit)
         self.calc = DelayCalculator(
             self.ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
-            vector_blind=charlib.metadata.get("vector_mode") == "default",
             missing_arc_policy=missing_arc_policy,
         )
         self.last_stats: Optional[SearchStats] = None

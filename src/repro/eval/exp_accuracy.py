@@ -97,7 +97,7 @@ def measure_circuit(
 
     lut_calc = DelayCalculator(
         sta.ec, charlib_lut, temp=sta.calc.temp, vdd=sta.calc.vdd,
-        input_slew=sta.calc.input_slew, vector_blind=True,
+        input_slew=sta.calc.input_slew,
     )
     simulator = PathSimulator(tech, steps_per_window=steps_per_window)
 

@@ -48,9 +48,7 @@ def write_sdf(
     circuit.check()
     ec = EngineCircuit(circuit)
     calc = DelayCalculator(
-        ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
-        vector_blind=charlib.metadata.get("vector_mode") == "default",
-    )
+        ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew)
     lines = [
         "(DELAYFILE",
         '  (SDFVERSION "3.0")',

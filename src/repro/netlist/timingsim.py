@@ -90,15 +90,12 @@ class TimingSimulator:
         temp: float = 25.0,
         vdd: Optional[float] = None,
         input_slew: float = DEFAULT_INPUT_SLEW,
-        vector_blind: bool = False,
     ):
         circuit.check()
         self.circuit = circuit
         self.ec = EngineCircuit(circuit)
         self.calc = DelayCalculator(
-            self.ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew,
-            vector_blind=vector_blind,
-        )
+            self.ec, charlib, temp=temp, vdd=vdd, input_slew=input_slew)
 
     # ------------------------------------------------------------------
     def simulate_transition(

@@ -78,6 +78,14 @@ class ShardTelemetry:
     #: depth)`` -- empty unless trace capture is on.
     events: List[Tuple[str, float, float, int]] = field(default_factory=list)
 
+    def counters(self) -> Dict[str, float]:
+        """The counter deltas, keyed and sorted like a metrics
+        snapshot (a served request's per-request ``metrics``)."""
+        return dict(sorted(
+            (format_key(name, dict(labels)), delta)
+            for kind, name, labels, delta in self.metrics
+            if kind == "counter"))
+
 
 class RegistryShipper:
     """Worker-side delta tracker over the process registry.

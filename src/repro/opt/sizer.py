@@ -254,35 +254,27 @@ class TimingDrivenSizer:
                     return
                 before = result.final_arrival
                 self.sta.replace_cell(step.gate_name, variant_name)
-                worst = self._worst_path()
-                if worst is None:
+                trial = self._worst_path()
+                if trial is None:
                     self.sta.replace_cell(step.gate_name, step.cell_name)
                     result.stop_reason = "budget"
                     return
-                after = worst.worst_arrival
-                if after >= before:  # upsizing hurt (self-loading); revert
-                    result.moves.append(SizerMove(
-                        gate_name=step.gate_name,
-                        from_cell=step.cell_name,
-                        to_cell=variant_name,
-                        arrival_before=before,
-                        arrival_after=after,
-                        accepted=False,
-                    ))
-                    self.sta.replace_cell(step.gate_name, step.cell_name)
-                    worst = self._worst_path()
-                    if worst is None:
-                        result.stop_reason = "budget"
-                        return
-                    continue
+                after = trial.worst_arrival
+                accepted = after < before  # else self-loading hurt
                 result.moves.append(SizerMove(
                     gate_name=step.gate_name,
                     from_cell=step.cell_name,
                     to_cell=variant_name,
                     arrival_before=before,
                     arrival_after=after,
-                    accepted=True,
+                    accepted=accepted,
                 ))
+                if not accepted:
+                    # The revert restores the circuit whose worst path
+                    # the loop still holds: no search needed.
+                    self.sta.replace_cell(step.gate_name, step.cell_name)
+                    continue
+                worst = trial
                 result.final_arrival = after
                 swapped = True
                 break
@@ -356,11 +348,8 @@ class TimingDrivenSizer:
                 result.final_arrival = after
                 worst = worst_new
             else:
+                # Back to the circuit whose worst path ``worst`` is.
                 self.sta.replace_cell(gate_name, from_cell)
-                worst = self._worst_path()
-                if worst is None:
-                    result.stop_reason = "budget"
-                    return
         result.stop_reason = (
             "met" if result.final_arrival <= self.required_time
             else "max_moves"

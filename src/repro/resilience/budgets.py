@@ -180,15 +180,6 @@ class OriginOutcome:
             "gba_bound": self.gba_bound,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "OriginOutcome":
-        return cls(
-            origin=data["origin"],
-            status=data["status"],
-            paths_found=int(data.get("paths_found", 0)),
-            gba_bound=data.get("gba_bound"),
-        )
-
 
 @dataclass
 class CompletenessReport:

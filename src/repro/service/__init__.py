@@ -32,6 +32,8 @@ from repro.service.persistence import WarmStateStore
 from repro.service.protocol import MAX_FRAME_BYTES, PROTOCOL_VERSION
 from repro.service.requests import (
     AnalysisRequest,
+    SizeRequest,
+    VerifyRequest,
     build_context,
     execute_analysis,
     execute_size,
@@ -56,6 +58,8 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "ServiceUnavailable",
+    "SizeRequest",
+    "VerifyRequest",
     "WarmStateStore",
     "WorkerFleet",
     "build_context",

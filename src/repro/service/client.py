@@ -133,18 +133,6 @@ class ServiceClient:
                 f"client limit {self.max_frame_bytes}")
         return decode_payload(self._recv_exactly(length))
 
-    def send_raw(self, data: bytes) -> None:
-        """Ship raw bytes (protocol tests forge broken frames with
-        this)."""
-        self.connect()
-        assert self._sock is not None
-        self._sock.sendall(data)
-
-    def read_frame(self) -> Dict[str, Any]:
-        """Read one raw response frame (protocol tests)."""
-        self.connect()
-        return self._read_frame()
-
     # -- requests ----------------------------------------------------------
 
     def call(

@@ -24,8 +24,9 @@ kill or runaway loop costs one request attempt, not the daemon:
 Forked workers inherit the warm charlib memo and keep their own
 :class:`~repro.service.cache.HotCache` of built contexts
 (``service.worker_cache_*`` counters).  A worker runs one request at a
-time, so the per-request metric delta ``run_work`` takes around the
-compute sees that request's work and nothing else.  The chaos
+time, so the pool's per-task telemetry is that request's work and
+nothing else: the acceptor merges it and fills the result frame's
+``metrics`` from its counter deltas.  The chaos
 harness's ``fleet_fault`` spec field hard-kills a worker with
 ``os._exit`` before the compute starts, exactly like an OOM kill.
 """
@@ -39,7 +40,6 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
-from repro.obs import metrics as obs_metrics
 from repro.resilience.errors import ConfigError, ResilienceError
 from repro.resilience.workers import Task, WorkerPool
 from repro.service.cache import HotCache
@@ -50,6 +50,7 @@ from repro.service.protocol import (
     result_frame,
 )
 from repro.service.requests import (
+    REQUEST_TYPES,
     AnalysisRequest,
     build_context,
     execute_analysis,
@@ -71,40 +72,27 @@ FLEET_FAULT_FIELDS = ("crash_attempts", "crash_exit_code",
 # The shared execution function (byte identity by construction)
 
 
-def _numeric_snapshot() -> Dict[str, float]:
-    return {key: value for key, value in obs_metrics.snapshot().items()
-            if isinstance(value, (int, float))}
-
-
-def _numeric_delta(before: Dict[str, float]) -> Dict[str, float]:
-    after = _numeric_snapshot()
-    return {key: value - before.get(key, 0)
-            for key, value in after.items()
-            if value != before.get(key, 0)}
-
-
 def run_work(spec: Dict[str, Any], contexts: HotCache) -> List[Dict[str, Any]]:
     """Execute one work spec against a context cache; return the
     response frames (``partial``* then a terminal ``result``/``error``).
 
-    Request-level failures are rendered to error frames *here*, so the
-    worker pipe carries plain frame lists and only infrastructure
-    failures surface as exceptions in the acceptor.
+    Every op's request is rebuilt the same way, from the spec's
+    ``request`` fields.  Request-level failures are rendered to error
+    frames *here*, so the worker pipe carries plain frame lists and
+    only infrastructure failures surface as exceptions in the acceptor.
     """
     try:
         op = spec["op"]
+        request = REQUEST_TYPES[op](**spec["request"])
         if op == "analyze":
-            return _run_analyze(spec, contexts)
+            return _run_analyze(request, spec, contexts)
         if op == "verify":
-            outcome = execute_verify(**spec["params"])
+            outcome = execute_verify(request)
             return [result_frame(None, op="verify", report=outcome.report,
                                  ok=outcome.ok)]
-        if op == "size":
-            outcome = execute_size(**spec["params"])
-            return [result_frame(None, op="size", report=outcome.report,
-                                 **outcome.payload)]
-        return [error_frame(None, "bad-request",
-                            f"op {op!r} not dispatchable")]
+        outcome = execute_size(request)
+        return [result_frame(None, op="size", report=outcome.report,
+                             **outcome.payload)]
     except ProtocolError as exc:
         return [error_frame(None, exc.code, str(exc))]
     except ConfigError as exc:
@@ -118,19 +106,18 @@ def run_work(spec: Dict[str, Any], contexts: HotCache) -> List[Dict[str, Any]]:
                             f"{type(exc).__name__}: {exc}")]
 
 
-def _run_analyze(spec: Dict[str, Any],
+def _run_analyze(request: AnalysisRequest, spec: Dict[str, Any],
                  contexts: HotCache) -> List[Dict[str, Any]]:
-    request = AnalysisRequest(**spec["request"])
-    fault_plan = spec.get("fault")
+    # The acceptor read the netlist file: the context and the result
+    # both belong to exactly the text it keyed the memo on.
+    text = spec.get("netlist_text")
     context = contexts.get_or_build(
-        request.context_key(), lambda: build_context(request))
+        request.context_key(text), lambda: build_context(request, text))
     with context.lock:
-        before = _numeric_snapshot()
         started = time.monotonic()
         outcome = execute_analysis(request, context=context,
-                                   fault_plan=fault_plan)
+                                   fault_plan=spec.get("fault"))
         elapsed = time.monotonic() - started
-        delta = _numeric_delta(before)
     fields: Dict[str, Any] = {
         "op": "analyze",
         "report": outcome.report,
@@ -138,7 +125,6 @@ def _run_analyze(spec: Dict[str, Any],
         "degraded": outcome.degraded,
         "cached": False,
         "elapsed_s": round(elapsed, 6),
-        "metrics": delta,
     }
     frames: List[Dict[str, Any]] = []
     if outcome.degraded and outcome.completeness is not None:

@@ -8,13 +8,17 @@ functions here, which build the *complete* stdout text (report, degraded
 completeness block, slack table) instead of printing as they go.  The
 CLI prints the returned string; the server ships it in a result frame.
 
+Each op has one request type (:data:`REQUEST_TYPES`): the CLI builds
+it from flags, the server from JSON params, and a fleet worker from
+the dispatched spec.
+
 The expensive inputs of a request -- the parsed/indexed circuit, the
 characterized library, the :class:`~repro.core.sta.TruePathSTA` session
 with its timing graph and derived bounds -- are bundled into an
 :class:`AnalysisContext`, built once per *context fingerprint* and held
 hot by the server's LRU cache (:mod:`repro.service.cache`).  A request
-names everything that affects its results; the context key is the
-subset that selects the heavy state.
+names everything that affects its results, its netlist file's text
+included; the context key is the subset that selects the heavy state.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.charlib.characterize import (
@@ -53,10 +57,18 @@ _CharlibKey = Tuple[str, str, CharacterizationGrid, str, str]
 _CHARLIB_MEMO: Dict[_CharlibKey, CharacterizedLibrary] = {}
 
 
-def load_circuit(path: str, map_to_complex: bool = True) -> Circuit:
+def read_netlist(path: str) -> Optional[str]:
+    """A netlist file's text; None for an ``iscas:`` spec, which builds
+    the same circuit every time."""
+    return None if path.startswith("iscas:") else Path(path).read_text()
+
+
+def load_circuit(path: str, map_to_complex: bool = True,
+                 text: Optional[str] = None) -> Circuit:
     """Load a ``.bench`` or ``.v`` netlist, or build an evaluation-suite
     circuit from an ``iscas:<name>[@scale]`` spec (e.g. ``iscas:c432``,
-    ``iscas:c6288@0.25``)."""
+    ``iscas:c6288@0.25``).  ``text`` is the file's text when the caller
+    already read it (:func:`read_netlist`)."""
     if path.startswith("iscas:"):
         from repro.eval.iscas import build_circuit
 
@@ -64,7 +76,8 @@ def load_circuit(path: str, map_to_complex: bool = True) -> Circuit:
         name, _, scale = spec.partition("@")
         return build_circuit(name, scale=float(scale) if scale else 1.0)
     file_path = Path(path)
-    text = file_path.read_text()
+    if text is None:
+        text = file_path.read_text()
     if file_path.suffix == ".v":
         return parse_verilog(text)
     if map_to_complex:
@@ -101,13 +114,78 @@ def cached_charlib(
 # Request description
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
-    """Everything that selects an ``analyze`` run's results.
+def _digest(*parts: Optional[str]) -> str:
+    hasher = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        if part is not None:
+            hasher.update(part.encode())
+    return hasher.hexdigest()
 
-    Field names and defaults mirror the ``repro analyze`` flags; the
-    service's ``analyze`` op accepts the same names as JSON params.
-    """
+
+class _Request:
+    """One served op's request: a frozen dataclass whose fields are the
+    op's JSON params and its ``repro <op>`` flags (``repro.cli`` adds
+    one flag per field), with the field defaults as the only defaults."""
+
+    #: The op this request type serves.
+    op: ClassVar[str]
+    #: Params the wire must name.
+    required: ClassVar[Tuple[str, ...]]
+
+    @classmethod
+    def from_params(cls, params: Dict[str, Any]):
+        """Build from JSON params, rejecting unknown fields (a typo'd
+        field silently ignored would break the byte-identity promise)."""
+        unknown = sorted(set(params) - {f.name for f in fields(cls)})
+        if unknown:
+            raise BadRequest(
+                f"unknown {cls.op} params: {', '.join(unknown)}")
+        missing = [name for name in cls.required if name not in params]
+        if missing:
+            raise BadRequest(f"{cls.op} requires the "
+                             f"{', '.join(map(repr, missing))} param(s)")
+        try:
+            request = cls(**params)
+        except TypeError as exc:
+            raise BadRequest(f"bad {cls.op} params: {exc}")
+        request._check()
+        return request
+
+    def _check(self) -> None:
+        """Refuse well-formed params the op cannot answer."""
+
+
+class _BudgetedRequest(_Request):
+    """A request whose searches take ``wall_budget`` /
+    ``extension_budget`` / ``backtrack_budget`` fields."""
+
+    wall_budget: Optional[float]
+    extension_budget: Optional[int]
+    backtrack_budget: Optional[int]
+
+    def budgets(self) -> Optional[SearchBudgets]:
+        budgets = SearchBudgets(
+            wall_seconds=self.wall_budget,
+            max_extensions=self.extension_budget,
+            max_backtracks=self.backtrack_budget,
+        )
+        return budgets if budgets.bounded() else None
+
+    def with_budgets(self, budgets: Optional[SearchBudgets]):
+        """This request under ``budgets`` (None: unbudgeted), e.g. after
+        a QoS merge (:func:`repro.service.qos.resolve_budgets`)."""
+        budgets = budgets or SearchBudgets()
+        return replace(self, wall_budget=budgets.wall_seconds,
+                       extension_budget=budgets.max_extensions,
+                       backtrack_budget=budgets.max_backtracks)
+
+
+@dataclass(frozen=True)
+class AnalysisRequest(_BudgetedRequest):
+    """Everything that selects an ``analyze`` run's results."""
+
+    op: ClassVar[str] = "analyze"
+    required: ClassVar[Tuple[str, ...]] = ("netlist",)
 
     netlist: str
     tech: str = "90nm"
@@ -135,34 +213,21 @@ class AnalysisRequest:
     #: ``failed`` origins with GBA bounds instead of completing.
     serial_fallback: bool = True
 
-    @classmethod
-    def from_params(cls, params: Dict[str, Any]) -> "AnalysisRequest":
-        """Build from JSON params, rejecting unknown fields (a typo'd
-        field silently ignored would break the byte-identity promise)."""
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise BadRequest(
-                f"unknown analyze params: {', '.join(unknown)}")
-        if "netlist" not in params:
-            raise BadRequest("analyze requires a 'netlist' param")
-        try:
-            return cls(**params)
-        except TypeError as exc:
-            raise BadRequest(f"bad analyze params: {exc}")
-
-    def context_key(self) -> Tuple:
+    def context_key(self, netlist_text: Optional[str] = None) -> Tuple:
         """The subset of fields selecting the heavy cached state
-        (circuit + characterized library + analysis session).  The
-        developed and gba tools share one session; the baseline
+        (circuit + characterized library + analysis session), with the
+        netlist's text (:func:`read_netlist`) standing for the file.
+        The developed and gba tools share one session; the baseline
         analyzes on the LUT library, so it keeps its own context."""
-        return ("analyze", self.netlist, self.no_map, self.tech,
-                self.tool == "baseline", self.missing_arc_policy)
+        return ("analyze", self.netlist, _digest(netlist_text),
+                self.no_map, self.tech, self.tool == "baseline",
+                self.missing_arc_policy)
 
-    def fingerprint(self) -> str:
-        """Stable digest of the *full* request -- the result-memo key."""
-        body = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.blake2b(body.encode(), digest_size=16).hexdigest()
+    def fingerprint(self, netlist_text: Optional[str] = None) -> str:
+        """Stable digest of the *full* request and of the netlist text
+        it reads -- the result-memo key."""
+        return _digest(json.dumps(asdict(self), sort_keys=True),
+                       netlist_text)
 
     def deterministic(self) -> bool:
         """Whether an identical request must produce identical output
@@ -172,13 +237,55 @@ class AnalysisRequest:
                 and self.checkpoint is None
                 and self.resume is None)
 
-    def budgets(self) -> Optional[SearchBudgets]:
-        budgets = SearchBudgets(
-            wall_seconds=self.wall_budget,
-            max_extensions=self.extension_budget,
-            max_backtracks=self.backtrack_budget,
-        )
-        return budgets if budgets.bounded() else None
+
+@dataclass(frozen=True)
+class SizeRequest(_BudgetedRequest):
+    """Everything that selects a ``size`` run's results."""
+
+    op: ClassVar[str] = "size"
+    required: ClassVar[Tuple[str, ...]] = ("netlist", "required_ps")
+
+    netlist: str
+    required_ps: float
+    tech: str = "90nm"
+    strategy: str = "greedy"
+    seed: int = 0
+    max_moves: int = 20
+    max_paths: int = 5000
+    no_map: bool = False
+    wall_budget: Optional[float] = None
+    extension_budget: Optional[int] = None
+    backtrack_budget: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class VerifyRequest(_Request):
+    """The oracle/metamorphic slice of ``repro verify`` (fuzz and fault
+    batteries stay CLI-only: they spawn pools and temp state that don't
+    belong in a request)."""
+
+    op: ClassVar[str] = "verify"
+    required: ClassVar[Tuple[str, ...]] = ("circuits",)
+
+    circuits: Sequence[str] = ("iscas:c17", "iscas:c432@0.05")
+    oracle: bool = False
+    metamorphic: bool = False
+    max_inputs: int = 18
+    jobs: int = 1
+    tech: str = "90nm"
+
+    def _check(self) -> None:
+        if not self.circuits or not isinstance(self.circuits, list):
+            raise BadRequest(
+                "verify requires a non-empty 'circuits' list param")
+        if not self.oracle and not self.metamorphic:
+            raise BadRequest(
+                "verify requires 'oracle' and/or 'metamorphic'")
+
+
+#: Op name -> its request type: every served op, one shape each.
+REQUEST_TYPES = {request_type.op: request_type for request_type in
+                 (AnalysisRequest, SizeRequest, VerifyRequest)}
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +318,16 @@ class AnalysisContext:
         return self.sta
 
 
-def build_context(request: AnalysisRequest) -> AnalysisContext:
-    """Pay the startup cost once: parse/index the circuit, characterize
-    (or load) the library, and compile the analysis session."""
+def build_context(request: AnalysisRequest,
+                  netlist_text: Optional[str] = None) -> AnalysisContext:
+    """Pay the startup cost once: parse/index the circuit (from
+    ``netlist_text`` when the caller already read the file),
+    characterize (or load) the library, and compile the analysis
+    session."""
     with obs.span("service.context_build"):
         circuit = load_circuit(request.netlist,
-                               map_to_complex=not request.no_map)
+                               map_to_complex=not request.no_map,
+                               text=netlist_text)
         tech = TECHNOLOGIES[request.tech]
         library = default_library()
         if request.tool == "baseline":
@@ -362,35 +473,28 @@ class VerifyOutcome:
     ok: bool
 
 
-def execute_verify(
-    circuits: List[str],
-    oracle: bool = False,
-    metamorphic: bool = False,
-    max_inputs: int = 18,
-    jobs: int = 1,
-    tech: str = "90nm",
-) -> VerifyOutcome:
-    """The oracle/metamorphic slice of ``repro verify``, rendered to the
-    same text the CLI prints (fuzz and fault batteries stay CLI-only:
-    they spawn pools and temp state that don't belong in a request)."""
+def execute_verify(request: VerifyRequest) -> VerifyOutcome:
+    """One ``verify`` request, rendered to the same text the CLI
+    prints."""
     library = default_library()
-    charlib = cached_charlib(library, TECHNOLOGIES[tech])
+    charlib = cached_charlib(library, TECHNOLOGIES[request.tech])
     lines: List[str] = []
     failed = False
-    for spec in circuits:
+    for spec in request.circuits:
         circuit = load_circuit(spec)
-        if oracle:
+        if request.oracle:
             from repro.verify import run_oracle
 
-            report = run_oracle(circuit, charlib, max_inputs=max_inputs)
+            report = run_oracle(circuit, charlib,
+                                max_inputs=request.max_inputs)
             lines.append(report.summary())
             for mismatch in report.mismatches:
                 lines.append(f"  {mismatch.describe()}")
             failed = failed or not report.ok
-        if metamorphic:
+        if request.metamorphic:
             from repro.verify import run_metamorphic
 
-            results = run_metamorphic(circuit, charlib, jobs=jobs)
+            results = run_metamorphic(circuit, charlib, jobs=request.jobs)
             lines.append(f"metamorphic {circuit.name}:")
             for result in results:
                 lines.append(f"  {result.describe()}")
@@ -404,27 +508,16 @@ class SizeOutcome:
     payload: Dict[str, Any]
 
 
-def execute_size(
-    netlist: str,
-    required_ps: float,
-    tech: str = "90nm",
-    strategy: str = "greedy",
-    seed: int = 0,
-    max_moves: int = 20,
-    max_paths: int = 5000,
-    no_map: bool = False,
-    wall_budget: Optional[float] = None,
-    extension_budget: Optional[int] = None,
-    backtrack_budget: Optional[int] = None,
-) -> SizeOutcome:
+def execute_size(request: SizeRequest) -> SizeOutcome:
     """One ``repro size`` run.  Sizing *mutates* its circuit, so this
     always builds fresh state -- the hot cache only amortizes the
     characterized sized library (via the charlib disk cache/memo)."""
     from repro.gates.library import DRIVE_SUFFIX, sized_library
     from repro.opt.sizer import TimingDrivenSizer
 
-    circuit = load_circuit(netlist, map_to_complex=not no_map)
-    tech_obj = TECHNOLOGIES[tech]
+    circuit = load_circuit(request.netlist,
+                           map_to_complex=not request.no_map)
+    tech_obj = TECHNOLOGIES[request.tech]
     library = sized_library()
     circuit.library = library
     used = sorted({inst.cell.name for inst in circuit.instances.values()})
@@ -440,18 +533,13 @@ def execute_size(
     charlib = characterize_library(
         library, tech_obj, grid=FAST_GRID, cells=sorted(cells)
     )
-    budgets = SearchBudgets(
-        wall_seconds=wall_budget,
-        max_extensions=extension_budget,
-        max_backtracks=backtrack_budget,
-    )
     sizer = TimingDrivenSizer(
-        circuit, charlib, required_ps * 1e-12,
-        strategy=strategy,
-        seed=seed,
-        max_moves=max_moves,
-        max_paths=max_paths,
-        budgets=budgets if budgets.bounded() else None,
+        circuit, charlib, request.required_ps * 1e-12,
+        strategy=request.strategy,
+        seed=request.seed,
+        max_moves=request.max_moves,
+        max_paths=request.max_paths,
+        budgets=request.budgets(),
     )
     result = sizer.run()
     payload = {

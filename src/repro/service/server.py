@@ -21,9 +21,10 @@ One :class:`AnalysisServer` owns
   snapshotting the result memo periodically and on drain, re-warming
   it on boot (corrupt snapshots are discarded, never trusted).
 
-Request lifecycle: frame decoded -> envelope validated -> spec built
-(QoS effort applied; fingerprint/memo check) -> **admitted** (or shed)
--> heartbeats with ``state="queued"`` while waiting -> on grant, the
+Request lifecycle: frame decoded -> envelope validated -> the op's
+request type parses the params -> spec built (analyze: QoS effort
+applied, netlist text read; fingerprint/memo check) -> **admitted** (or
+shed) -> heartbeats with ``state="queued"`` while waiting -> on grant, the
 deadline's queue wait is charged (:func:`repro.service.qos
 .resolve_budgets`) -> a fleet worker executes the spec via
 :func:`repro.service.fleet.run_work` -- *the same compute code as the
@@ -44,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from repro import obs
@@ -68,7 +69,7 @@ from repro.service.protocol import (
     validate_request,
 )
 from repro.service.qos import resolve_budgets
-from repro.service.requests import AnalysisRequest, execute_size
+from repro.service.requests import REQUEST_TYPES, read_netlist
 
 _log = obs.get_logger("repro.service")
 
@@ -144,14 +145,19 @@ class ServerHandle:
 
 @dataclass
 class _PendingCompute:
-    """A validated compute request, ready for admission/dispatch."""
+    """A validated compute request, ready for admission/dispatch.  The
+    spec's analyze-only extras: ``fault``, ``fleet_fault``,
+    ``netlist_text``; at dispatch ``timeout_s`` and ``hog``."""
 
-    op: str
+    request: Any
     spec: Dict[str, Any]
-    request: Optional[AnalysisRequest] = None  # analyze only
     memoizable: bool = False
     fingerprint: Optional[str] = None
     hog: bool = False
+
+    @property
+    def op(self) -> str:
+        return self.request.op
 
 
 class AnalysisServer:
@@ -422,29 +428,59 @@ class AnalysisServer:
             try:
                 pending = self._build_spec(op, dict(params), effort)
             except ProtocolError as exc:
-                self._count_failure()
-                await self._send(writer, error_frame(
-                    request_id, exc.code, str(exc)))
-                return
+                frame = error_frame(request_id, exc.code, str(exc))
             except ConfigError as exc:
-                self._count_failure()
-                await self._send(writer, error_frame(
-                    request_id, "bad-request", str(exc)))
+                frame = error_frame(request_id, "bad-request", str(exc))
+            except Exception as exc:
+                # E.g. an unreadable netlist file: answered as a worker
+                # answers any request that raises, connection intact.
+                error = f"{type(exc).__name__}: {exc}"
+                _log.warning("service.request_error", op=op, error=error)
+                frame = error_frame(request_id, "internal", error)
+            else:
+                await self._admit_and_run(writer, request_id, pending,
+                                          deadline_s, effort, arrived_at)
                 return
-            await self._admit_and_run(writer, request_id, pending,
-                                      deadline_s, effort, arrived_at)
+            self._count_failure()
+            await self._send(writer, frame)
 
     # -- spec construction (acceptor side, cheap) --------------------------
 
     def _build_spec(self, op: str, params: Dict[str, Any],
                     effort: Optional[str]) -> _PendingCompute:
-        if op == "analyze":
-            return self._build_analyze_spec(params, effort)
-        if op == "verify":
-            return self._build_verify_spec(params)
-        if op == "size":
-            return self._build_size_spec(params)
-        raise BadRequest(f"op {op!r} not dispatchable")
+        """Every op's params become its request type; fault injection,
+        the QoS effort tier, the result memo and hog preemption are
+        ``analyze``-only."""
+        request_type = REQUEST_TYPES.get(op)
+        if request_type is None:
+            raise BadRequest(f"op {op!r} not dispatchable")
+        if op != "analyze":
+            request = request_type.from_params(params)
+            return _PendingCompute(
+                request=request, spec={"op": op, "request": asdict(request)})
+        fault_plan = self._fault_plan(params)
+        fleet_fault = self._fleet_fault(params)
+        request = request_type.from_params(params)
+        if effort is not None:
+            # Effort tiers are deterministic (same cap -> same result),
+            # so they merge *before* fingerprinting; the deadline's
+            # wall budget is charged at dispatch, after the queue wait.
+            request = request.with_budgets(
+                resolve_budgets(request.budgets(), None, effort))
+        # The memo and the worker's context cache are keyed on the
+        # netlist text read here, and the worker computes from this
+        # very text: a hit is served only for the bytes it came from.
+        text = read_netlist(request.netlist)
+        spec: Dict[str, Any] = {"op": op, "request": asdict(request),
+                                "fault": fault_plan, "netlist_text": text}
+        if fleet_fault:
+            spec["fleet_fault"] = fleet_fault
+        return _PendingCompute(
+            request=request, spec=spec,
+            memoizable=(request.deterministic() and fault_plan is None
+                        and fleet_fault is None),
+            fingerprint=request.fingerprint(text),
+            hog=(effort == "exhaustive"))
 
     def _fault_plan(self, params: Dict[str, Any]):
         """Honor a ``fault`` param (test harnesses only): a FaultPlan
@@ -480,65 +516,6 @@ class AnalysisServer:
             raise BadRequest(
                 f"unknown fleet_fault fields: {', '.join(unknown)}")
         return dict(spec)
-
-    def _build_analyze_spec(self, params: Dict[str, Any],
-                            effort: Optional[str]) -> _PendingCompute:
-        fault_plan = self._fault_plan(params)
-        fleet_fault = self._fleet_fault(params)
-        request = AnalysisRequest.from_params(params)
-        if effort is not None:
-            # Effort tiers are deterministic (same cap -> same result),
-            # so they merge *before* fingerprinting; the deadline's
-            # wall budget is charged at dispatch, after the queue wait.
-            merged = resolve_budgets(request.budgets(), None, effort)
-            request = replace(
-                request,
-                wall_budget=merged.wall_seconds if merged else None,
-                extension_budget=merged.max_extensions if merged else None,
-                backtrack_budget=merged.max_backtracks if merged else None,
-            )
-        memoizable = (request.deterministic() and fault_plan is None
-                      and fleet_fault is None)
-        spec: Dict[str, Any] = {
-            "op": "analyze",
-            "request": asdict(request),
-            "fault": fault_plan,
-        }
-        if fleet_fault:
-            spec["fleet_fault"] = fleet_fault
-        return _PendingCompute(
-            op="analyze", spec=spec, request=request,
-            memoizable=memoizable, fingerprint=request.fingerprint(),
-            hog=(effort == "exhaustive"))
-
-    def _build_verify_spec(self, params: Dict[str, Any]) -> _PendingCompute:
-        circuits = params.get("circuits")
-        if not circuits or not isinstance(circuits, list):
-            raise BadRequest(
-                "verify requires a non-empty 'circuits' list param")
-        allowed = {"circuits", "oracle", "metamorphic", "max_inputs",
-                   "jobs", "tech"}
-        unknown = sorted(set(params) - allowed)
-        if unknown:
-            raise BadRequest(f"unknown verify params: {', '.join(unknown)}")
-        if not params.get("oracle") and not params.get("metamorphic"):
-            raise BadRequest(
-                "verify requires 'oracle' and/or 'metamorphic'")
-        return _PendingCompute(op="verify",
-                               spec={"op": "verify", "params": params})
-
-    def _build_size_spec(self, params: Dict[str, Any]) -> _PendingCompute:
-        if "netlist" not in params or "required_ps" not in params:
-            raise BadRequest(
-                "size requires 'netlist' and 'required_ps' params")
-        import inspect
-
-        allowed = set(inspect.signature(execute_size).parameters)
-        unknown = sorted(set(params) - allowed)
-        if unknown:
-            raise BadRequest(f"unknown size params: {', '.join(unknown)}")
-        return _PendingCompute(op="size",
-                               spec={"op": "size", "params": params})
 
     # -- admission + dispatch ----------------------------------------------
 
@@ -585,23 +562,15 @@ class AnalysisServer:
             # Slot granted: charge the queue wait against the deadline.
             if pending.op == "analyze" and deadline_s is not None:
                 try:
-                    merged = resolve_budgets(
+                    request = pending.request.with_budgets(resolve_budgets(
                         pending.request.budgets(), deadline_s, None,
-                        queued_at=arrived_at)
+                        queued_at=arrived_at))
                 except ProtocolError as exc:
                     self._admission.release(ticket)
                     self._count_failure()
                     await self._send(writer, error_frame(
                         request_id, exc.code, str(exc)))
                     return
-                request = replace(
-                    pending.request,
-                    wall_budget=merged.wall_seconds if merged else None,
-                    extension_budget=(merged.max_extensions
-                                      if merged else None),
-                    backtrack_budget=(merged.max_backtracks
-                                      if merged else None),
-                )
                 wall = request.wall_budget
                 spec = dict(spec, request=asdict(request))
                 if wall is not None:
@@ -727,8 +696,12 @@ class AnalysisServer:
                                   f"{type(exc).__name__}: {exc}")]
         else:
             # The worker's registry delta: the acceptor's metrics see
-            # fleet work, merged on this one thread.
+            # fleet work, merged on this one thread.  A worker runs one
+            # task at a time, so the delta is also the request's own
+            # record: its counters are the result's ``metrics``.
             merge_shard_telemetry(telemetry)
+            if frames[-1].get("kind") == "result":
+                frames[-1]["metrics"] = telemetry.counters()
         # On a mid-compute disconnect the frames are returned anyway:
         # the caller releases the slot first, then the doomed send
         # surfaces the broken pipe to the connection handler.

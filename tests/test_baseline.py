@@ -17,7 +17,7 @@ from repro.netlist.techmap import techmap
 def c17_setup(charlib_lut_90):
     circuit = c17()
     ec = EngineCircuit(circuit)
-    calc = DelayCalculator(ec, charlib_lut_90, vector_blind=True)
+    calc = DelayCalculator(ec, charlib_lut_90)
     return circuit, ec, calc
 
 
@@ -42,7 +42,7 @@ class TestStructuralEnumeration:
     def test_count_matches_enumeration_random(self, charlib_lut_90):
         circuit = techmap(random_dag("se", 10, 50, seed=13))
         ec = EngineCircuit(circuit)
-        calc = DelayCalculator(ec, charlib_lut_90, vector_blind=True)
+        calc = DelayCalculator(ec, charlib_lut_90)
         enum = StructuralEnumerator(ec, calc)
         assert enum.count_paths() == len(list(enum.iter_paths()))
 
@@ -68,7 +68,7 @@ class TestSensitizer:
         c.add_gate("AND2", "z", {"A": "a", "B": "an"}, name="U2")
         c.add_output("z")
         ec = EngineCircuit(c)
-        calc = DelayCalculator(ec, charlib_lut_90, vector_blind=True)
+        calc = DelayCalculator(ec, charlib_lut_90)
         enum = StructuralEnumerator(ec, calc)
         sens = TwoStepSensitizer(ec, calc)
         outcomes = [sens.check(p) for p in enum.iter_paths()]

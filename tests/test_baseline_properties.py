@@ -14,7 +14,7 @@ from repro.netlist.techmap import techmap
 def make_enum(seed, charlib):
     circuit = techmap(random_dag(f"sp{seed}", 10, 45, seed=seed))
     ec = EngineCircuit(circuit)
-    calc = DelayCalculator(ec, charlib, vector_blind=True)
+    calc = DelayCalculator(ec, charlib)
     return circuit, ec, StructuralEnumerator(ec, calc)
 
 

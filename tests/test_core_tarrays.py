@@ -56,10 +56,8 @@ from repro.verify.metamorphic import (
 def _calcs(circuit, charlib, **kwargs):
     """A (reference, default) calculator pair over independent engines:
     the first one only ever feeds the reference passes."""
-    blind = charlib.metadata.get("vector_mode") == "default"
     return tuple(
-        DelayCalculator(EngineCircuit(circuit), charlib, vector_blind=blind,
-                        **kwargs)
+        DelayCalculator(EngineCircuit(circuit), charlib, **kwargs)
         for _ in range(2)
     )
 

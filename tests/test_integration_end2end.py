@@ -76,9 +76,7 @@ class TestBaselineWorseThanDeveloped:
         circuit, sta, paths = fig4_setup
         from repro.eval.fig4 import CRITICAL_NETS
 
-        lut_calc = DelayCalculator(
-            sta.ec, charlib_lut_90, vector_blind=True,
-        )
+        lut_calc = DelayCalculator(sta.ec, charlib_lut_90)
         critical = [p for p in paths if p.nets == CRITICAL_NETS]
         worst = max(critical, key=lambda p: p.worst_arrival)
         easy = min(critical, key=lambda p: p.worst_arrival)

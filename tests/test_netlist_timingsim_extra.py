@@ -77,11 +77,25 @@ class TestModes:
         """The simulator also runs on the baseline's LUT library."""
         from repro.netlist.generate import c17
 
-        sim = TimingSimulator(c17(), charlib_lut_90, vector_blind=True)
+        sim = TimingSimulator(c17(), charlib_lut_90)
         result = sim.simulate_transition(
             {"G1": 0, "G2": 1, "G3": 1, "G6": 1, "G7": 0}, "G1", True
         )
         assert result.toggled("G22") or result.toggled("G23")
+
+    def test_blind_lookups_follow_the_library(self, charlib_lut_90):
+        """A default-vector library is looked up vector-blind without
+        being told: c432's NOR2 arcs exist there only as blind arcs, so
+        a vector-resolved lookup would raise MissingArcsError."""
+        from repro.service.requests import load_circuit
+
+        circuit = load_circuit("iscas:c432@0.05")
+        sim = TimingSimulator(circuit, charlib_lut_90)
+        for bit in (0, 1):
+            vector = {net: bit for net in circuit.inputs}
+            for origin in circuit.inputs:
+                sim.simulate_transition(vector, origin, rising=True)
+        assert sim.calc.vector_blind
 
     def test_select_toggle_uses_mux_vectors(self, charlib_poly_90):
         """Toggling S with A != B propagates (a multi-vector pin)."""

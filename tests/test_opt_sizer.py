@@ -10,7 +10,7 @@ from repro.gates.library import sized_library
 from repro.netlist.circuit import Circuit
 from repro.opt.sizer import TimingDrivenSizer
 from repro.resilience.budgets import SearchBudgets
-from repro.service.requests import execute_size
+from repro.service.requests import SizeRequest, execute_size
 
 SIZING_CELLS = ["INV", "INV_X2", "NAND2", "NAND2_X2", "AO22", "AO22_X2"]
 
@@ -167,12 +167,35 @@ class TestBudgets:
         """On c432@0.3 an extension budget of 50 cuts one origin of the
         first search short; its worst path is not the circuit's, so the
         loop stops there instead of sizing against it."""
-        outcome = execute_size("iscas:c432@0.3", 1.0, seed=7, max_moves=3,
-                               extension_budget=50)
+        outcome = execute_size(SizeRequest(
+            "iscas:c432@0.3", 1.0, seed=7, max_moves=3,
+            extension_budget=50))
         assert outcome.payload["stop_reason"] == "budget"
         assert not outcome.payload["moves"]
         assert outcome.payload["initial_ps"] is None
         assert "stop: budget" in outcome.report
+
+
+class TestSearchCount:
+    @pytest.mark.parametrize("strategy", ["greedy", "anneal"])
+    def test_revert_keeps_the_held_worst_path(self, strategy, monkeypatch):
+        """A reverted trial restores the circuit whose worst path the
+        loop already holds, so only the first search and one per trial
+        run: 4 on this c432 configuration (3 trials, 2 of them
+        reverted), not 6."""
+        searches = []
+        search = TruePathSTA.worst_path
+
+        def counting(self, **kwargs):
+            searches.append(kwargs)
+            return search(self, **kwargs)
+
+        monkeypatch.setattr(TruePathSTA, "worst_path", counting)
+        outcome = execute_size(SizeRequest(
+            "iscas:c432@0.3", 1.0, strategy=strategy, seed=7, max_moves=3))
+        moves = outcome.payload["moves"]
+        assert sum(not m["accepted"] for m in moves) == 2
+        assert len(searches) == 1 + len(moves) == 4
 
 
 class ScratchSession:
@@ -239,8 +262,8 @@ class TestScratchReference:
         counters, and one incremental edit per reference edit."""
         def run():
             clean_obs.reset()
-            outcome = execute_size("iscas:c432@0.3", 1.0, seed=7,
-                                   max_moves=3)
+            outcome = execute_size(SizeRequest("iscas:c432@0.3", 1.0,
+                                               seed=7, max_moves=3))
             return outcome, clean_obs.snapshot()
 
         live, live_metrics = run()

@@ -219,7 +219,7 @@ class TestMissingArcs:
         """The blind library misses vector-resolved arcs by construction
         -- that is debug noise, not a warning."""
         ec = EngineCircuit(_nand_chain())
-        calc = DelayCalculator(ec, charlib_lut_90, vector_blind=True)
+        calc = DelayCalculator(ec, charlib_lut_90)
         nand = next(g for g in ec.gates if g.cell.name == "NAND2")
         buf = io.StringIO()
         obs.configure_logging(level="warning", stream=buf)

@@ -70,7 +70,7 @@ class TestCompletenessReport:
     def test_outcome_round_trip(self):
         outcome = OriginOutcome("I3", "partial", paths_found=7,
                                 gba_bound=1.25e-10)
-        assert OriginOutcome.from_dict(outcome.as_dict()) == outcome
+        assert OriginOutcome(**outcome.as_dict()) == outcome
 
     def test_summary_orders_statuses(self):
         report = CompletenessReport()

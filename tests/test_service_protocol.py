@@ -130,6 +130,18 @@ def test_validate_request_bad_envelope(payload, fragment):
 # Live server: structured rejection without crashing
 
 
+def send_raw(client, data: bytes) -> None:
+    """Ship raw bytes on the client's connection (forged frames)."""
+    client.connect()
+    client._sock.sendall(data)
+
+
+def read_frame(client):
+    """Read one raw response frame off the client's connection."""
+    client.connect()
+    return client._read_frame()
+
+
 def _assert_still_alive(client):
     """The acid test after every rejection: the same connection still
     serves a well-formed request."""
@@ -139,8 +151,8 @@ def _assert_still_alive(client):
 
 def test_malformed_json_rejected_connection_survives(client):
     body = b"{definitely not json"
-    client.send_raw(protocol.HEADER.pack(len(body)) + body)
-    response = client.read_frame()
+    send_raw(client, protocol.HEADER.pack(len(body)) + body)
+    response = read_frame(client)
     assert response["kind"] == "error"
     assert response["code"] == "bad-json"
     _assert_still_alive(client)
@@ -148,8 +160,8 @@ def test_malformed_json_rejected_connection_survives(client):
 
 def test_non_object_json_rejected(client):
     body = b'"just a string"'
-    client.send_raw(protocol.HEADER.pack(len(body)) + body)
-    response = client.read_frame()
+    send_raw(client, protocol.HEADER.pack(len(body)) + body)
+    response = read_frame(client)
     assert response["kind"] == "error"
     assert response["code"] == "bad-json"
     _assert_still_alive(client)
@@ -158,8 +170,8 @@ def test_non_object_json_rejected(client):
 def test_version_mismatch_rejected(client):
     frame = protocol.encode_frame(
         {"v": 99, "id": "r1", "op": "ping", "params": {}})
-    client.send_raw(frame)
-    response = client.read_frame()
+    send_raw(client, frame)
+    response = read_frame(client)
     assert response["kind"] == "error"
     assert response["code"] == "version-mismatch"
     assert response["id"] == "r1"
@@ -170,8 +182,8 @@ def test_version_mismatch_rejected(client):
 def test_unknown_op_rejected(client):
     frame = protocol.encode_frame(
         {"v": 1, "id": "r2", "op": "frobnicate", "params": {}})
-    client.send_raw(frame)
-    response = client.read_frame()
+    send_raw(client, frame)
+    response = read_frame(client)
     assert response["kind"] == "error"
     assert response["code"] == "bad-request"
     assert response["id"] == "r2"
@@ -191,13 +203,13 @@ def test_oversized_frame_rejected_and_connection_closed(server):
     # Oversized is the one fatal protocol error: the declared body
     # cannot be safely drained, so the server answers and disconnects.
     with ServiceClient(server.host, server.port, timeout=30.0) as client:
-        client.send_raw(protocol.HEADER.pack(protocol.MAX_FRAME_BYTES + 1))
-        response = client.read_frame()
+        send_raw(client, protocol.HEADER.pack(protocol.MAX_FRAME_BYTES + 1))
+        response = read_frame(client)
         assert response["kind"] == "error"
         assert response["code"] == "oversized-frame"
         with pytest.raises((TruncatedFrame, ConnectionError, OSError)):
-            client.send_raw(b"\x00" * 8)
-            client.read_frame()
+            send_raw(client, b"\x00" * 8)
+            read_frame(client)
     # ...but the *server* survives for other connections.
     with ServiceClient(server.host, server.port, timeout=30.0) as fresh:
         assert fresh.call("ping")["pong"] is True
@@ -207,7 +219,7 @@ def test_truncated_request_does_not_crash_server(server):
     # Disconnect mid-frame: nothing to answer, but the next connection
     # must work.
     with ServiceClient(server.host, server.port, timeout=30.0) as client:
-        client.send_raw(struct.pack("!I", 400) + b"partial")
+        send_raw(client, struct.pack("!I", 400) + b"partial")
     with ServiceClient(server.host, server.port, timeout=30.0) as fresh:
         assert fresh.call("ping")["pong"] is True
 

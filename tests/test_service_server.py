@@ -307,6 +307,53 @@ def test_stats_endpoint_shape(client):
     assert stats["uptime_s"] >= 0
 
 
+def test_edited_netlist_is_never_answered_from_its_old_bytes(server,
+                                                            tmp_path):
+    """The result memo and the worker's context cache are keyed on the
+    netlist's text, not its path: after an edit, a repeat and a memo
+    miss (new ``top``) are both computed from the new file, exactly as
+    the one-shot CLI prints it."""
+    from repro.netlist.bench import C17_BENCH
+
+    netlist = tmp_path / "c17.bench"
+    netlist.write_text(C17_BENCH)
+    with ServiceClient(server.host, server.port, timeout=300.0) as c:
+        before = c.call("analyze", {"netlist": str(netlist)})
+        assert "G23" in before["report"]
+        netlist.write_text("".join(line for line in
+                                   C17_BENCH.splitlines(keepends=True)
+                                   if "G23" not in line))
+        repeat = c.call("analyze", {"netlist": str(netlist)})
+        new_top = c.call("analyze", {"netlist": str(netlist), "top": 3})
+        again = c.call("analyze", {"netlist": str(netlist)})
+    assert repeat["cached"] is False
+    assert repeat["report"] + "\n" == cli_stdout(["analyze", str(netlist)])
+    assert new_top["report"] + "\n" == cli_stdout(
+        ["analyze", str(netlist), "--top", "3"])
+    assert "G23" not in repeat["report"] + new_top["report"]
+    # Unchanged bytes still hit the memo.
+    assert again["cached"] is True
+    assert again["report"] == repeat["report"]
+
+
+@pytest.mark.parametrize("netlist,error", [
+    ("absent.bench", "FileNotFoundError"),
+    (5, "AttributeError"),
+], ids=["missing-file", "not-a-path"])
+def test_unreadable_netlist_is_an_error_frame(client, tmp_path, netlist,
+                                              error):
+    """The acceptor reads the netlist; a failed read answers with the
+    ``internal`` frame a failed compute gives, and the connection
+    keeps serving."""
+    if isinstance(netlist, str):
+        netlist = str(tmp_path / netlist)
+    with pytest.raises(ServiceError) as err:
+        client.call("analyze", {"netlist": netlist})
+    assert err.value.code == "internal"
+    assert error in err.value.message
+    assert client.call("ping")["pong"] is True
+
+
 def test_request_metrics_delta_present(server):
     with ServiceClient(server.host, server.port, timeout=300.0) as c:
         # A fresh fingerprint so the memo cannot short-circuit it.
